@@ -321,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="coefficient ring label")
         if padic:
             p.add_argument("--p", type=_prime_arg, default=None,
-                           help="prime of the coefficient field")
+                           help="prime of the coefficient field, below 2^64")
             p.add_argument("--abs-prec", type=_positive_int, default=None,
                            help="working precision, digits of p")
         if trunc:

@@ -15,6 +15,13 @@ is provably correct modulo p^N given what was known about the operands.
 A value that cannot be told apart from zero at its precision is stored with
 ``valuation = None`` and ``unit = 0``; it stands for "some element of
 valuation >= abs_prec".
+
+The arithmetic works on these integer fields directly, never through
+``Fraction``.  A sum brings both units to the smaller valuation with one
+power of p and adds once; a product adds valuations and multiplies units; a
+quotient takes one modular inverse.  Every result then passes the shared
+strip-and-reduce step (strip factors of p with :func:`vp_int`, reduce the
+unit modulo p^(abs_prec - valuation)), so the form stays canonical.
 """
 
 from __future__ import annotations
@@ -28,22 +35,48 @@ Rational = Fraction
 
 _PRIMES_SEEN: set[int] = set()
 
+# Primes must lie below this bound, where the bases below make
+# Miller-Rabin deterministic.
+PRIME_LIMIT = 2**64
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 def check_prime(p: int) -> int:
-    """Validate that p is a small positive prime; return it."""
+    """Validate that p is a positive prime below PRIME_LIMIT; return it."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise InvalidInputError(f"prime must be an integer, got {p!r}")
     if p in _PRIMES_SEEN:
         return p
     if p < 2:
         raise InvalidInputError(f"prime must be >= 2, got {p}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise InvalidInputError(f"{p} is not prime")
-        d += 1
+    if p >= PRIME_LIMIT:
+        raise InvalidInputError(f"prime must be below 2^64, got {p}")
+    if not _is_prime(p):
+        raise InvalidInputError(f"{p} is not prime")
     _PRIMES_SEEN.add(p)
     return p
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37, exact for 2 <= n < 2^64."""
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def vp_int(n: int, p: int) -> int:
@@ -150,8 +183,10 @@ class PAdic:
 
     @classmethod
     def from_rational(cls, value, prime: int, abs_prec: int) -> "PAdic":
-        q = Fraction(value)
-        return padic_normalize(q.numerator, q.denominator, prime, abs_prec)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return padic_normalize(value.numerator, value.denominator, prime,
+                               abs_prec)
 
     # -- views -------------------------------------------------------------
 
@@ -192,9 +227,21 @@ class PAdic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.abs_prec, o.abs_prec)
-        s = self.to_fraction() + o.to_fraction()
-        return padic_normalize(s.numerator, s.denominator, self.prime, n)
+        p, n = self.prime, min(self.abs_prec, o.abs_prec)
+        va, vb = self.valuation, o.valuation
+        if vb is None:
+            if va is None:
+                return PAdic.zero(p, n)
+            return _reduce(p, va, self.unit, n)
+        if va is None:
+            return _reduce(p, vb, o.unit, n)
+        if va <= vb:
+            s = self.unit + o.unit * p ** (vb - va)
+        else:
+            s, va = o.unit + self.unit * p ** (va - vb), vb
+        if s == 0:
+            return PAdic.zero(p, n)
+        return _reduce(p, va, s, n)
 
     __radd__ = __add__
 
@@ -218,48 +265,57 @@ class PAdic:
         return o + (-self)
 
     def __mul__(self, other) -> "PAdic":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            # Exact scalar: relative precision is preserved.
-            if other == 0:
-                return PAdic.zero(self.prime, self.abs_prec)
-            q = Fraction(other)
-            k = vp_int(q.numerator, self.prime) - vp_int(q.denominator, self.prime)
-            s = self.to_fraction() * q
-            return padic_normalize(s.numerator, s.denominator, self.prime,
-                                   self.abs_prec + k)
-        if not isinstance(other, PAdic):
+        p = self.prime
+        if isinstance(other, PAdic):
+            o = self._coerce(other)
+            n = min(self.abs_prec + o.valuation_floor,
+                    o.abs_prec + self.valuation_floor)
+            if self.valuation is None or o.valuation is None:
+                return PAdic.zero(p, n)
+            # A product of units is a unit known to min(rel_a, rel_b) = n - v
+            # digits.
+            v = self.valuation + o.valuation
+            return PAdic(p, v, self.unit * o.unit % p ** (n - v), n)
+        if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
             return NotImplemented
-        o = self._coerce(other)
-        n = min(self.abs_prec + o.valuation_floor, o.abs_prec + self.valuation_floor)
-        s = self.to_fraction() * o.to_fraction()
-        return padic_normalize(s.numerator, s.denominator, self.prime, n)
+        # Exact scalar: relative precision is preserved.
+        if other == 0:
+            return PAdic.zero(p, self.abs_prec)
+        k, num, den = _scalar_parts(other, p)
+        if self.valuation is None:
+            return PAdic.zero(p, self.abs_prec + k)
+        return _reduce(p, self.valuation + k, self.unit * num,
+                       self.abs_prec + k, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "PAdic":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if other == 0:
-                raise InvalidInputError("division by zero")
-            q = Fraction(other)
-            k = vp_int(q.numerator, self.prime) - vp_int(q.denominator, self.prime)
-            s = self.to_fraction() / q
-            return padic_normalize(s.numerator, s.denominator, self.prime,
-                                   self.abs_prec - k)
-        if not isinstance(other, PAdic):
+        p = self.prime
+        if isinstance(other, PAdic):
+            if other.prime != p:
+                raise InvalidInputError("p-adic arithmetic needs matching primes")
+            if other.is_zero:
+                raise InvalidInputError(
+                    "division by a value indistinguishable from zero "
+                    f"(0 mod {other.prime}^{other.abs_prec})"
+                )
+            if self.valuation is None:
+                return PAdic.zero(p, self.abs_prec - other.valuation)
+            v = self.valuation - other.valuation
+            rel = min(self.abs_prec - self.valuation,
+                      other.abs_prec - other.valuation)
+            modulus = p**rel
+            unit = self.unit * pow(other.unit, -1, modulus) % modulus
+            return PAdic(p, v, unit, v + rel)
+        if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
             return NotImplemented
-        if other.prime != self.prime:
-            raise InvalidInputError("p-adic arithmetic needs matching primes")
-        if other.is_zero:
-            raise InvalidInputError(
-                "division by a value indistinguishable from zero "
-                f"(0 mod {other.prime}^{other.abs_prec})"
-            )
-        if self.is_zero:
-            return PAdic.zero(self.prime, self.abs_prec - other.valuation)
-        rel = min(self.rel_prec, other.rel_prec)
-        n = self.valuation - other.valuation + rel
-        s = self.to_fraction() / other.to_fraction()
-        return padic_normalize(s.numerator, s.denominator, self.prime, n)
+        if other == 0:
+            raise InvalidInputError("division by zero")
+        k, num, den = _scalar_parts(other, p)
+        if self.valuation is None:
+            return PAdic.zero(p, self.abs_prec - k)
+        return _reduce(p, self.valuation - k, self.unit * den,
+                       self.abs_prec - k, num)
 
     def inverse(self) -> "PAdic":
         if self.is_zero:
@@ -271,8 +327,9 @@ class PAdic:
     def truncated(self, abs_prec: int) -> "PAdic":
         """The same value known only modulo p^abs_prec (never gains precision)."""
         n = min(self.abs_prec, abs_prec)
-        s = self.to_fraction()
-        return padic_normalize(s.numerator, s.denominator, self.prime, n)
+        if self.valuation is None:
+            return PAdic.zero(self.prime, n)
+        return _reduce(self.prime, self.valuation, self.unit, n)
 
     # -- comparison --------------------------------------------------------
 
@@ -311,17 +368,33 @@ def padic_normalize(numerator: int, denominator: int, prime: int,
         raise InvalidInputError("denominator must be nonzero")
     if numerator == 0:
         return PAdic.zero(prime, abs_prec)
-    vn = vp_int(numerator, prime)
     vd = vp_int(denominator, prime)
-    v = vn - vd
-    rel = abs_prec - v
+    return _reduce(prime, -vd, numerator, abs_prec, denominator // prime**vd)
+
+
+def _reduce(prime: int, valuation: int, num: int, abs_prec: int,
+            den: int = 1) -> PAdic:
+    """p^valuation * num/den at precision abs_prec, for num nonzero and den
+    prime to p: strip p from num, then reduce modulo p^(abs_prec - v)."""
+    if num % prime == 0:
+        k = vp_int(num, prime)
+        num //= prime**k
+        valuation += k
+    rel = abs_prec - valuation
     if rel < 1:
         return PAdic.zero(prime, abs_prec)
     modulus = prime**rel
-    num_unit = numerator // prime**vn
-    den_unit = denominator // prime**vd
-    unit = num_unit * pow(den_unit, -1, modulus) % modulus
-    return PAdic(prime, v, unit, abs_prec)
+    if den != 1:
+        num *= pow(den, -1, modulus)
+    return PAdic(prime, valuation, num % modulus, abs_prec)
+
+
+def _scalar_parts(q, prime: int) -> tuple[int, int, int]:
+    """(k, a, b) with q = p^k * a/b and a, b prime to p, for a nonzero
+    int or Fraction q."""
+    a, b = q.numerator, q.denominator
+    ka, kb = vp_int(a, prime), vp_int(b, prime)
+    return ka - kb, a // prime**ka, b // prime**kb
 
 
 def reduce_mod_p(x: PAdic) -> ResidueElement:

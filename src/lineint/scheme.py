@@ -32,6 +32,7 @@ from .series import (
     RingLabel,
     TruncatedSeries,
     _check_coeff,
+    _coeff_is_zero,
     derive,
     one_series,
     zero_series,
@@ -101,7 +102,7 @@ class BiSeries:
 
     @property
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for row in self.coeffs for c in row)
+        return all(_coeff_is_zero(c) for row in self.coeffs for c in row)
 
     def clipped(self, trunc_u=None, trunc_x=None) -> "BiSeries":
         tu = self.trunc_u if trunc_u is None else min(trunc_u, self.trunc_u)
@@ -180,10 +181,6 @@ class BiSeries:
     def __repr__(self):
         return (f"BiSeries({self.ring.value}, "
                 f"({self.trunc_u}, {self.trunc_x}), {self.coeffs!r})")
-
-
-def _is_zero(c) -> bool:
-    return c.is_zero if isinstance(c, PAdic) else c == 0
 
 
 def biseries_from_map(ring: RingLabel, mapping, trunc_u: int, trunc_x: int,
@@ -413,7 +410,7 @@ def section_pullback(family: FramedFamily,
             "section window does not show the constant term"
         )
     c0 = v.coefficient(0)
-    if _is_zero(c0):
+    if _coeff_is_zero(c0):
         raise NonUnitError("section must be a unit: constant term vanishes")
     if v.ring.integral and c0.valuation != 0:
         raise NonUnitError(

@@ -206,6 +206,20 @@ class TestExitCodes:
         code, out, err = cli(["plog", "--p", "4", "1 + O(u^3)"])
         assert code == 2
 
+    def test_large_prime_answers(self, cli):
+        # 2^61 - 1: primality must not cost sqrt(p) steps.
+        code, out, err = cli(["plog", "--p", str(2**61 - 1), "1 - u + O(u^9)"])
+        assert code == 0 and out.endswith("+ O(u^9)\n")
+
+    def test_prime_above_limit_refused(self, cli):
+        code, out, err = cli(["plog", "--p", str(2**64 + 13), "1 + O(u^3)"])
+        assert code == 2 and "below 2^64" in err
+        doc = json.loads(DAGGER_CONNECTION)
+        doc["p"] = 2**64 + 13
+        code, out, err = cli(["trivialize", "--file", "-"], stdin=json.dumps(doc))
+        assert code == 1
+        assert json.loads(err)["error"] == "invalid-input"
+
     def test_unknown_command_is_2(self, cli):
         assert cli(["frobnicate"])[0] == 2
 

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lineint.coeff import (
+    PRIME_LIMIT,
     PAdic,
     ResidueElement,
     check_prime,
@@ -14,7 +16,7 @@ from lineint.coeff import (
     reduce_mod_p,
     vp_int,
 )
-from lineint.errors import InvalidInputError, NotIntegralError
+from lineint.errors import CalculusError, InvalidInputError, NotIntegralError
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -185,3 +187,224 @@ class TestText:
         assert str(padic_normalize(12, 1, 2, 6)) == "2^2*3 (mod 2^6)"
         assert str(PAdic.zero(5, 4)) == "0 (mod 5^4)"
         assert str(padic_normalize(3, 4, 2, 6)) == "2^-2*3 (mod 2^6)"
+
+
+class TestCheckPrime:
+    def trial_division(self, n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    def test_agrees_with_trial_division(self):
+        for n in range(-3, 5000):
+            try:
+                check_prime(n)
+                accepted = True
+            except InvalidInputError:
+                accepted = False
+            assert accepted == self.trial_division(n), n
+
+    def test_mersenne_prime_2_61_accepted(self):
+        assert check_prime(2**61 - 1) == 2**61 - 1
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_rejected(self, n):
+        with pytest.raises(InvalidInputError, match="not prime"):
+            check_prime(n)
+
+    @pytest.mark.parametrize("n", [PRIME_LIMIT, 2**64 + 13])
+    def test_limit_refused_with_invalid_input(self, n):
+        with pytest.raises(InvalidInputError, match="below 2\\^64") as e:
+            check_prime(n)
+        assert e.value.code == "invalid-input"
+
+    def test_largest_prime_below_limit_accepted(self):
+        assert check_prime(2**64 - 59) == 2**64 - 59
+        with pytest.raises(InvalidInputError):
+            check_prime(2**64 - 1)
+
+
+# -- differential gate ---------------------------------------------------------
+# The Fraction-based arithmetic that PAdic used before its integer kernel,
+# kept as an oracle: every kernel result must equal it field for field, and
+# every failure must raise the same error class.
+
+
+def fraction_normalize(numerator, denominator, prime, abs_prec):
+    check_prime(prime)
+    if denominator == 0:
+        raise InvalidInputError("denominator must be nonzero")
+    if numerator == 0:
+        return FractionPAdic(prime, None, 0, abs_prec)
+    vn = vp_int(numerator, prime)
+    vd = vp_int(denominator, prime)
+    v = vn - vd
+    rel = abs_prec - v
+    if rel < 1:
+        return FractionPAdic(prime, None, 0, abs_prec)
+    modulus = prime**rel
+    num_unit = numerator // prime**vn
+    den_unit = denominator // prime**vd
+    unit = num_unit * pow(den_unit, -1, modulus) % modulus
+    return FractionPAdic(prime, v, unit, abs_prec)
+
+
+def _normalized(q, prime, abs_prec):
+    return fraction_normalize(q.numerator, q.denominator, prime, abs_prec)
+
+
+class FractionPAdic(PAdic):
+    """PAdic with every operation routed through exact Fractions."""
+
+    def _coerce(self, other):
+        if isinstance(other, PAdic):
+            if other.prime != self.prime:
+                raise InvalidInputError("p-adic arithmetic needs matching primes")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return _normalized(Fraction(other), self.prime, self.abs_prec)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = min(self.abs_prec, o.abs_prec)
+        return _normalized(self.to_fraction() + o.to_fraction(), self.prime, n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self.valuation is None:
+            return self
+        rel = self.abs_prec - self.valuation
+        return FractionPAdic(self.prime, self.valuation,
+                             -self.unit % self.prime**rel, self.abs_prec)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            if other == 0:
+                return FractionPAdic(self.prime, None, 0, self.abs_prec)
+            q = Fraction(other)
+            k = vp_int(q.numerator, self.prime) - vp_int(q.denominator, self.prime)
+            return _normalized(self.to_fraction() * q, self.prime,
+                               self.abs_prec + k)
+        if not isinstance(other, PAdic):
+            return NotImplemented
+        o = self._coerce(other)
+        n = min(self.abs_prec + o.valuation_floor, o.abs_prec + self.valuation_floor)
+        return _normalized(self.to_fraction() * o.to_fraction(), self.prime, n)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            if other == 0:
+                raise InvalidInputError("division by zero")
+            q = Fraction(other)
+            k = vp_int(q.numerator, self.prime) - vp_int(q.denominator, self.prime)
+            return _normalized(self.to_fraction() / q, self.prime,
+                               self.abs_prec - k)
+        if not isinstance(other, PAdic):
+            return NotImplemented
+        if other.prime != self.prime:
+            raise InvalidInputError("p-adic arithmetic needs matching primes")
+        if other.is_zero:
+            raise InvalidInputError("division by zero")
+        if self.is_zero:
+            return FractionPAdic(self.prime, None, 0,
+                                 self.abs_prec - other.valuation)
+        rel = min(self.rel_prec, other.rel_prec)
+        n = self.valuation - other.valuation + rel
+        return _normalized(self.to_fraction() / other.to_fraction(), self.prime, n)
+
+    def inverse(self):
+        if self.is_zero:
+            raise InvalidInputError("no inverse")
+        return fraction_normalize(1, 1, self.prime, self.rel_prec) / self
+
+    def truncated(self, abs_prec):
+        n = min(self.abs_prec, abs_prec)
+        return _normalized(self.to_fraction(), self.prime, n)
+
+
+DIFF_PRIMES = (2, 3, 5, 101)
+BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@st.composite
+def padic_fields(draw, p):
+    """(valuation, unit, abs_prec): zeros, negative valuations, mixed precisions."""
+    abs_prec = draw(st.integers(-4, 14))
+    if draw(st.integers(0, 4)) == 0:
+        return None, 0, abs_prec
+    v = draw(st.integers(-6, abs_prec - 1))
+    unit = draw(st.integers(1, p ** (abs_prec - v) - 1))
+    return v, unit + (unit % p == 0), abs_prec
+
+
+@st.composite
+def scalars(draw, p):
+    """ints and Fractions with powers of p in the numerator or the denominator."""
+    num = draw(st.integers(-60, 60)) * p ** draw(st.integers(0, 4))
+    den = draw(st.integers(1, 60)) * p ** draw(st.integers(0, 4))
+    return draw(st.sampled_from([num, Fraction(num, den), Fraction(num, den),
+                                 True, False]))
+
+
+def outcome(compute):
+    """The result's fields, or the class of the error it raised."""
+    try:
+        r = compute()
+    except (CalculusError, TypeError) as e:
+        return type(e)
+    assert isinstance(r, PAdic)
+    return r.prime, r.valuation, r.unit, r.abs_prec
+
+
+class TestKernelMatchesFractionOracle:
+    @given(st.data())
+    @settings(max_examples=1500, derandomize=True, deadline=None)
+    def test_every_operation(self, data):
+        p = data.draw(st.sampled_from(DIFF_PRIMES))
+        a = data.draw(padic_fields(p))
+        b = data.draw(padic_fields(p))
+        q = data.draw(scalars(p))
+        cut = data.draw(st.integers(-6, 16))
+        ka, kb = PAdic(p, *a), PAdic(p, *b)
+        fa, fb = FractionPAdic(p, *a), FractionPAdic(p, *b)
+        cases = [
+            (lambda x, y: -x, "neg"),
+            (lambda x, y: x.truncated(cut), "truncated"),
+            (lambda x, y: x.inverse(), "inverse"),
+        ]
+        for op in BINARY_OPS:
+            cases += [(lambda x, y, op=op: op(x, y), op.__name__),
+                      (lambda x, y, op=op: op(x, q), f"{op.__name__} scalar"),
+                      (lambda x, y, op=op: op(q, x), f"scalar {op.__name__}")]
+        for f, name in cases:
+            assert outcome(lambda: f(ka, kb)) == outcome(lambda: f(fa, fb)), \
+                (name, p, a, b, q, cut)
+
+    @given(st.sampled_from(DIFF_PRIMES), st.integers(-10**9, 10**9),
+           st.integers(-10**6, 10**6), st.integers(-6, 14))
+    @settings(max_examples=500, derandomize=True)
+    def test_normalize(self, p, num, den, abs_prec):
+        assert outcome(lambda: padic_normalize(num, den, p, abs_prec)) == \
+            outcome(lambda: fraction_normalize(num, den, p, abs_prec))
+
+    def test_mixed_primes_rejected_by_every_binary_op(self):
+        a, b = PAdic(3, 0, 1, 5), PAdic(5, 0, 1, 5)
+        for op in BINARY_OPS:
+            with pytest.raises(InvalidInputError):
+                op(a, b)
