@@ -7,12 +7,15 @@ same bytes.
 
 Exit codes: 0 on success, 1 when the mathematics refuses (non-unit input, a
 pole obstructing integration, a window too narrow to decide), 2 when the
-input text or the flags cannot be read at all.  Domain failures print a
-machine-readable JSON object on stderr.
+input text or the flags cannot be read at all, 141 (128 + SIGPIPE, as a
+shell reports a process that signal ends) when the reader closes stdout
+before the output is written, with nothing on stderr.  Domain failures print
+a machine-readable JSON object on stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import nabla, parsing, scheme, series
@@ -369,7 +372,14 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         print(args.func(args))
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except _Usage as e:
         print(f"lineint: error: {e}", file=sys.stderr)
         return 2

@@ -18,10 +18,10 @@ from fractions import Fraction
 from .coeff import PAdic
 from .errors import InvalidInputError, NotFramedError
 from .series import (
-    DEFAULT_ABS_PREC,
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    _max_abs_prec,
     antiderive,
     derive,
     one_series,
@@ -119,9 +119,8 @@ class ConnectionMatrix:
         )
 
     def working_precision(self) -> int:
-        precs = [c.abs_prec for row in self.entries for f in row
-                 for c in f.series.coeffs if isinstance(c, PAdic)]
-        return max(precs) if precs else DEFAULT_ABS_PREC
+        return _max_abs_prec(c for row in self.entries for f in row
+                             for c in f.series.coeffs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,6 +39,7 @@ from .series import (
     RingLabel,
     TruncatedSeries,
     _coeff_is_zero,
+    _max_abs_prec,
     series_from_coeffs,
     valuation_profile,
     zero_series,
@@ -348,10 +349,6 @@ def print_series(s: TruncatedSeries) -> str:
     return f"{_join_terms(items)} + O({var}^{s.trunc_order})"
 
 
-def print_form(f: DifferentialForm) -> str:
-    return print_series(f.series)
-
-
 def structured_series(s: TruncatedSeries) -> dict:
     """The machine-readable document for one series window."""
     doc = {
@@ -599,15 +596,11 @@ def load_family(doc: dict):
 
 
 def _matrix_precision(rows, ring: RingLabel) -> int | None:
+    """The largest abs_prec over a matrix of windows; None when rational."""
     if not ring.padic:
         return None
-    prec = None
-    for row in rows:
-        for s in row:
-            for c in s.coeffs:
-                if prec is None or c.abs_prec > prec:
-                    prec = c.abs_prec
-    return DEFAULT_ABS_PREC if prec is None else prec
+    return _max_abs_prec(c for row in rows for s in row
+                         for c in s._flat_coeffs())
 
 
 def dump_series_matrix(entries, signature: Signature | None = None) -> dict:
@@ -638,15 +631,7 @@ def parse_series_matrix(doc: dict):
     """Read a matrix document back: (entries, ring, prime, signature)."""
     _require(isinstance(doc, dict), "a matrix document is a JSON object")
     what = "matrix document"
-    ring = _ring_from_label(_field(doc, "ring", str, what))
-    if ring.padic:
-        prime = check_prime(_field(doc, "p", int, what))
-        prec = _field(doc, "abs_prec", int, what, required=False,
-                      default=DEFAULT_ABS_PREC)
-    else:
-        _require(doc.get("p") is None, f"ring {ring.value} takes no prime")
-        prime = None
-        prec = DEFAULT_ABS_PREC
+    ring, prime, prec = _doc_mode(doc, what)
     rows = _string_rows(doc, "entries", what)
     entries = []
     for row in rows:
@@ -666,22 +651,12 @@ def dump_biseries_matrix(entries, signature: Signature | None = None,
     rows = [list(row) for row in entries]
     first = rows[0][0]
     ring = first.ring
-    prec = None
-    if ring.padic:
-        for row in rows:
-            for b in row:
-                for brow in b.coeffs:
-                    for c in brow:
-                        if prec is None or c.abs_prec > prec:
-                            prec = c.abs_prec
-        if prec is None:
-            prec = DEFAULT_ABS_PREC
     return {
         "signature": list(signature.parts) if signature is not None
         else None,
         "ring": ring.value,
         "p": first.prime,
-        "abs_prec": prec,
+        "abs_prec": _matrix_precision(rows, ring),
         "fiber_var": fiber_var,
         "entries": [[print_biseries(b, fiber_var) for b in row]
                     for row in rows],

@@ -31,6 +31,7 @@ from .series import (
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    _CoeffWindow,
     _check_coeff,
     _coeff_is_zero,
     derive,
@@ -40,7 +41,7 @@ from .series import (
 
 
 @dataclass(frozen=True, eq=False)
-class BiSeries:
+class BiSeries(_CoeffWindow):
     """Coefficients of u^i x^j for 0 <= i < trunc_u, 0 <= j < trunc_x."""
 
     ring: RingLabel
@@ -79,15 +80,8 @@ class BiSeries:
             for j, c in enumerate(row):
                 _check_coeff(self.ring, self.prime, c, i)
 
-    def _zero_coeff(self):
-        if self.ring.padic:
-            return PAdic.zero(self.prime, self._working_prec())
-        return Fraction(0)
-
-    def _working_prec(self) -> int:
-        precs = [c.abs_prec for row in self.coeffs for c in row
-                 if isinstance(c, PAdic)]
-        return max(precs) if precs else DEFAULT_ABS_PREC
+    def _flat_coeffs(self):
+        return (c for row in self.coeffs for c in row)
 
     def coefficient(self, i: int, j: int):
         """The coefficient of u^i x^j; exact zero at negative degrees."""

@@ -89,8 +89,25 @@ def _check_coeff(ring: RingLabel, prime, c, degree: int):
             )
 
 
+def _max_abs_prec(coeffs) -> int:
+    """The largest abs_prec among p-adic coefficients; the default if none."""
+    return max((c.abs_prec for c in coeffs if isinstance(c, PAdic)),
+               default=DEFAULT_ABS_PREC)
+
+
+class _CoeffWindow:
+    """Zeros at working precision, for windows with ring, prime and
+    _flat_coeffs() (every stored coefficient)."""
+
+    def _zero_coeff(self):
+        return _materialize_zero(self.ring, self.prime, self._working_prec())
+
+    def _working_prec(self) -> int:
+        return _max_abs_prec(self._flat_coeffs())
+
+
 @dataclass(frozen=True, eq=False)
-class TruncatedSeries:
+class TruncatedSeries(_CoeffWindow):
     """Coefficients of degrees [min_degree, trunc_order) over a labeled ring."""
 
     ring: RingLabel
@@ -143,14 +160,8 @@ class TruncatedSeries:
     def constant_term(self):
         return self.coefficient(0)
 
-    def _zero_coeff(self):
-        if self.ring.padic:
-            return PAdic.zero(self.prime, self._working_prec())
-        return Fraction(0)
-
-    def _working_prec(self) -> int:
-        precs = [c.abs_prec for c in self.coeffs if isinstance(c, PAdic)]
-        return max(precs) if precs else DEFAULT_ABS_PREC
+    def _flat_coeffs(self):
+        return self.coeffs
 
     @property
     def is_zero(self) -> bool:
@@ -250,10 +261,7 @@ class TruncatedSeries:
                 if rational and (a == 0 or b == 0):
                     continue
                 acc = _add_opt(acc, a * b)
-            if acc is None:
-                acc = Fraction(0) if rational else PAdic.zero(
-                    self.prime, self._working_prec())
-            out.append(acc)
+            out.append(self._zero_coeff() if acc is None else acc)
         return TruncatedSeries(self.ring, lo, tuple(out), hi, self.prime)
 
     def scale(self, c) -> "TruncatedSeries":
@@ -525,12 +533,7 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
             if rational and (aj == 0 or bk == 0):
                 continue
             acc = _add_opt(acc, aj * bk)
-        if acc is None:
-            term = Fraction(0) if rational else PAdic.zero(s.prime,
-                                                           s._working_prec())
-        else:
-            term = -(acc * inv0)
-        out.append(term)
+        out.append(s._zero_coeff() if acc is None else -(acc * inv0))
     return TruncatedSeries(s.ring, -m, tuple(out), -m + n, s.prime)
 
 
@@ -591,27 +594,19 @@ def unit_decompose(a: TruncatedSeries):
 def formal_log(a: TruncatedSeries) -> TruncatedSeries:
     """Logarithm of a power-series unit, up to the kernel of constants.
 
-    With a = c * (1 - w), the result is -sum(w^n / n), truncated to the
-    window of a."""
+    The result is the antiderivative of dlog(a) = da/a with zero constant
+    term, on the window [0, T) of a: the exact zero of degree 0 is stored,
+    so the window starts at 0 as the input's does.  With a = c * (1 - w)
+    this equals -sum(w^n / n) truncated at T."""
     if a.ring is not RingLabel.FORMAL:
         raise InvalidInputError(
             f"formal_log works over {RingLabel.FORMAL.value}; "
             "use the p-adic logarithms for p-adic rings"
         )
-    _, w = unit_decompose(a)
-    t = a.trunc_order
-    acc = zero_series(RingLabel.FORMAL, 0, t)
-    w = w.stripped()
-    power = w
-    for n in range(1, t):
-        if power.order() is None:
-            break
-        acc = acc + power.clipped(trunc_order=t).scale(Fraction(-1, n))
-        if n + 1 < t:
-            power = (power * w).stripped().clipped(trunc_order=t)
-            if power.min_degree >= t:
-                break
-    return acc.clipped(trunc_order=t)
+    unit_decompose(a)
+    s = antiderive(dlog(a), RingLabel.FORMAL)
+    return TruncatedSeries(RingLabel.FORMAL, 0, (Fraction(0),) + s.coeffs,
+                           s.trunc_order)
 
 
 def padic_log_one_minus_py(y: TruncatedSeries) -> TruncatedSeries:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -77,6 +78,25 @@ class TestGoldenOutputs:
     def test_log(self, cli):
         code, out, err = cli(["log", "--trunc", "5", "1 - t + O(t^5)"])
         assert (code, out) == (0, GOLDEN_LOG)
+
+    @pytest.mark.parametrize("expr,text,structured", [
+        ("1 - t + O(t^6)",
+         "-t - 1/2*t^2 - 1/3*t^3 - 1/4*t^4 - 1/5*t^5 + O(t^6)\n",
+         '{"coeffs":["0","-1","-1/2","-1/3","-1/4","-1/5"],"p":null,'
+         '"ring":"formal","window":[0,6]}\n'),
+        ("3 + O(t^4)",
+         "0 + O(t^4)\n",
+         '{"coeffs":["0","0","0","0"],"p":null,"ring":"formal",'
+         '"window":[0,4]}\n'),
+        ("2 - t^3 + 1/2*t^5 + O(t^9)",
+         "-1/2*t^3 + 1/4*t^5 - 1/8*t^6 + 1/8*t^8 + O(t^9)\n",
+         '{"coeffs":["0","0","0","-1/2","0","1/4","-1/8","0","1/8"],'
+         '"p":null,"ring":"formal","window":[0,9]}\n'),
+    ])
+    def test_log_bytes(self, cli, expr, text, structured):
+        assert cli(["log", expr]) == (0, text, "")
+        assert cli(["log", "--format", "structured", expr]) == \
+            (0, structured, "")
 
     def test_residue(self, cli):
         code, out, err = cli(["residue", "u^-1 + O(u^2)"])
@@ -334,3 +354,22 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"] == "non-unit"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closing_stdout_exits_quietly(self, unbuffered):
+        # The output is larger than a pipe buffer, so the writer still has
+        # bytes left when the reader goes away, whatever the timing.
+        expr = " + ".join(f"t^{d}" for d in range(12000)) + " + O(t^12000)"
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lineint.cli", "parse-check", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env)
+        proc.stdin.write(expr.encode())
+        proc.stdin.close()
+        assert proc.stdout.read(16) == b"1 + t + t^2 + t^"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""

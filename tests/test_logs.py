@@ -80,6 +80,79 @@ class TestUnitDecompose:
             unit_decompose(s)
 
 
+def power_sum_log(a):
+    """-sum(w^n / n) for a = c * (1 - w), cut at the window end of a.
+
+    The power-sum logarithm, O(T^3), kept as the reference that the
+    antiderivative-of-dlog route in formal_log is compared against."""
+    _, w = unit_decompose(a)
+    t = a.trunc_order
+    acc = zero_series(F, 0, t)
+    w = w.stripped()
+    power = w
+    for n in range(1, t):
+        if power.order() is None:
+            break
+        acc = acc + power.clipped(trunc_order=t).scale(Fraction(-1, n))
+        if n + 1 < t:
+            power = (power * w).stripped().clipped(trunc_order=t)
+            if power.min_degree >= t:
+                break
+    return acc.clipped(trunc_order=t)
+
+
+def sparse_formal_units():
+    """Units with T = 1..14: rational constant terms, mostly-zero tails."""
+    tail_coeff = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                           rationals)
+
+    def with_length(n):
+        return st.builds(
+            lambda c0, tail: fseries(0, [c0] + tail),
+            rationals.filter(lambda c: c != 0),
+            st.lists(tail_coeff, min_size=n - 1, max_size=n - 1),
+        )
+    return st.integers(min_value=1, max_value=14).flatmap(with_length)
+
+
+class TestFormalLogAgainstPowerSum:
+    @staticmethod
+    def assert_same(a):
+        got, want = formal_log(a), power_sum_log(a)
+        assert got.ring is want.ring is F
+        assert got.min_degree == want.min_degree == 0
+        assert got.trunc_order == want.trunc_order == a.trunc_order
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    @given(sparse_formal_units())
+    @settings(max_examples=300)
+    def test_same_window_and_coefficients(self, a):
+        self.assert_same(a)
+
+    @pytest.mark.parametrize("values", [
+        [5],
+        [Fraction(-7, 3)],
+        [Fraction(2, 9), 0, 0, 0],
+        [1, -1],
+        [2, 0, 0, -1, 0, Fraction(1, 2), 0, 0, 0],
+        [Fraction(-3, 4), Fraction(5, 6), 0, Fraction(-1, 7)],
+    ])
+    def test_edge_cases(self, values):
+        self.assert_same(fseries(0, values))
+
+    @pytest.mark.parametrize("a", [
+        fseries(0, [0, 1]),
+        fseries(1, [1, 2]),
+        zero_series(F, 0, 0),
+    ])
+    def test_same_error_class(self, a):
+        with pytest.raises(Exception) as want:
+            power_sum_log(a)
+        with pytest.raises(want.type):
+            formal_log(a)
+
+
 class TestFormalLog:
     def test_log_one_minus_t(self):
         n = 12

@@ -401,6 +401,13 @@ class TestMatrixDocuments:
                             sort_keys=True)
         assert first == second
 
+    @pytest.mark.parametrize("abs_prec", [0, -1])
+    def test_precision_below_one_refused(self, abs_prec):
+        doc = {"ring": "gamma+", "p": 3, "abs_prec": abs_prec,
+               "entries": [["1 + u + O(u^3)"]]}
+        with pytest.raises(ParseError, match="at least 1"):
+            parse_series_matrix(doc)
+
     def test_dump_records_the_largest_precision(self):
         a = series_from_coeffs(GP, 0, [1], prime=2, abs_prec=9)
         b = series_from_coeffs(GP, 0, [1], prime=2, abs_prec=14)
