@@ -12,15 +12,18 @@ line integrals of the connection.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .coeff import PAdic
 from .errors import InvalidInputError, NotFramedError
 from .series import (
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    _coeff_is_zero,
+    _dot,
     _max_abs_prec,
     antiderive,
     derive,
@@ -162,13 +165,7 @@ def validate_framed(signature: Signature,
 def _entry_is_identity(s: TruncatedSeries) -> bool:
     if s.min_degree > 0 or s.trunc_order <= 0:
         return False
-    c = s.constant_term()
-    if s.ring.padic:
-        if c != PAdic.one(s.prime, c.abs_prec):
-            return False
-    elif c != 1:
-        return False
-    return s.without_constant_term().is_zero
+    return s.constant_term() == 1 and s.without_constant_term().is_zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,19 +227,12 @@ class InvariantRepresentative:
     """Trivializing matrix normalized to the identity at the origin."""
 
     matrix: UnipotentMatrix
-    normalization: bool = True
 
     def __post_init__(self):
-        if not self.normalization:
-            return
         for a, row in enumerate(self.matrix.entries):
             for b, s in enumerate(row):
                 c = s.constant_term()
-                want_one = a == b
-                is_one = (c == PAdic.one(s.prime, c.abs_prec)
-                          if s.ring.padic else c == 1)
-                vanishes = c.is_zero if s.ring.padic else c == 0
-                if (want_one and not is_one) or (not want_one and not vanishes):
+                if not (c == 1 if a == b else _coeff_is_zero(c)):
                     raise InvalidInputError(
                         "representative is not normalized: constant term at "
                         f"({a + 1}, {b + 1}) is {c}"
@@ -275,18 +265,13 @@ def fundamental_solution(n_matrix: ConnectionMatrix, trunc_order: int) -> tuple:
     ]
     layers = [[[Fraction(int(a == b)) for b in range(r)] for a in range(r)]]
     for i in range(t - 1):
-        nxt = [[Fraction(0)] * r for _ in range(r)]
-        for j in range(i + 1):
-            nj, u = n_coeff[j], layers[i - j]
-            for a in range(r):
-                for c in range(r):
-                    if nj[a][c] == 0:
-                        continue
-                    for b in range(r):
-                        if u[c][b] != 0:
-                            nxt[a][b] += nj[a][c] * u[c][b]
         inv = Fraction(1, i + 1)
-        layers.append([[x * inv for x in row] for row in nxt])
+        layers.append([
+            [_dot(((n_coeff[j][a][c], layers[i - j][c][b])
+                   for j in range(i + 1) for c in range(r)),
+                  RingLabel.FORMAL) * inv
+             for b in range(r)]
+            for a in range(r)])
     return tuple(
         tuple(
             TruncatedSeries(RingLabel.FORMAL, 0,
@@ -361,13 +346,10 @@ def matrix_residual(module: FramedNablaModule, v_matrix: UnipotentMatrix,
         )
     if conn.ring is not v_matrix.ring:
         conn = conn.relabeled(v_matrix.ring)
-    r = conn.size
-    for a in range(r):
-        for b in range(r):
-            res = derive(v_matrix.entries[a][b])
-            for c in range(r):
-                res = res - v_matrix.entries[a][c] * conn.entries[c][b]
-            s = res.series
+    vc = series_matrix_product(v_matrix.entries, conn.entries)
+    for a, row in enumerate(v_matrix.entries):
+        for b, v in enumerate(row):
+            s = (derive(v) - vc[a][b]).series
             if trunc_order is not None:
                 s = s.clipped(trunc_order=trunc_order)
             if not s.is_zero:
@@ -397,25 +379,17 @@ def invariant(module: FramedNablaModule,
         module = FramedNablaModule(
             module.signature, conn.relabeled(RingLabel.ROBBA_PLUS))
     v = trivialize(module, trunc_order)
-    return InvariantRepresentative(v, normalization=True)
+    return InvariantRepresentative(v)
 
 
 def series_matrix_product(a_entries, b_entries) -> tuple:
     """Matrix product of two square series matrices of the same size."""
-    r = len(a_entries)
-    if len(b_entries) != r:
+    if len(b_entries) != len(a_entries):
         raise InvalidInputError("matrix sizes differ")
-    out = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            acc = None
-            for c in range(r):
-                term = a_entries[a][c] * b_entries[c][b]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(reduce(operator.add, map(operator.mul, row, col))
+              for col in zip(*b_entries))
+        for row in a_entries)
 
 
 def is_identity_series_matrix(entries) -> bool:

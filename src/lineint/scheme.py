@@ -25,6 +25,7 @@ from .nabla import (
     InvariantRepresentative,
     Signature,
     invariant,
+    series_matrix_product,
 )
 from .series import (
     DEFAULT_ABS_PREC,
@@ -33,7 +34,9 @@ from .series import (
     TruncatedSeries,
     _CoeffWindow,
     _check_coeff,
+    _check_ring_prime,
     _coeff_is_zero,
+    _dot,
     derive,
     one_series,
     zero_series,
@@ -62,11 +65,7 @@ class BiSeries(_CoeffWindow):
             raise InvalidInputError(
                 f"negative window ({self.trunc_u}, {self.trunc_x})"
             )
-        if self.ring.padic:
-            if self.prime is None:
-                raise InvalidInputError(f"ring {self.ring.value} needs a prime")
-        elif self.prime is not None:
-            raise InvalidInputError("rational ring takes no prime")
+        _check_ring_prime(self.ring, self.prime)
         if len(self.coeffs) != self.trunc_u:
             raise InvalidInputError(
                 f"{len(self.coeffs)} rows do not fill u-window {self.trunc_u}"
@@ -139,22 +138,13 @@ class BiSeries(_CoeffWindow):
         self._binary_check(other)
         tu = min(self.trunc_u, other.trunc_u)
         tx = min(self.trunc_x, other.trunc_x)
-        rational = not self.ring.padic
-        rows = []
-        for i in range(tu):
-            row = []
-            for j in range(tx):
-                acc = None
-                for a in range(i + 1):
-                    for b in range(j + 1):
-                        x, y = self.coeffs[a][b], other.coeffs[i - a][j - b]
-                        if rational and (x == 0 or y == 0):
-                            continue
-                        prod = x * y
-                        acc = prod if acc is None else acc + prod
-                row.append(self._zero_coeff() if acc is None else acc)
-            rows.append(tuple(row))
-        return BiSeries(self.ring, tuple(rows), tu, tx, self.prime)
+        x, y = self.coeffs, other.coeffs
+        rows = tuple(
+            tuple(_dot(((x[a][b], y[i - a][j - b]) for a in range(i + 1)
+                        for b in range(j + 1)), self.ring)
+                  for j in range(tx))
+            for i in range(tu))
+        return BiSeries(self.ring, rows, tu, tx, self.prime)
 
     def scale(self, c) -> "BiSeries":
         return BiSeries(self.ring,
@@ -323,19 +313,14 @@ def curvature(family: FramedFamily) -> tuple:
 
     With C = C_u du + C_x dx this is
     partial_u(C_x) - partial_x(C_u) + C_u C_x - C_x C_u."""
-    r = family.size
-    cu = [[family.entries[a][b].du_part for b in range(r)] for a in range(r)]
-    cx = [[family.entries[a][b].dx_part for b in range(r)] for a in range(r)]
-    out = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            acc = partial_u(cx[a][b]) - partial_x(cu[a][b])
-            for c in range(r):
-                acc = acc + cu[a][c] * cx[c][b] - cx[a][c] * cu[c][b]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cu = [[f.du_part for f in row] for row in family.entries]
+    cx = [[f.dx_part for f in row] for row in family.entries]
+    uv = series_matrix_product(cu, cx)
+    vu = series_matrix_product(cx, cu)
+    return tuple(
+        tuple(partial_u(cx[a][b]) - partial_x(cu[a][b]) + uv[a][b] - vu[a][b]
+              for b in range(family.size))
+        for a in range(family.size))
 
 
 def substitute_fiber(b: BiSeries, w: TruncatedSeries) -> TruncatedSeries:

@@ -17,9 +17,12 @@ allowed, and whether coefficients must stay in the integer ring.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from itertools import starmap
 
 from .coeff import PAdic, check_prime, vp_int
 from .errors import (
@@ -89,6 +92,31 @@ def _check_coeff(ring: RingLabel, prime, c, degree: int):
             )
 
 
+def _check_ring_prime(ring: RingLabel, prime):
+    if ring.padic:
+        if prime is None:
+            raise InvalidInputError(f"ring {ring.value} needs a prime")
+        check_prime(prime)
+    elif prime is not None:
+        raise InvalidInputError("rational ring takes no prime")
+
+
+def _dot(pairs, ring: RingLabel):
+    """The sum of x*y over the pairs, added in the given order: the one
+    product kernel behind every series and matrix product.
+
+    Over the rationals exact zeros are skipped and the sum starts from 0.
+    p-adic zero products are kept, because their precision bounds the
+    sum's; p-adic pairs must therefore be nonempty."""
+    if ring.padic:
+        return reduce(operator.add, starmap(operator.mul, pairs))
+    acc = Fraction(0)
+    for x, y in pairs:
+        if x and y:
+            acc += x * y
+    return acc
+
+
 def _max_abs_prec(coeffs) -> int:
     """The largest abs_prec among p-adic coefficients; the default if none."""
     return max((c.abs_prec for c in coeffs if isinstance(c, PAdic)),
@@ -126,12 +154,7 @@ class TruncatedSeries(_CoeffWindow):
                 f"{len(self.coeffs)} coefficients do not fill window "
                 f"[{self.min_degree}, {self.trunc_order})"
             )
-        if self.ring.padic:
-            if self.prime is None:
-                raise InvalidInputError(f"ring {self.ring.value} needs a prime")
-            check_prime(self.prime)
-        elif self.prime is not None:
-            raise InvalidInputError("rational ring takes no prime")
+        _check_ring_prime(self.ring, self.prime)
         if not self.ring.laurent and self.min_degree < 0:
             raise InvalidInputError(
                 f"ring {self.ring.value} does not allow degree {self.min_degree}"
@@ -248,21 +271,11 @@ class TruncatedSeries(_CoeffWindow):
             return DifferentialForm(self * other.series)
         self._binary_check(other)
         lo = self.min_degree + other.min_degree
-        hi = max(min(self.trunc_order + other.min_degree,
-                     other.trunc_order + self.min_degree), lo)
-        rational = not self.ring.padic
-        out = []
-        for d in range(lo, hi):
-            acc = None
-            i_lo = max(self.min_degree, d - other.trunc_order + 1)
-            i_hi = min(self.trunc_order - 1, d - other.min_degree)
-            for i in range(i_lo, i_hi + 1):
-                a, b = self._at(i), other._at(d - i)
-                if rational and (a == 0 or b == 0):
-                    continue
-                acc = _add_opt(acc, a * b)
-            out.append(self._zero_coeff() if acc is None else acc)
-        return TruncatedSeries(self.ring, lo, tuple(out), hi, self.prime)
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        out = tuple(_dot(zip(a[:k + 1], b[k::-1]), self.ring)
+                    for k in range(n))
+        return TruncatedSeries(self.ring, lo, out, lo + n, self.prime)
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by the same scalar."""
@@ -525,15 +538,9 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
     n = len(s.coeffs)
     inv0 = s.coeffs[0].inverse() if s.ring.padic else 1 / s.coeffs[0]
     out = [inv0]
-    rational = not s.ring.padic
     for k in range(1, n):
-        acc = None
-        for j in range(1, k + 1):
-            aj, bk = s.coeffs[j], out[k - j]
-            if rational and (aj == 0 or bk == 0):
-                continue
-            acc = _add_opt(acc, aj * bk)
-        out.append(s._zero_coeff() if acc is None else -(acc * inv0))
+        out.append(-(_dot(zip(s.coeffs[1:k + 1], reversed(out)), s.ring)
+                     * inv0))
     return TruncatedSeries(s.ring, -m, tuple(out), -m + n, s.prime)
 
 
@@ -561,6 +568,20 @@ def degree_of_unit(x: TruncatedSeries) -> int:
     )
 
 
+def _unit_constant_term(a: TruncatedSeries):
+    """The constant term of a power-series unit; raises if a is none."""
+    if a.trunc_order <= 0:
+        raise InsufficientWindowError("window does not show the constant term")
+    if a.min_degree > 0 or _coeff_is_zero(a.coeffs[0]):
+        raise NonUnitError("constant term vanishes")
+    c = a.coeffs[0]
+    if a.ring.integral and c.valuation != 0:
+        raise NonUnitError(
+            f"constant term {c} is not a unit of the integer ring"
+        )
+    return c
+
+
 def unit_decompose(a: TruncatedSeries):
     """Split a power-series unit as c * (1 - w) with w of positive order.
 
@@ -570,17 +591,7 @@ def unit_decompose(a: TruncatedSeries):
             f"unit_decompose is defined over {RingLabel.FORMAL.value} and "
             f"{RingLabel.GAMMA_PLUS.value}, not {a.ring.value}"
         )
-    if a.trunc_order <= 0:
-        raise InsufficientWindowError("window does not show the constant term")
-    if a.min_degree > 0:
-        raise NonUnitError("constant term vanishes")
-    c = a.coeffs[0]
-    if _coeff_is_zero(c):
-        raise NonUnitError("constant term vanishes")
-    if a.ring.integral and c.valuation != 0:
-        raise NonUnitError(
-            f"constant term {c} is not a unit of the integer ring"
-        )
+    c = _unit_constant_term(a)
     scaled = a.scale(c.inverse() if a.ring.padic else 1 / c)
     w = -scaled
     coeffs = list(w.coeffs)
@@ -603,7 +614,7 @@ def formal_log(a: TruncatedSeries) -> TruncatedSeries:
             f"formal_log works over {RingLabel.FORMAL.value}; "
             "use the p-adic logarithms for p-adic rings"
         )
-    unit_decompose(a)
+    _unit_constant_term(a)
     s = antiderive(dlog(a), RingLabel.FORMAL)
     return TruncatedSeries(RingLabel.FORMAL, 0, (Fraction(0),) + s.coeffs,
                            s.trunc_order)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -60,6 +61,77 @@ DAGGER_FAMILY = json.dumps({
                "dx": geometric_alternating("x", 9) + " + O(u^9, x^9)"}],
         ["0", "0"]],
 })
+
+# A non-flat e+ family: the planted entry x du of
+# demos/families_and_curvature.py with 1/3 added, chained to a dx entry with
+# a 1/3 in it.  Zero entries times coefficients of valuation -1 leave some
+# curvature coefficients known mod 3^3 only.
+E_PLUS_FAMILY = json.dumps({
+    "signature": [1, 1, 1],
+    "ring": "e+",
+    "p": 3,
+    "abs_prec": 4,
+    "trunc": 3,
+    "trunc_x": 3,
+    "connection": [
+        ["0", {"du": "x + 1/3 + O(u^3, x^3)"}, "0"],
+        ["0", "0", {"dx": "1 + 1/3*u + O(u^3, x^3)"}],
+        ["0", "0", "0"]],
+})
+
+E_PLUS_CURVATURE = (
+    '{"entries":[[{"coeffs":[["0 (mod 3^3)","0 (mod 3^3)"],["0 (mod 3^3)",'
+    '"0 (mod 3^3)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    ',{"coeffs":[["3^0*26 (mod 3^3)","0 (mod 3^3)"],["0 (mod 3^3)",'
+    '"0 (mod 3^3)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    ',{"coeffs":[["3^-1*1 (mod 3^3)",'
+    '"3^0*1 (mod 3^3)"],["3^-2*1 (mod 3^3)","3^-1*1 (mod 3^3)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    '],[{"coeffs":[["0 (mod 3^4)","0 (mod 3^4)"],["0 (mod 3^3)",'
+    '"0 (mod 3^3)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    ',{"coeffs":[["0 (mod 3^3)","0 (mod 3^3)"],["0 (mod 3^3)",'
+    '"0 (mod 3^3)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    ',{"coeffs":[["3^-1*1 (mod 3^4)","0 (mod 3^4)"],["0 (mod 3^3)",'
+    '"0 (mod 3^3)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    '],[{"coeffs":[["0 (mod 3^4)","0 (mod 3^4)"],["0 (mod 3^4)",'
+    '"0 (mod 3^4)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    ',{"coeffs":[["0 (mod 3^3)","0 (mod 3^3)"],["0 (mod 3^3)",'
+    '"0 (mod 3^3)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    ',{"coeffs":[["0 (mod 3^4)","0 (mod 3^4)"],["0 (mod 3^3)",'
+    '"0 (mod 3^3)"]]'
+    ',"fiber_var":"x","p":3,"ring":"e+","trunc":[2,2]}'
+    ']],"fiber_var":"x","flat":false,"p":3,"ring":"e+",'
+    '"signature":[1,1,1]}\n'
+)
+
+LOG_CONNECTION_FUNDSOL = """\
+{
+  "abs_prec": null,
+  "entries": [
+    [
+      "1 + O(t^8)",
+      "-t - 1/2*t^2 - 1/3*t^3 - 1/4*t^4 - 1/5*t^5 - 1/6*t^6 - 1/7*t^7 + O(t^8)"
+    ],
+    [
+      "0 + O(t^8)",
+      "1 + O(t^8)"
+    ]
+  ],
+  "p": null,
+  "ring": "formal",
+  "signature": [
+    1,
+    1
+  ]
+}
+"""
 
 
 @pytest.fixture
@@ -181,6 +253,16 @@ class TestGoldenOutputs:
         parsed = json.loads(out)
         assert parsed["flat"] is False
         assert parsed["entries"][0][1]["coeffs"][0][0] == "-1"
+
+    def test_curvature_non_flat_padic_bytes(self, cli):
+        assert cli(["curvature", "--family", "-", "--format", "structured"],
+                   stdin=E_PLUS_FAMILY) == (0, E_PLUS_CURVATURE, "")
+
+    def test_fundsol_log_connection_bytes(self, cli):
+        doc = (pathlib.Path(__file__).resolve().parent.parent / "demos"
+               / "data" / "log_connection.json")
+        assert cli(["fundsol", "--file", str(doc)]) == \
+            (0, LOG_CONNECTION_FUNDSOL, "")
 
     def test_parse_check_echoes_connection_document(self, cli):
         code, out, err = cli(["parse-check", "--file", "-"],

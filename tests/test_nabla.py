@@ -392,7 +392,6 @@ class TestInvariant:
         m = validate_framed(Signature((1, 1)), upper_2x2(fform([1] * 5), 5))
         rep = invariant(m, T)
         assert rep.matrix.ring is F
-        assert rep.normalization
 
     def test_laurent_rings_rejected(self):
         z = DifferentialForm(zero_series(R, 0, 4, prime=2))
@@ -407,4 +406,4 @@ class TestInvariant:
         shifted = series_from_coeffs(F, 0, [5, 1, 0, 0])
         v = UnipotentMatrix(sig, F, ((one, shifted), (z, one)))
         with pytest.raises(InvalidInputError):
-            InvariantRepresentative(v, normalization=True)
+            InvariantRepresentative(v)

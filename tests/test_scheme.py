@@ -73,6 +73,12 @@ class TestBiSeries:
         with pytest.raises(InvalidInputError):
             BiSeries(F, ((Fraction(0),),), 1, 1, prime=2)
 
+    def test_composite_prime_rejected_on_empty_window(self):
+        # No coefficient is there to carry the prime, so the header check
+        # alone must refuse it, as it does for one-variable series.
+        with pytest.raises(InvalidInputError, match="4 is not prime"):
+            BiSeries(GP, (), 0, 3, prime=4)
+
     def test_integral_ring_rejects_denominators(self):
         with pytest.raises(Exception):
             biseries_from_map(GP, {(0, 0): Fraction(1, 2)}, 1, 1, prime=2)
