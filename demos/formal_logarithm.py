@@ -13,7 +13,6 @@ from lineint import (
     derive,
     dlog,
     formal_log,
-    mul,
     parse_series,
     print_series,
     residue,
@@ -38,7 +37,7 @@ print()
 print("== log turns products into sums ==")
 a = parse_series("2 + t + 3*t^2 + O(t^8)")
 b = parse_series("1 - 4*t + t^3 + O(t^8)")
-lhs = formal_log(mul(a, b))
+lhs = formal_log(a * b)
 rhs = formal_log(a) + formal_log(b)
 show("log(a*b)", lhs)
 show("log(a) + log(b)", rhs)
@@ -48,7 +47,7 @@ print()
 print("== dlog sees only the unit part ==")
 # dlog(c*x) = dlog(x): the constant dies under d/dt
 x = parse_series("1 + t + O(t^6)")
-scaled = mul(series_from_coeffs(F, 0, [Fraction(7, 2)] + [0] * 5), x)
+scaled = series_from_coeffs(F, 0, [Fraction(7, 2)] + [0] * 5) * x
 show("dlog(x)", dlog(x).series)
 show("dlog(7/2 * x)", dlog(scaled).series)
 print()

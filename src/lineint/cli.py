@@ -1,9 +1,10 @@
 """Command line front end.
 
 One subcommand per calculus operation, text in and text out.  Series come in
-through the shared grammar (see parsing); connections and families come in
-as JSON documents.  Output is deterministic: the same invocation prints the
-same bytes.
+through the shared grammar; connections and families come in as JSON
+documents.  parsing reads and builds every text and document; this module
+handles the arguments, picks the format and encodes the JSON.  Output is
+deterministic: the same invocation prints the same bytes.
 
 Exit codes: 0 on success, 1 when the mathematics refuses (non-unit input, a
 pole obstructing integration, a window too narrow to decide), 2 when the
@@ -94,14 +95,8 @@ def _series_out(s, fmt: str) -> str:
 def _matrix_out(entries, sig, fmt: str) -> str:
     if fmt == "structured":
         first = entries[0][0]
-        doc = {
-            "signature": list(sig.parts) if sig is not None else None,
-            "ring": first.ring.value,
-            "p": first.prime,
-            "entries": [[parsing.structured_series(s) for s in row]
-                        for row in entries],
-        }
-        return _compact(doc)
+        return _compact(parsing.matrix_document(
+            sig, first.ring, first.prime, entries, parsing.structured_series))
     return _pretty(parsing.dump_series_matrix(entries, sig))
 
 
@@ -206,20 +201,14 @@ def _cmd_curvature(args) -> str:
     forms = scheme.curvature(family)
     flat = all(b.is_zero for row in forms for b in row)
     if args.format == "structured":
-        first = forms[0][0]
-        doc = {
-            "signature": list(family.signature.parts),
-            "ring": first.ring.value,
-            "p": first.prime,
-            "fiber_var": fiber_var,
-            "flat": flat,
-            "entries": [[parsing.structured_biseries(b, fiber_var)
-                         for b in row] for row in forms],
-        }
-        return _compact(doc)
-    doc = parsing.dump_biseries_matrix(forms, family.signature, fiber_var)
-    doc["flat"] = flat
-    return _pretty(doc)
+        return _compact(parsing.matrix_document(
+            family.signature, family.ring, family.prime, forms,
+            lambda b: parsing.structured_biseries(b, fiber_var),
+            fiber_var=fiber_var, flat=flat))
+    return _pretty(parsing.dump_series_matrix(
+        forms, family.signature,
+        lambda b: parsing.print_biseries(b, fiber_var),
+        fiber_var=fiber_var, flat=flat))
 
 
 def _cmd_integrate(args) -> str:
@@ -254,37 +243,8 @@ def _cmd_parse_check(args) -> str:
         return _series_out(s, args.format)
     style = _compact if args.format == "structured" else _pretty
     if args.file is not None:
-        raw = _read_doc(args.file)
-        matrix, sig, trunc = parsing.load_connection_matrix(raw)
-        doc = {
-            "signature": list(sig.parts) if sig is not None else None,
-            "ring": matrix.ring.value,
-            "p": matrix.prime,
-            "abs_prec": parsing.document_precision(raw)
-            if matrix.ring.padic else None,
-            "trunc": trunc,
-            "connection": [[parsing.print_series(f.series) for f in row]
-                           for row in matrix.entries],
-        }
-        return style(doc)
-    raw = _read_doc(args.family)
-    family, trunc, trunc_x, fiber_var = parsing.load_family(raw)
-    doc = {
-        "signature": list(family.signature.parts),
-        "ring": family.ring.value,
-        "p": family.prime,
-        "abs_prec": parsing.document_precision(raw)
-        if family.ring.padic else None,
-        "trunc": trunc,
-        "trunc_x": trunc_x,
-        "fiber_var": fiber_var,
-        "connection": [
-            [{"du": parsing.print_biseries(f.du_part, fiber_var),
-              "dx": parsing.print_biseries(f.dx_part, fiber_var)}
-             for f in row]
-            for row in family.entries],
-    }
-    return style(doc)
+        return style(parsing.echo_connection(_read_doc(args.file)))
+    return style(parsing.echo_family(_read_doc(args.family)))
 
 
 # -- wiring --------------------------------------------------------------------

@@ -72,6 +72,13 @@ class Signature:
         off = self.offsets[i]
         return range(off, off + self.parts[i])
 
+    def lower_positions(self):
+        """Each (a, b) on or below the block diagonal, row by row: where a
+        framed connection is zero and a unipotent matrix is the identity."""
+        blocks = [i for i, p in enumerate(self.parts) for _ in range(p)]
+        return ((a, b) for a, i in enumerate(blocks)
+                for b, j in enumerate(blocks) if i >= j)
+
 
 @dataclass(frozen=True, eq=False)
 class ConnectionMatrix:
@@ -140,26 +147,17 @@ class FramedNablaModule:
                 f"connection size {conn.size} does not match signature "
                 f"total {sig.total}"
             )
-        for a in range(conn.size):
-            for b in range(conn.size):
-                if sig.block_of(a) < sig.block_of(b):
-                    continue
-                if not conn.entries[a][b].is_zero:
-                    raise NotFramedError(
-                        f"block ({sig.block_of(a) + 1}, {sig.block_of(b) + 1}) "
-                        "of the connection is not zero; the frame requires "
-                        "strict block upper triangularity"
-                    )
+        for a, b in sig.lower_positions():
+            if not conn.entries[a][b].is_zero:
+                raise NotFramedError(
+                    f"block ({sig.block_of(a) + 1}, {sig.block_of(b) + 1}) "
+                    "of the connection is not zero; the frame requires "
+                    "strict block upper triangularity"
+                )
 
     @property
     def ring(self) -> RingLabel:
         return self.connection.ring
-
-
-def validate_framed(signature: Signature,
-                    connection: ConnectionMatrix) -> FramedNablaModule:
-    """Build a framed module, checking the block-triangularity the frame forces."""
-    return FramedNablaModule(signature, connection)
 
 
 def _entry_is_identity(s: TruncatedSeries) -> bool:
@@ -186,28 +184,27 @@ class UnipotentMatrix:
             raise InvalidInputError(
                 f"matrix shape does not match signature total {r}"
             )
-        for a in range(r):
-            for b in range(r):
-                s = self.entries[a][b]
+        for row in self.entries:
+            for s in row:
                 if not isinstance(s, TruncatedSeries):
                     raise InvalidInputError(f"expected a series, got {s!r}")
                 if s.ring is not self.ring or s.prime != self.prime:
                     raise InvalidInputError(
                         "matrix entries must share the matrix ring and prime"
                     )
-                if sig.block_of(a) < sig.block_of(b):
-                    continue
-                if a == b:
-                    if not _entry_is_identity(s):
-                        raise InvalidInputError(
-                            f"diagonal entry ({a + 1}, {a + 1}) is not the "
-                            "constant 1"
-                        )
-                elif not s.is_zero:
+        for a, b in sig.lower_positions():
+            s = self.entries[a][b]
+            if a == b:
+                if not _entry_is_identity(s):
                     raise InvalidInputError(
-                        f"entry ({a + 1}, {b + 1}) must vanish: diagonal "
-                        "blocks are identity and lower blocks are zero"
+                        f"diagonal entry ({a + 1}, {a + 1}) is not the "
+                        "constant 1"
                     )
+            elif not s.is_zero:
+                raise InvalidInputError(
+                    f"entry ({a + 1}, {b + 1}) must vanish: diagonal "
+                    "blocks are identity and lower blocks are zero"
+                )
 
     @property
     def size(self) -> int:
@@ -394,11 +391,5 @@ def series_matrix_product(a_entries, b_entries) -> tuple:
 
 def is_identity_series_matrix(entries) -> bool:
     """Diagonal entries constantly 1, everything else provably zero."""
-    for a, row in enumerate(entries):
-        for b, s in enumerate(row):
-            if a == b:
-                if not _entry_is_identity(s):
-                    return False
-            elif not s.is_zero:
-                return False
-    return True
+    return all(_entry_is_identity(s) if a == b else s.is_zero
+               for a, row in enumerate(entries) for b, s in enumerate(row))

@@ -1,4 +1,4 @@
-"""Text grammar for series windows, and the JSON document formats.
+"""Text grammar for series windows, and every JSON document format.
 
 The one-variable grammar:
 
@@ -18,7 +18,9 @@ Printing is canonical: terms in increasing degree, vanishing coefficients
 skipped, unit coefficients elided next to a variable, rationals as "a/b".
 Coefficients known modulo a prime power print as their exact rational
 representative, so printed text always re-parses; the precision-qualified
-form appears in the structured documents only.
+form appears in the structured documents only.  Re-parsed, such a
+coefficient claims the abs_prec it is read at, which can exceed what was
+known.
 """
 
 from fractions import Fraction
@@ -38,6 +40,7 @@ from .series import (
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    _check_ring_prime,
     _coeff_is_zero,
     _max_abs_prec,
     series_from_coeffs,
@@ -196,11 +199,12 @@ def _parse_marker(c: _Cursor):
     return entries
 
 
-def _parse_text(text: str):
-    """Lex and parse; return (terms, marker).
+def _parse_text(text: str, arity: int, arity_error: str):
+    """Lex and parse text whose O(...) marker names arity variables; return
+    (terms, marker).
 
     terms is a list of (coefficient, {var: exponent}, position); marker is a
-    list of one or two (var, window end, position) entries.
+    list of arity (var, window end, position) entries.
     """
     c = _Cursor(text)
     if c.done():
@@ -231,7 +235,33 @@ def _parse_text(text: str):
                              c.pos())
     if not c.done():
         raise ParseError("unexpected input after the O(...) marker", c.pos())
+    if len(marker) != arity:
+        raise ParseError(arity_error, marker[0][2])
     return terms, marker
+
+
+def _merge_terms(terms, marker) -> dict:
+    """Like terms merged: {exponents: coefficient}, the exponents a tuple in
+    marker order.  A term may use only the marker's variables, each below
+    its window end; ring semantics are the caller's.
+    """
+    names = [v for v, _, _ in marker]
+    ends = tuple(e for _, e, _ in marker)
+    one = len(ends) == 1
+    acc: dict = {}
+    for coeff, powers, pos in terms:
+        for v in powers:
+            if v not in names:
+                raise ParseError(
+                    f"variable {v!r} does not belong in a series in "
+                    + " and ".join(map(repr, names)), pos)
+        exps = tuple(powers.get(v, 0) for v in names)
+        if any(d >= e for d, e in zip(exps, ends)):
+            raise ParseError(
+                f"term degree {exps[0] if one else exps} is not below the "
+                f"window end {ends[0] if one else ends}", pos)
+        acc[exps] = acc[exps] + coeff if exps in acc else coeff
+    return acc
 
 
 # -- one-variable series -------------------------------------------------------
@@ -243,24 +273,11 @@ def parse_rational_terms(text: str):
     Like terms are merged.  No ring semantics are applied: any degree below
     the window end is legal here.
     """
-    terms, marker = _parse_text(text)
-    if len(marker) != 1:
-        raise ParseError("a one-variable series takes a one-variable marker",
-                         marker[0][2])
+    terms, marker = _parse_text(
+        text, 1, "a one-variable series takes a one-variable marker")
     var, trunc, _ = marker[0]
-    acc: dict = {}
-    for coeff, powers, pos in terms:
-        for v in powers:
-            if v != var:
-                raise ParseError(
-                    f"variable {v!r} does not belong in a series in {var!r}",
-                    pos)
-        d = powers.get(var, 0)
-        if d >= trunc:
-            raise ParseError(
-                f"term degree {d} is not below the window end {trunc}", pos)
-        acc[d] = acc.get(d, Fraction(0)) + coeff
-    return acc, var, trunc
+    acc = _merge_terms(terms, marker)
+    return {d: c for (d,), c in acc.items()}, var, trunc
 
 
 def rational_residue(text: str) -> Fraction:
@@ -286,10 +303,7 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
         raise ParseError(
             f"ring {ring.value} uses the variable {ring.variable!r}, "
             f"not {var!r}")
-    if ring.padic and prime is None:
-        raise InvalidInputError(f"ring {ring.value} needs a prime")
-    if not ring.padic and prime is not None:
-        raise InvalidInputError("rational series take no prime")
+    _check_ring_prime(ring, prime)
     lo = min([0] + list(acc))
     if lo < 0 and not ring.laurent:
         raise ParseError(
@@ -374,15 +388,9 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
         raise InvalidInputError(
             f"fiber variable must be one of {_VARS} and differ from "
             f"{base!r}, got {fiber_var!r}")
-    if ring.padic and prime is None:
-        raise InvalidInputError(f"ring {ring.value} needs a prime")
-    if not ring.padic and prime is not None:
-        raise InvalidInputError("rational series take no prime")
-    terms, marker = _parse_text(text)
-    if len(marker) != 2:
-        raise ParseError(
-            f"a two-variable window takes O({base}^A, {fiber_var}^B)",
-            marker[0][2])
+    _check_ring_prime(ring, prime)
+    terms, marker = _parse_text(
+        text, 2, f"a two-variable window takes O({base}^A, {fiber_var}^B)")
     (bv, tu, p1), (fv, tx, p2) = marker
     if bv != base:
         raise ParseError(
@@ -393,23 +401,9 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
             f"expected the fiber variable {fiber_var!r}, not {fv!r}", p2)
     if tu < 0 or tx < 0:
         raise ParseError("two-variable window ends must not be negative", p1)
-    mapping: dict = {}
-    for coeff, powers, pos in terms:
-        for v in powers:
-            if v not in (base, fiber_var):
-                raise ParseError(
-                    f"variable {v!r} does not belong in a window in "
-                    f"{base!r} and {fiber_var!r}", pos)
-        i = powers.get(base, 0)
-        j = powers.get(fiber_var, 0)
-        if i < 0 or j < 0:
-            raise ParseError(
-                "two-variable windows take no negative degrees", pos)
-        if i >= tu or j >= tx:
-            raise ParseError(
-                f"term degree ({i}, {j}) is not inside the window "
-                f"({tu}, {tx})", pos)
-        mapping[(i, j)] = mapping.get((i, j), Fraction(0)) + coeff
+    mapping = _merge_terms(terms, marker)
+    if any(min(exps) < 0 for exps in mapping):
+        raise ParseError("two-variable windows take no negative degrees")
     return biseries_from_map(ring, mapping, tu, tx, prime, abs_prec)
 
 
@@ -595,36 +589,42 @@ def load_family(doc: dict):
     return family, trunc, trunc_x, fiber_var
 
 
-def _matrix_precision(rows, ring: RingLabel) -> int | None:
-    """The largest abs_prec over a matrix of windows; None when rational."""
-    if not ring.padic:
-        return None
-    return _max_abs_prec(c for row in rows for s in row
-                         for c in s._flat_coeffs())
+def matrix_document(signature: Signature | None, ring: RingLabel,
+                    prime: int | None, rows, render, key: str = "entries",
+                    **fields) -> dict:
+    """The document for a square matrix: every matrix result and echo.
 
-
-def dump_series_matrix(entries, signature: Signature | None = None) -> dict:
-    """The document for a square matrix of series windows.
-
-    Re-reading with parse_series_matrix and dumping again is stable: the
-    stored working precision is the largest in the matrix, so no printed
-    coefficient loses digits on the round trip.
+    The header is the signature (None for a plain matrix), the ring label
+    and p; fields adds document fields such as abs_prec, flat, trunc,
+    trunc_x and fiber_var; key ("entries" or "connection") holds the rows
+    with each entry rendered by render.
     """
-    rows = [list(row) for row in entries]
-    first = rows[0][0]
-    ring = first.ring
     return {
         "signature": list(signature.parts) if signature is not None
         else None,
         "ring": ring.value,
-        "p": first.prime,
-        "abs_prec": _matrix_precision(rows, ring),
-        "entries": [[print_series(s) for s in row] for row in rows],
+        "p": prime,
+        **fields,
+        key: [[render(x) for x in row] for row in rows],
     }
 
 
-def dump_unipotent(v) -> dict:
-    return dump_series_matrix(v.entries, v.signature)
+def dump_series_matrix(entries, signature: Signature | None = None,
+                       render=print_series, **fields) -> dict:
+    """The text document for a square matrix of windows.
+
+    Entries print with render: print_series by default, or a two-variable
+    printer.  The stated abs_prec is the largest in the matrix (None over
+    the rationals).  Dumping what parse_series_matrix reads back gives the
+    same bytes, but the re-read claims that abs_prec for every coefficient,
+    also for those the matrix knew to fewer digits (ROADMAP item 3).
+    """
+    first = entries[0][0]
+    prec = _max_abs_prec(c for row in entries for s in row
+                         for c in s._flat_coeffs()) \
+        if first.ring.padic else None
+    return matrix_document(signature, first.ring, first.prime, entries,
+                           render, abs_prec=prec, **fields)
 
 
 def parse_series_matrix(doc: dict):
@@ -645,19 +645,24 @@ def parse_series_matrix(doc: dict):
     return tuple(entries), ring, prime, sig
 
 
-def dump_biseries_matrix(entries, signature: Signature | None = None,
-                         fiber_var: str = "x") -> dict:
-    """The document for a square matrix of two-variable windows."""
-    rows = [list(row) for row in entries]
-    first = rows[0][0]
-    ring = first.ring
-    return {
-        "signature": list(signature.parts) if signature is not None
-        else None,
-        "ring": ring.value,
-        "p": first.prime,
-        "abs_prec": _matrix_precision(rows, ring),
-        "fiber_var": fiber_var,
-        "entries": [[print_biseries(b, fiber_var) for b in row]
-                    for row in rows],
-    }
+def echo_connection(doc: dict) -> dict:
+    """A connection document in normal form: read, then written back with
+    every entry printed canonically.  abs_prec is the document's own."""
+    matrix, sig, trunc = load_connection_matrix(doc)
+    return matrix_document(
+        sig, matrix.ring, matrix.prime, matrix.entries,
+        lambda f: print_series(f.series), "connection",
+        abs_prec=document_precision(doc) if matrix.ring.padic else None,
+        trunc=trunc)
+
+
+def echo_family(doc: dict) -> dict:
+    """A family document in normal form, as echo_connection."""
+    family, trunc, trunc_x, fiber_var = load_family(doc)
+    return matrix_document(
+        family.signature, family.ring, family.prime, family.entries,
+        lambda f: {"du": print_biseries(f.du_part, fiber_var),
+                   "dx": print_biseries(f.dx_part, fiber_var)},
+        "connection",
+        abs_prec=document_precision(doc) if family.ring.padic else None,
+        trunc=trunc, trunc_x=trunc_x, fiber_var=fiber_var)

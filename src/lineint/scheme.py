@@ -284,9 +284,8 @@ class FramedFamily:
             raise InvalidInputError(
                 f"matrix shape does not match signature total {r}"
             )
-        for a in range(r):
-            for b in range(r):
-                f = self.entries[a][b]
+        for row in self.entries:
+            for f in row:
                 if not isinstance(f, BiForm):
                     raise InvalidInputError(f"expected a two-variable "
                                             f"one-form, got {f!r}")
@@ -294,14 +293,12 @@ class FramedFamily:
                     raise InvalidInputError(
                         "family entries must share the ring and prime"
                     )
-                if sig.block_of(a) < sig.block_of(b):
-                    continue
-                if not f.is_zero:
-                    raise NotFramedError(
-                        f"block ({sig.block_of(a) + 1}, "
-                        f"{sig.block_of(b) + 1}) of the family connection "
-                        "is not zero"
-                    )
+        for a, b in sig.lower_positions():
+            if not self.entries[a][b].is_zero:
+                raise NotFramedError(
+                    f"block ({sig.block_of(a) + 1}, {sig.block_of(b) + 1}) "
+                    "of the family connection is not zero"
+                )
 
     @property
     def size(self) -> int:

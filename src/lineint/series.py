@@ -501,10 +501,6 @@ def residue(f: DifferentialForm):
     return s.coefficient(-1)
 
 
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
 def inverse(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of a unit, by long division.
 

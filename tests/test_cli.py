@@ -1,5 +1,6 @@
 """End-to-end command line tests: golden outputs and exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -132,6 +133,127 @@ LOG_CONNECTION_FUNDSOL = """\
   ]
 }
 """
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_DATA = ROOT / "demos" / "data"
+
+
+def checkout_env(**extra):
+    """This environment with the checkout's src first on PYTHONPATH, so a
+    child `python -m lineint.cli` runs this checkout."""
+    path = [str(ROOT / "src")]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+# Every entry of a p-adic connection is an empty window, so no coefficient
+# carries the document's abs_prec of 7; an echo must still state 7.
+EDGE_CONNECTION = json.dumps({
+    "signature": [1, 1], "ring": "gamma+", "p": 3, "abs_prec": 7,
+    "trunc": 4,
+    "connection": [["O(u^0)", "O(u^0)"], ["O(u^0)", "O(u^0)"]],
+})
+
+# A family whose fiber variable is t and whose trunc_x is not trunc, with a
+# du part left out, an empty du window and a du written as a bare marker.
+EDGE_FAMILY = json.dumps({
+    "signature": [1, 1, 1], "ring": "gamma+", "p": 3, "abs_prec": 5,
+    "trunc": 3, "trunc_x": 4, "fiber_var": "t",
+    "connection": [
+        ["0", {"dx": "1 - t + t^2 + O(u^3, t^3)"},
+         {"du": "O(u^0, t^0)", "dx": "u*t + O(u^3, t^3)"}],
+        ["0", "0",
+         {"du": "O(u^3, t^4)", "dx": "1 + 3*u - t^3 + O(u^3, t^4)"}],
+        ["0", "0", "0"]],
+})
+
+EDGE_DOCUMENTS = {"edge_connection": EDGE_CONNECTION,
+                  "edge_family": EDGE_FAMILY}
+
+SECTIONS = {"geometric_family": "1 - u + O(u^9)",
+            "edge_family": "1 + u + O(u^3)"}
+
+# Every command that prints a matrix document, in both formats, on the demo
+# documents and the edge documents above: (command, input flag, document,
+# format, exit status, error code, sha256 of stdout).  The digests were
+# taken from the code before one writer in parsing built every document.
+PINNED_DOCUMENTS = [
+    ("trivialize", "--file", "chain_du", "text", 0, None,
+     "3bbc7c564b8ae5f43d52a47eb91e4734bdaa4b769d912bc342f9a2f1dd217600"),
+    ("trivialize", "--file", "chain_du", "structured", 0, None,
+     "4acbb52b9b8c4b7e63f2fdf6ab0e0ef757145ab24caae5b3791c9960bde8c4fa"),
+    ("trivialize", "--file", "log_connection", "text", 0, None,
+     "e937bbc68f2fbe5ddc4c046a1f1e0d635d9cfa318dfbf9397e1e1e3a61aad053"),
+    ("trivialize", "--file", "log_connection", "structured", 0, None,
+     "6dcd82d088d22803f81bfc4d8032174e7622a3c17309702f1f8c45345a1db17c"),
+    ("trivialize", "--file", "edge_connection", "text", 1, "invalid-input",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("trivialize", "--file", "edge_connection", "structured",
+     1, "invalid-input",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("invariant", "--file", "chain_du", "text", 0, None,
+     "3bbc7c564b8ae5f43d52a47eb91e4734bdaa4b769d912bc342f9a2f1dd217600"),
+    ("invariant", "--file", "chain_du", "structured", 0, None,
+     "4acbb52b9b8c4b7e63f2fdf6ab0e0ef757145ab24caae5b3791c9960bde8c4fa"),
+    ("invariant", "--file", "log_connection", "text", 0, None,
+     "e937bbc68f2fbe5ddc4c046a1f1e0d635d9cfa318dfbf9397e1e1e3a61aad053"),
+    ("invariant", "--file", "log_connection", "structured", 0, None,
+     "6dcd82d088d22803f81bfc4d8032174e7622a3c17309702f1f8c45345a1db17c"),
+    ("invariant", "--file", "edge_connection", "text", 0, None,
+     "7f2d62d645596594f20ceaedc79ee1416c1f8ca7f8f3328f61c77ddcd6a86367"),
+    ("invariant", "--file", "edge_connection", "structured", 0, None,
+     "961449fd51859b6fa8845688f128c075b8a3831de8e27f49d933369dfb469ca6"),
+    ("fundsol", "--file", "chain_du", "text", 1, "invalid-input",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fundsol", "--file", "chain_du", "structured", 1, "invalid-input",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fundsol", "--file", "log_connection", "text", 0, None,
+     "e937bbc68f2fbe5ddc4c046a1f1e0d635d9cfa318dfbf9397e1e1e3a61aad053"),
+    ("fundsol", "--file", "log_connection", "structured", 0, None,
+     "da6d48f281dae0b696dbbbf19a8110a6da4ddd736184d426aef4d1fba1ded385"),
+    ("fundsol", "--file", "edge_connection", "text", 1, "invalid-input",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fundsol", "--file", "edge_connection", "structured", 1, "invalid-input",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("parse-check", "--file", "chain_du", "text", 0, None,
+     "5c0468bdc4880af9c6647bb575095231f3436622fd01227c32b53c7f7606f575"),
+    ("parse-check", "--file", "chain_du", "structured", 0, None,
+     "061be1d380a18033143c423b7e199bfd07fa50516e8d4f22e031c4c153984312"),
+    ("parse-check", "--file", "log_connection", "text", 0, None,
+     "5a4489be2beb9321f397711baac59e31097c2c1ab7bef2cd27cb804cf00b3825"),
+    ("parse-check", "--file", "log_connection", "structured", 0, None,
+     "399768de0b0ad9ea1a56462cd4e392b40bf007b5595a4551ae406ac9a5a5a6c5"),
+    ("parse-check", "--file", "edge_connection", "text", 0, None,
+     "64e21abfe6cdcee18e3fdb63f2c92e4d4cc45fb57dc2efcc5e45705b8f3cd23a"),
+    ("parse-check", "--file", "edge_connection", "structured", 0, None,
+     "ed8765098e83db43924e6c690a797332d2b2f918bd26867a2daf477cdaa48d66"),
+    ("curvature", "--family", "geometric_family", "text", 0, None,
+     "6b6aa159735717bcd9c7d05e634251abec945525256f5115f94ce4d6e76631ef"),
+    ("curvature", "--family", "geometric_family", "structured", 0, None,
+     "6eafad934994e875f69666636b1d460d5cf1824b2cb6e6f59a4b1d9b790cdb0a"),
+    ("curvature", "--family", "edge_family", "text", 0, None,
+     "f3129d26d85b76192a3fed66bd5cfc75e8939d4a9c6947f192900c2c57ecd735"),
+    ("curvature", "--family", "edge_family", "structured", 0, None,
+     "7b34e8038793516609dc38ddfbe3eb1ce48f4e52e864a0bcfecaef7520d5b81c"),
+    ("integrate", "--family", "geometric_family", "text", 0, None,
+     "b6a1844c1bc714e32946895a0ff97aaf536f574cccf16c42926c90c202612860"),
+    ("integrate", "--family", "geometric_family", "structured", 0, None,
+     "6681cdaf3fbcb0d8433bd53f699eff656ca1ba220cfb6de891309f30da9e1840"),
+    ("integrate", "--family", "edge_family", "text", 0, None,
+     "ca407f3c5683a9d0ed59d42d55f613228dfca9d22ce642c2d27d08a6b8f2cfe5"),
+    ("integrate", "--family", "edge_family", "structured", 0, None,
+     "5b0079f4acb65a5f9935b63e6d461562cef0a7c4c81bb090e623cccb8c3454c9"),
+    ("parse-check", "--family", "geometric_family", "text", 0, None,
+     "99b7176392582b04aa078bc234ef01f9494c46497fa7ca81ed0446c1a13b91a1"),
+    ("parse-check", "--family", "geometric_family", "structured", 0, None,
+     "56f7638780180541ff040b20c24ffcf7f389777e732927f0eca18f0fa09e7730"),
+    ("parse-check", "--family", "edge_family", "text", 0, None,
+     "e5023f761d37502e971b5803273cbf358edf5e66d1cb5330c8a7af929ba2e482"),
+    ("parse-check", "--family", "edge_family", "structured", 0, None,
+     "d203e984ac994d1402faa4836827aa6bdf83e74cc9c2b2958e4059533aff335a"),
+]
 
 
 @pytest.fixture
@@ -426,14 +548,14 @@ class TestEntryPoint:
         r = subprocess.run(
             [sys.executable, "-m", "lineint.cli", "log", "--trunc", "5",
              "1 - t + O(t^5)"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env())
         assert r.returncode == 0
         assert r.stdout == GOLDEN_LOG
 
     def test_module_invocation_error_path(self):
         r = subprocess.run(
             [sys.executable, "-m", "lineint.cli", "log", "t + O(t^2)"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env())
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"] == "non-unit"
 
@@ -442,7 +564,7 @@ class TestEntryPoint:
         # The output is larger than a pipe buffer, so the writer still has
         # bytes left when the reader goes away, whatever the timing.
         expr = " + ".join(f"t^{d}" for d in range(12000)) + " + O(t^12000)"
-        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env = checkout_env(PYTHONUNBUFFERED=unbuffered)
         proc = subprocess.Popen(
             [sys.executable, "-m", "lineint.cli", "parse-check", "-"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -455,3 +577,27 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+
+class TestPinnedDocuments:
+    @pytest.mark.parametrize("command,flag,doc,fmt,status,error,digest",
+                             PINNED_DOCUMENTS)
+    def test_stdout_bytes(self, cli, command, flag, doc, fmt, status, error,
+                          digest):
+        stdin = EDGE_DOCUMENTS.get(doc)
+        argv = [command, flag,
+                "-" if stdin is not None else str(DEMO_DATA / f"{doc}.json"),
+                "--format", fmt]
+        if command == "integrate":
+            argv += ["--section", SECTIONS[doc]]
+        code, out, err = cli(argv, stdin=stdin)
+        assert code == status
+        assert (json.loads(err)["error"] if err else None) == error
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_echo_keeps_document_precision(self, cli, fmt):
+        code, out, err = cli(["parse-check", "--file", "-", "--format", fmt],
+                             stdin=EDGE_CONNECTION)
+        assert code == 0
+        assert json.loads(out)["abs_prec"] == 7

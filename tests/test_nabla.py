@@ -23,7 +23,6 @@ from lineint.nabla import (
     matrix_residual,
     series_matrix_product,
     trivialize,
-    validate_framed,
 )
 from lineint.series import (
     DifferentialForm,
@@ -75,6 +74,15 @@ class TestSignature:
         assert list(sig.block_rows(0)) == [0, 1]
         assert list(sig.block_rows(1)) == [2]
 
+    @pytest.mark.parametrize("parts", [(1,), (2, 1, 3), (1, 1, 1, 1),
+                                       (3, 2)])
+    def test_lower_positions_are_on_or_below_the_block_diagonal(self, parts):
+        sig = Signature(parts)
+        r = sig.total
+        assert list(sig.lower_positions()) == [
+            (a, b) for a in range(r) for b in range(r)
+            if sig.block_of(a) >= sig.block_of(b)]
+
     def test_rejects_bad_parts(self):
         with pytest.raises(InvalidInputError):
             Signature(())
@@ -120,7 +128,7 @@ class TestConnectionMatrix:
 
 class TestValidateFramed:
     def test_accepts_upper_triangular(self):
-        m = validate_framed(Signature((1, 1)), upper_2x2(fform([1, 1]), 2))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(fform([1, 1]), 2))
         assert isinstance(m, FramedNablaModule)
         assert m.ring is F
 
@@ -128,14 +136,14 @@ class TestValidateFramed:
         z = fzero(2)
         bad = ConnectionMatrix(F, ((z, z), (fform([1, 1]), z)))
         with pytest.raises(NotFramedError) as info:
-            validate_framed(Signature((1, 1)), bad)
+            FramedNablaModule(Signature((1, 1)), bad)
         assert "(2, 1)" in str(info.value)
 
     def test_rejects_diagonal_block(self):
         z = fzero(2)
         bad = ConnectionMatrix(F, ((fform([1, 1]), z), (z, z)))
         with pytest.raises(NotFramedError):
-            validate_framed(Signature((1, 1)), bad)
+            FramedNablaModule(Signature((1, 1)), bad)
 
     def test_wide_block_accepted(self):
         # signature (2, 1): the 2x1 upper block is free, everything else zero
@@ -145,7 +153,7 @@ class TestValidateFramed:
             (z, z, fform([0, 2, 0])),
             (z, z, z),
         ))
-        m = validate_framed(Signature((2, 1)), conn)
+        m = FramedNablaModule(Signature((2, 1)), conn)
         assert m.signature.parts == (2, 1)
 
     def test_within_diagonal_block_must_vanish(self):
@@ -156,11 +164,11 @@ class TestValidateFramed:
             (z, z, z),
         ))
         with pytest.raises(NotFramedError):
-            validate_framed(Signature((2, 1)), conn)
+            FramedNablaModule(Signature((2, 1)), conn)
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidInputError):
-            validate_framed(Signature((1, 1, 1)), upper_2x2(fform([1]), 1))
+            FramedNablaModule(Signature((1, 1, 1)), upper_2x2(fform([1]), 1))
 
 
 class TestUnipotentMatrix:
@@ -237,14 +245,14 @@ class TestFundamentalSolution:
 
 class TestHorizontalBasis:
     def test_trivial_connection(self):
-        m = validate_framed(Signature((1, 1)), upper_2x2(fzero(6), 6))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(fzero(6), 6))
         assert is_identity_series_matrix(horizontal_basis(m, 7))
 
     def test_log_shaped_section(self):
         # C12 = -dt/(1-t): horizontal column (t + t^2/2 + ..., 1)
         T = 10
         c12 = fform([-1] * T)
-        m = validate_framed(Signature((1, 1)), upper_2x2(c12, T))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(c12, T))
         s = horizontal_basis(m, T + 1)
         assert s[0][1].coefficient(0) == 0
         assert all(s[0][1].coefficient(k) == Fraction(1, k)
@@ -254,14 +262,14 @@ class TestHorizontalBasis:
 
 class TestTrivialize:
     def test_zero_connection_gives_identity(self):
-        m = validate_framed(Signature((1, 1)), upper_2x2(fzero(6), 6))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(fzero(6), 6))
         v = trivialize(m, 7)
         assert is_identity_series_matrix(v.entries)
 
     def test_log_entry(self):
         T = 9
         u = series_from_coeffs(F, 0, [1, -1] + [0] * (T - 2))
-        m = validate_framed(Signature((1, 1)), upper_2x2(dlog(u), T))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(dlog(u), T))
         v = trivialize(m, T)
         entry = v.entries[0][1]
         assert all(entry.coefficient(k) == Fraction(-1, k)
@@ -273,7 +281,7 @@ class TestTrivialize:
                                                  prime=2, abs_prec=12))
         conn = ConnectionMatrix(RP, ((z, du, z), (z, z, du), (z, z, z)),
                                 prime=2)
-        m = validate_framed(Signature((1, 1, 1)), conn)
+        m = FramedNablaModule(Signature((1, 1, 1)), conn)
         v = trivialize(m, 9)
         assert v.entries[0][1].coefficient(1).to_fraction() == 1
         assert v.entries[1][2].coefficient(1).to_fraction() == 1
@@ -283,7 +291,7 @@ class TestTrivialize:
 
     def test_normalized_at_origin(self):
         T = 6
-        m = validate_framed(Signature((1, 1)), upper_2x2(fform([3, 1, 4, 1,
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(fform([3, 1, 4, 1,
                                                                 5]), T - 1))
         v = trivialize(m, T)
         assert v.constant_matrix() == ((1, 0), (0, 1))
@@ -292,7 +300,7 @@ class TestTrivialize:
         g = DifferentialForm(series_from_coeffs(GP, 0, [1], prime=2))
         z = DifferentialForm(zero_series(GP, 0, 1, prime=2))
         conn = ConnectionMatrix(GP, ((z, g), (z, z)), prime=2)
-        m = validate_framed(Signature((1, 1)), conn)
+        m = FramedNablaModule(Signature((1, 1)), conn)
         with pytest.raises(InvalidInputError):
             trivialize(m, 4)
 
@@ -302,7 +310,7 @@ class TestTrivialize:
                                                    prime=2, abs_prec=8))
         z = DifferentialForm(zero_series(R, -1, 2, prime=2, abs_prec=8))
         conn = ConnectionMatrix(R, ((z, pole), (z, z)), prime=2)
-        m = validate_framed(Signature((1, 1)), conn)
+        m = FramedNablaModule(Signature((1, 1)), conn)
         with pytest.raises(IntegralObstructionError):
             trivialize(m, 4)
 
@@ -318,7 +326,7 @@ class TestTrivialize:
             (z, z, fform(zs)),
             (z, z, z),
         ))
-        m = validate_framed(Signature((1, 1, 1)), conn)
+        m = FramedNablaModule(Signature((1, 1, 1)), conn)
         v = trivialize(m, T)
         s = horizontal_basis(m, T)
         assert is_identity_series_matrix(series_matrix_product(v.entries, s))
@@ -328,21 +336,21 @@ class TestTrivialize:
 class TestMatrixResidual:
     def test_identity_fails_for_nonzero_connection(self):
         T = 6
-        m = validate_framed(Signature((1, 1)), upper_2x2(fform([1] * T), T))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(fform([1] * T), T))
         one, z = one_series(F, T), zero_series(F, 0, T)
         v = UnipotentMatrix(Signature((1, 1)), F, ((one, z), (z, one)))
         assert not matrix_residual(m, v)
 
     def test_nonconstant_matrix_fails_for_zero_connection(self):
         T = 6
-        m = validate_framed(Signature((1, 1)), upper_2x2(fzero(T), T))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(fzero(T), T))
         one, z = one_series(F, T), zero_series(F, 0, T)
         t = series_from_coeffs(F, 0, [0, 1] + [0] * (T - 2))
         v = UnipotentMatrix(Signature((1, 1)), F, ((one, t), (z, one)))
         assert not matrix_residual(m, v)
 
     def test_size_mismatch_rejected(self):
-        m = validate_framed(Signature((1, 1)), upper_2x2(fzero(4), 4))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(fzero(4), 4))
         one = one_series(F, 4)
         v = UnipotentMatrix(Signature((1,)), F, ((one,),))
         with pytest.raises(InvalidInputError):
@@ -352,7 +360,7 @@ class TestMatrixResidual:
         g = DifferentialForm(series_from_coeffs(GP, 0, [1, 1, 1], prime=2))
         z = DifferentialForm(zero_series(GP, 0, 3, prime=2))
         conn = ConnectionMatrix(GP, ((z, g), (z, z)), prime=2)
-        m = validate_framed(Signature((1, 1)), conn)
+        m = FramedNablaModule(Signature((1, 1)), conn)
         rep = invariant(m, 4)
         assert rep.matrix.ring is RP
         assert matrix_residual(m, rep.matrix)
@@ -366,7 +374,7 @@ class TestInvariant:
         c12 = dlog(v)
         z = DifferentialForm(zero_series(GP, 0, T - 1, prime=2, abs_prec=12))
         conn = ConnectionMatrix(GP, ((z, c12), (z, z)), prime=2)
-        rep = invariant(validate_framed(Signature((1, 1)), conn), T)
+        rep = invariant(FramedNablaModule(Signature((1, 1)), conn), T)
         entry = rep.matrix.entries[0][1]
         assert entry.agrees_with(padic_log_dagger(v))
         profile = dict(valuation_profile(entry))
@@ -375,7 +383,7 @@ class TestInvariant:
     def test_trivial_module(self):
         z = DifferentialForm(zero_series(GP, 0, 5, prime=3))
         conn = ConnectionMatrix(GP, ((z, z), (z, z)), prime=3)
-        rep = invariant(validate_framed(Signature((1, 1)), conn), 6)
+        rep = invariant(FramedNablaModule(Signature((1, 1)), conn), 6)
         assert is_identity_series_matrix(rep.matrix.entries)
 
     def test_exact_form_stays_bounded(self):
@@ -383,20 +391,20 @@ class TestInvariant:
                                                  prime=2, abs_prec=10))
         z = DifferentialForm(zero_series(GP, 0, 8, prime=2, abs_prec=10))
         conn = ConnectionMatrix(GP, ((z, du), (z, z)), prime=2)
-        rep = invariant(validate_framed(Signature((1, 1)), conn), 9)
+        rep = invariant(FramedNablaModule(Signature((1, 1)), conn), 9)
         profile = valuation_profile(rep.matrix.entries[0][1])
         assert profile == [(1, 0)]
 
     def test_formal_connections_pass_through(self):
         T = 6
-        m = validate_framed(Signature((1, 1)), upper_2x2(fform([1] * 5), 5))
+        m = FramedNablaModule(Signature((1, 1)), upper_2x2(fform([1] * 5), 5))
         rep = invariant(m, T)
         assert rep.matrix.ring is F
 
     def test_laurent_rings_rejected(self):
         z = DifferentialForm(zero_series(R, 0, 4, prime=2))
         conn = ConnectionMatrix(R, ((z, z), (z, z)), prime=2)
-        m = validate_framed(Signature((1, 1)), conn)
+        m = FramedNablaModule(Signature((1, 1)), conn)
         with pytest.raises(InvalidInputError):
             invariant(m, 4)
 
