@@ -349,6 +349,15 @@ def _join_terms(items) -> str:
     return "".join(chunks)
 
 
+def _with_marker(items, ends) -> str:
+    """The terms, then the O(...) marker of the (var, end) pairs; the bare
+    marker if there is no term and 0 would lie outside the window."""
+    marker = "O(" + ", ".join(f"{v}^{e}" for v, e in ends) + ")"
+    if not items and min(e for _, e in ends) <= 0:
+        return marker
+    return f"{_join_terms(items)} + {marker}"
+
+
 def print_series(s: TruncatedSeries) -> str:
     """Canonical text for a series window; print-parse-print is stable."""
     var = s.ring.variable
@@ -358,9 +367,7 @@ def print_series(s: TruncatedSeries) -> str:
             continue
         d = s.min_degree + idx
         items.append((_coeff_fraction(c), [(var, d)] if d != 0 else []))
-    if not items and s.trunc_order <= 0:
-        return f"O({var}^{s.trunc_order})"
-    return f"{_join_terms(items)} + O({var}^{s.trunc_order})"
+    return _with_marker(items, [(var, s.trunc_order)])
 
 
 def structured_series(s: TruncatedSeries) -> dict:
@@ -407,26 +414,30 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
     return biseries_from_map(ring, mapping, tu, tx, prime, abs_prec)
 
 
+def _rows(b: BiSeries):
+    """The coefficients row by row: row i holds those of u^i, by x-degree."""
+    return [[col.coeffs[i] for col in b.cols] for i in range(b.trunc_u)]
+
+
 def print_biseries(b: BiSeries, fiber_var: str = "x") -> str:
     """Canonical text, terms ordered by base then fiber degree."""
     base = b.ring.variable
     items = []
-    for i, row in enumerate(b.coeffs):
+    for i, row in enumerate(_rows(b)):
         for j, c in enumerate(row):
             if _coeff_is_zero(c):
                 continue
             factors = [(v, e) for v, e in ((base, i), (fiber_var, j))
                        if e != 0]
             items.append((_coeff_fraction(c), factors))
-    return (f"{_join_terms(items)} + "
-            f"O({base}^{b.trunc_u}, {fiber_var}^{b.trunc_x})")
+    return _with_marker(items, [(base, b.trunc_u), (fiber_var, b.trunc_x)])
 
 
 def structured_biseries(b: BiSeries, fiber_var: str = "x") -> dict:
     """The machine-readable document for one two-variable window."""
     return {
         "trunc": [b.trunc_u, b.trunc_x],
-        "coeffs": [[str(c) for c in row] for row in b.coeffs],
+        "coeffs": [[str(c) for c in row] for row in _rows(b)],
         "ring": b.ring.value,
         "p": b.prime,
         "fiber_var": fiber_var,

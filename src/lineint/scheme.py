@@ -1,18 +1,20 @@
 """Two-variable series windows and framed families over them.
 
-A :class:`BiSeries` stores coefficients of monomials u^i x^j for
-0 <= i < trunc_u and 0 <= j < trunc_x, over the same coefficient rings as
-the univariate windows.  One-forms gain a second component ``dx``; the
-total differential, curvature of a framed family, pullback along a section
-x := v - 1, and the resulting line integral live here.
+A :class:`BiSeries` is a tuple of one-variable columns: column j is the
+coefficient of x^j, a power series in the base variable on the window
+[0, trunc_u), so the window holds u^i x^j for 0 <= i < trunc_u and
+0 <= j < trunc_x.  Its arithmetic and partial derivatives act column by
+column through the one-variable code.  One-forms gain a second component
+``dx``; the total differential, curvature of a framed family, pullback
+along a section x := v - 1, and the resulting line integral live here.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 
-from .coeff import PAdic
 from .errors import (
     InsufficientWindowError,
     InvalidInputError,
@@ -33,54 +35,57 @@ from .series import (
     RingLabel,
     TruncatedSeries,
     _CoeffWindow,
-    _check_coeff,
     _check_ring_prime,
     _coeff_is_zero,
-    _dot,
     derive,
     one_series,
+    series_from_coeffs,
     zero_series,
 )
 
 
+def _check_header(ring: RingLabel, prime, trunc_u: int, trunc_x: int):
+    """What a two-variable window needs before it has any column."""
+    if ring.laurent:
+        raise InvalidInputError(
+            f"two-variable windows are power series; ring "
+            f"{ring.value} allows poles"
+        )
+    if trunc_u < 0 or trunc_x < 0:
+        raise InvalidInputError(f"negative window ({trunc_u}, {trunc_x})")
+    _check_ring_prime(ring, prime)
+
+
 @dataclass(frozen=True, eq=False)
 class BiSeries(_CoeffWindow):
-    """Coefficients of u^i x^j for 0 <= i < trunc_u, 0 <= j < trunc_x."""
+    """Coefficients of u^i x^j for 0 <= i < trunc_u, 0 <= j < trunc_x,
+    stored as columns: cols[j] is the series on [0, trunc_u) that
+    multiplies x^j."""
 
     ring: RingLabel
-    coeffs: tuple            # coeffs[i][j], row index i is the u-degree
+    cols: tuple
     trunc_u: int
-    trunc_x: int
     prime: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(tuple(row) for row in self.coeffs))
-        if self.ring.laurent:
-            raise InvalidInputError(
-                f"two-variable windows are power series; ring "
-                f"{self.ring.value} allows poles"
-            )
-        if self.trunc_u < 0 or self.trunc_x < 0:
-            raise InvalidInputError(
-                f"negative window ({self.trunc_u}, {self.trunc_x})"
-            )
-        _check_ring_prime(self.ring, self.prime)
-        if len(self.coeffs) != self.trunc_u:
-            raise InvalidInputError(
-                f"{len(self.coeffs)} rows do not fill u-window {self.trunc_u}"
-            )
-        for i, row in enumerate(self.coeffs):
-            if len(row) != self.trunc_x:
+        object.__setattr__(self, "cols", tuple(self.cols))
+        _check_header(self.ring, self.prime, self.trunc_u, self.trunc_x)
+        for j, col in enumerate(self.cols):
+            if not (isinstance(col, TruncatedSeries)
+                    and col.ring is self.ring and col.prime == self.prime
+                    and col.min_degree == 0
+                    and col.trunc_order == self.trunc_u):
                 raise InvalidInputError(
-                    f"row {i} has {len(row)} entries, x-window is "
-                    f"{self.trunc_x}"
+                    f"column {j} is not a series over {self.ring.value} "
+                    f"(p={self.prime}) on [0, {self.trunc_u})"
                 )
-            for j, c in enumerate(row):
-                _check_coeff(self.ring, self.prime, c, i)
+
+    @property
+    def trunc_x(self) -> int:
+        return len(self.cols)
 
     def _flat_coeffs(self):
-        return (c for row in self.coeffs for c in row)
+        return (c for col in self.cols for c in col.coeffs)
 
     def coefficient(self, i: int, j: int):
         """The coefficient of u^i x^j; exact zero at negative degrees."""
@@ -91,104 +96,70 @@ class BiSeries(_CoeffWindow):
                 f"degree ({i}, {j}) is beyond the known window "
                 f"({self.trunc_u}, {self.trunc_x})"
             )
-        return self.coeffs[i][j]
+        return self.cols[j].coeffs[i]
 
     @property
     def is_zero(self) -> bool:
-        return all(_coeff_is_zero(c) for row in self.coeffs for c in row)
+        return all(col.is_zero for col in self.cols)
+
+    def _with(self, cols, trunc_u=None) -> "BiSeries":
+        return BiSeries(self.ring, cols,
+                        self.trunc_u if trunc_u is None else trunc_u,
+                        self.prime)
 
     def clipped(self, trunc_u=None, trunc_x=None) -> "BiSeries":
-        tu = self.trunc_u if trunc_u is None else min(trunc_u, self.trunc_u)
-        tx = self.trunc_x if trunc_x is None else min(trunc_x, self.trunc_x)
-        tu, tx = max(tu, 0), max(tx, 0)
-        return BiSeries(self.ring,
-                        tuple(row[:tx] for row in self.coeffs[:tu]),
-                        tu, tx, self.prime)
-
-    def _binary_check(self, other: "BiSeries"):
-        if not isinstance(other, BiSeries):
-            raise InvalidInputError(f"expected a two-variable series, "
-                                    f"got {other!r}")
-        if other.ring is not self.ring or other.prime != self.prime:
-            raise InvalidInputError(
-                f"cannot combine windows over {self.ring.value} "
-                f"(p={self.prime}) and {other.ring.value} (p={other.prime})"
-            )
+        tu = self.trunc_u if trunc_u is None else max(min(trunc_u,
+                                                          self.trunc_u), 0)
+        cols = self.cols if trunc_x is None else self.cols[:max(trunc_x, 0)]
+        return self._with(tuple(c.clipped(trunc_order=tu) for c in cols), tu)
 
     def __add__(self, other) -> "BiSeries":
         self._binary_check(other)
-        tu = min(self.trunc_u, other.trunc_u)
-        tx = min(self.trunc_x, other.trunc_x)
-        return BiSeries(
-            self.ring,
-            tuple(tuple(self.coeffs[i][j] + other.coeffs[i][j]
-                        for j in range(tx)) for i in range(tu)),
-            tu, tx, self.prime,
-        )
+        return self._with(tuple(map(operator.add, self.cols, other.cols)),
+                          min(self.trunc_u, other.trunc_u))
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(self.ring,
-                        tuple(tuple(-c for c in row) for row in self.coeffs),
-                        self.trunc_u, self.trunc_x, self.prime)
-
-    def __sub__(self, other) -> "BiSeries":
-        return self + (-other)
+        return self._with(tuple(-c for c in self.cols))
 
     def __mul__(self, other) -> "BiSeries":
         self._binary_check(other)
-        tu = min(self.trunc_u, other.trunc_u)
-        tx = min(self.trunc_x, other.trunc_x)
-        x, y = self.coeffs, other.coeffs
-        rows = tuple(
-            tuple(_dot(((x[a][b], y[i - a][j - b]) for a in range(i + 1)
-                        for b in range(j + 1)), self.ring)
-                  for j in range(tx))
-            for i in range(tu))
-        return BiSeries(self.ring, rows, tu, tx, self.prime)
+        a, b = self.cols, other.cols
+        cols = (reduce(operator.add, map(operator.mul, a[:k + 1], b[k::-1]))
+                for k in range(min(len(a), len(b))))
+        return self._with(tuple(cols), min(self.trunc_u, other.trunc_u))
 
     def scale(self, c) -> "BiSeries":
-        return BiSeries(self.ring,
-                        tuple(tuple(x * c for x in row)
-                              for row in self.coeffs),
-                        self.trunc_u, self.trunc_x, self.prime)
+        return self._with(tuple(col.scale(c) for col in self.cols))
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
         return (self.ring is other.ring and self.prime == other.prime
-                and self.trunc_u == other.trunc_u
-                and self.trunc_x == other.trunc_x
-                and self.coeffs == other.coeffs)
+                and self.trunc_u == other.trunc_u and self.cols == other.cols)
 
     __hash__ = None
 
     def __repr__(self):
         return (f"BiSeries({self.ring.value}, "
-                f"({self.trunc_u}, {self.trunc_x}), {self.coeffs!r})")
+                f"({self.trunc_u}, {self.trunc_x}), {self.cols!r})")
 
 
 def biseries_from_map(ring: RingLabel, mapping, trunc_u: int, trunc_x: int,
                       prime: int | None = None,
                       abs_prec: int = DEFAULT_ABS_PREC) -> BiSeries:
     """Build a window from a sparse {(i, j): value} map; absent means zero."""
-    if ring.padic:
-        zero = PAdic.zero(prime, abs_prec)
-
-        def coerce(v):
-            return v if isinstance(v, PAdic) else PAdic.from_rational(
-                Fraction(v), prime, abs_prec)
-    else:
-        zero = Fraction(0)
-        coerce = Fraction
-    rows = [[zero] * trunc_x for _ in range(trunc_u)]
+    _check_header(ring, prime, trunc_u, trunc_x)
+    zero = zero_series(ring, 0, trunc_u, prime, abs_prec).coeffs
+    cols = [list(zero) for _ in range(trunc_x)]
     for (i, j), v in mapping.items():
         if not (0 <= i < trunc_u and 0 <= j < trunc_x):
             raise InvalidInputError(
                 f"degree ({i}, {j}) outside window ({trunc_u}, {trunc_x})"
             )
-        rows[i][j] = coerce(v)
-    return BiSeries(ring, tuple(tuple(r) for r in rows), trunc_u, trunc_x,
-                    prime)
+        cols[j][i] = v
+    return BiSeries(ring, tuple(series_from_coeffs(ring, 0, c, prime,
+                                                   abs_prec) for c in cols),
+                    trunc_u, prime)
 
 
 def zero_biseries(ring: RingLabel, trunc_u: int, trunc_x: int,
@@ -199,24 +170,13 @@ def zero_biseries(ring: RingLabel, trunc_u: int, trunc_x: int,
 
 def partial_u(s: BiSeries) -> BiSeries:
     """Termwise derivative in u; the u-window shrinks by one."""
-    tu = max(s.trunc_u - 1, 0)
-    return BiSeries(
-        s.ring,
-        tuple(tuple(s.coeffs[i + 1][j] * (i + 1) for j in range(s.trunc_x))
-              for i in range(tu)),
-        tu, s.trunc_x, s.prime,
-    )
+    return s._with(tuple(derive(c).series for c in s.cols),
+                   max(s.trunc_u - 1, 0))
 
 
 def partial_x(s: BiSeries) -> BiSeries:
     """Termwise derivative in x; the x-window shrinks by one."""
-    tx = max(s.trunc_x - 1, 0)
-    return BiSeries(
-        s.ring,
-        tuple(tuple(s.coeffs[i][j + 1] * (j + 1) for j in range(tx))
-              for i in range(s.trunc_u)),
-        s.trunc_u, tx, s.prime,
-    )
+    return s._with(tuple(c.scale(j) for j, c in enumerate(s.cols[1:], 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,14 +296,9 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries) -> TruncatedSeries:
             f"cannot substitute a series over {w.ring.value} into a window "
             f"over {b.ring.value}"
         )
-    tu, tx = b.trunc_u, b.trunc_x
+    tu, tx, cols = b.trunc_u, b.trunc_x, b.cols
     if tx == 0:
         return zero_series(b.ring, 0, 0, b.prime, b._working_prec())
-    cols = [
-        TruncatedSeries(b.ring, 0,
-                        tuple(b.coeffs[i][j] for i in range(tu)), tu, b.prime)
-        for j in range(tx)
-    ]
     if w.is_zero:
         return cols[0]
     e = w.order()

@@ -124,14 +124,29 @@ def _max_abs_prec(coeffs) -> int:
 
 
 class _CoeffWindow:
-    """Zeros at working precision, for windows with ring, prime and
-    _flat_coeffs() (every stored coefficient)."""
+    """What one- and two-variable windows share: zeros at working
+    precision, the check that two windows may be combined, and subtraction.
+    A window has ring, prime, _flat_coeffs() (every stored coefficient),
+    + and unary -."""
 
     def _zero_coeff(self):
         return _materialize_zero(self.ring, self.prime, self._working_prec())
 
     def _working_prec(self) -> int:
         return _max_abs_prec(self._flat_coeffs())
+
+    def _binary_check(self, other):
+        if not isinstance(other, type(self)):
+            raise InvalidInputError(
+                f"expected a {type(self).__name__}, got {other!r}")
+        if other.ring is not self.ring or other.prime != self.prime:
+            raise InvalidInputError(
+                f"cannot combine windows over {self.ring.value} "
+                f"(p={self.prime}) and {other.ring.value} (p={other.prime})"
+            )
+
+    def __sub__(self, other):
+        return self + (-other)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,15 +255,6 @@ class TruncatedSeries(_CoeffWindow):
 
     # -- ring operations -----------------------------------------------------
 
-    def _binary_check(self, other: "TruncatedSeries"):
-        if not isinstance(other, TruncatedSeries):
-            raise InvalidInputError(f"expected a series, got {other!r}")
-        if other.ring is not self.ring or other.prime != self.prime:
-            raise InvalidInputError(
-                f"cannot combine series over {self.ring.value} (p={self.prime}) "
-                f"and {other.ring.value} (p={other.prime})"
-            )
-
     def __add__(self, other) -> "TruncatedSeries":
         self._binary_check(other)
         lo = min(self.min_degree, other.min_degree)
@@ -262,9 +268,6 @@ class TruncatedSeries(_CoeffWindow):
         return TruncatedSeries(self.ring, self.min_degree,
                                tuple(-c for c in self.coeffs),
                                self.trunc_order, self.prime)
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, DifferentialForm):

@@ -31,7 +31,7 @@ from lineint.parsing import (
     structured_biseries,
     structured_series,
 )
-from lineint.scheme import curvature
+from lineint.scheme import biseries_from_map, curvature
 from lineint.series import (
     RingLabel,
     formal_log,
@@ -221,6 +221,24 @@ class TestRoundTrip:
         # an all-zero window can print as a bare marker above its floor
         if max(back.min_degree, s.min_degree) < s.trunc_order:
             assert back.agrees_with(s)
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_two_variable_text_is_stable(self, data):
+        # Window ends from 0 on, so empty windows are drawn too.
+        ring = data.draw(st.sampled_from((F, GP)))
+        prime = 3 if ring.padic else None
+        tu, tx = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        values = st.fractions(max_denominator=5) if ring is F \
+            else st.integers(-30, 30)
+        cells = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), values,
+            max_size=6))
+        b = biseries_from_map(ring, {(i, j): v for (i, j), v in cells.items()
+                                     if i < tu and j < tx},
+                              tu, tx, prime, abs_prec=6)
+        text = print_biseries(b)
+        assert print_biseries(parse_biseries(text, ring, prime, 6)) == text
 
 
 class TestStructured:

@@ -2,11 +2,14 @@
 
 ``TruncatedSeries.__mul__``, ``inverse`` and ``BiSeries.__mul__`` each wrote
 their own sum of products, and ``curvature`` its own matrix product, before
-all of them went through ``series._dot`` and ``series_matrix_product``.
-Those loops are kept here, as they were, as test-only oracles: the kernel
-must give the same ring, window, coefficient type and text, and error
-class, on every ring label, with mixed precisions, negative valuations,
-Laurent windows, empty windows and zeros of every kind.
+all of them went through ``series._dot`` and ``series_matrix_product``;
+``BiSeries.__mul__`` is now a convolution of its columns' series products.
+Those loops are kept here as test-only oracles: the kernel must give the
+same ring, window, coefficient type and text, and error class, on every
+ring label, with mixed precisions, negative valuations, Laurent windows,
+empty windows and zeros of every kind.  The two-variable loop reads
+coefficients through ``coefficient(i, j)`` and builds its result from a
+full map, so it does not depend on how a ``BiSeries`` stores them.
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ from lineint.scheme import (
     BiForm,
     BiSeries,
     FramedFamily,
+    biseries_from_map,
     curvature,
     partial_u,
     partial_x,
@@ -101,21 +105,19 @@ def loop_bimul(s, o):
     tu = min(s.trunc_u, o.trunc_u)
     tx = min(s.trunc_x, o.trunc_x)
     rational = not s.ring.padic
-    rows = []
+    cells = {}
     for i in range(tu):
-        row = []
         for j in range(tx):
             acc = None
             for a in range(i + 1):
                 for b in range(j + 1):
-                    x, y = s.coeffs[a][b], o.coeffs[i - a][j - b]
+                    x, y = s.coefficient(a, b), o.coefficient(i - a, j - b)
                     if rational and (x == 0 or y == 0):
                         continue
                     prod = x * y
                     acc = prod if acc is None else acc + prod
-            row.append(s._zero_coeff() if acc is None else acc)
-        rows.append(tuple(row))
-    return BiSeries(s.ring, tuple(rows), tu, tx, s.prime)
+            cells[i, j] = s._zero_coeff() if acc is None else acc
+    return biseries_from_map(s.ring, cells, tu, tx, s.prime)
 
 
 def loop_curvature(family):
@@ -196,9 +198,9 @@ def make_series(ring, p, drawn, unit_lead=False):
 
 
 def make_biseries(ring, p, tu, tx, raws):
-    rows = tuple(tuple(coefficient(ring, p, raws[i * tx + j])
-                       for j in range(tx)) for i in range(tu))
-    return BiSeries(ring, rows, tu, tx, p if ring.padic else None)
+    cells = {(i, j): coefficient(ring, p, raws[i * tx + j])
+             for i in range(tu) for j in range(tx)}
+    return biseries_from_map(ring, cells, tu, tx, p if ring.padic else None)
 
 
 def drawn_ring(data, rings=RINGS):

@@ -62,22 +62,38 @@ class TestBiSeries:
             zero_biseries(RingLabel.E, 2, 2, prime=2)
 
     def test_shape_must_match_windows(self):
-        with pytest.raises(InvalidInputError):
-            BiSeries(F, ((Fraction(1),),), 2, 1)
-        with pytest.raises(InvalidInputError):
-            BiSeries(F, ((Fraction(1), Fraction(2)),), 1, 1)
+        col = series_from_coeffs(F, 0, [1, 2])
+        assert BiSeries(F, (col, col), 2).trunc_x == 2
+        bad_columns = [
+            (F, (col,), 3, None),                          # u-window 3
+            (F, (col, col.clipped(min_degree=1)), 2, None),  # [1, 2)
+            (GP, (series_from_coeffs(RingLabel.E_PLUS, 0, [1, 2],
+                                     prime=3),), 2, 3),    # another ring
+            (GP, (series_from_coeffs(GP, 0, [1, 2], prime=5),), 2, 3),
+            (F, ((Fraction(1), Fraction(2)),), 2, None),   # not a series
+        ]
+        for ring, cols, trunc_u, prime in bad_columns:
+            with pytest.raises(InvalidInputError, match="is not a series"):
+                BiSeries(ring, cols, trunc_u, prime)
 
     def test_prime_rules(self):
         with pytest.raises(InvalidInputError):
             zero_biseries(GP, 2, 2)
-        with pytest.raises(InvalidInputError):
-            BiSeries(F, ((Fraction(0),),), 1, 1, prime=2)
+        with pytest.raises(InvalidInputError, match="takes no prime"):
+            BiSeries(F, (series_from_coeffs(F, 0, [0]),), 1, prime=2)
 
     def test_composite_prime_rejected_on_empty_window(self):
-        # No coefficient is there to carry the prime, so the header check
+        # No column is there to carry the prime, so the header check
         # alone must refuse it, as it does for one-variable series.
         with pytest.raises(InvalidInputError, match="4 is not prime"):
-            BiSeries(GP, (), 0, 3, prime=4)
+            BiSeries(GP, (), 3, prime=4)
+
+    def test_negative_windows_rejected(self):
+        for tu, tx in ((-1, 2), (2, -1)):
+            with pytest.raises(InvalidInputError, match="negative window"):
+                zero_biseries(F, tu, tx)
+            with pytest.raises(InvalidInputError, match="negative window"):
+                biseries_from_map(GP, {}, tu, tx, prime=3)
 
     def test_integral_ring_rejects_denominators(self):
         with pytest.raises(Exception):
@@ -154,7 +170,8 @@ class TestPartials:
                     min_size=4, max_size=4))
     @settings(max_examples=50)
     def test_mixed_partials_commute(self, rows):
-        s = BiSeries(F, tuple(tuple(r) for r in rows), 4, 4)
+        s = BiSeries(F, tuple(series_from_coeffs(F, 0, col)
+                              for col in zip(*rows)), 4)
         assert partial_x(partial_u(s)) == partial_u(partial_x(s))
 
 
