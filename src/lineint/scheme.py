@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, repeat
 
 from .errors import (
     InsufficientWindowError,
@@ -280,15 +281,24 @@ def curvature(family: FramedFamily) -> tuple:
         for a in range(family.size))
 
 
-def substitute_fiber(b: BiSeries, w: TruncatedSeries) -> TruncatedSeries:
+def _fiber_powers(w: TruncatedSeries, count: int, trunc_u: int) -> list:
+    """w, w^2, ..., w^count, each clipped to u-degrees below trunc_u."""
+    return list(accumulate(repeat(w.clipped(trunc_order=trunc_u), count),
+                           lambda q, _: (q * w).clipped(trunc_order=trunc_u)))
+
+
+def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
+                     powers=None) -> TruncatedSeries:
     """Evaluate a two-variable window at x := w, a one-variable series.
 
-    Powers of w are tracked with full window bookkeeping.  When w has a
-    zero constant term of order e, the stored x-degrees must satisfy
-    trunc_x * e >= trunc_u, otherwise unknown x-coefficients could reach
-    visible u-degrees.  A w that is a unit is substituted on the stored
-    x-support only (the window is exact when the x-dependence is
-    polynomial of degree < trunc_x)."""
+    A w with no nonvanishing constant term (of order e >= 1, or zero)
+    gives the sum of col_j * w^j over every stored j < trunc_x, so powers
+    of w that vanish only at a finite precision still bound the result's.
+    It needs trunc_x * e >= trunc_u, otherwise unknown x-coefficients
+    could reach visible u-degrees.  powers, if given, holds w^1 ..
+    w^(trunc_x - 1) clipped to a u-window of at least trunc_u.  Any other
+    w is substituted on the stored x-support only, by Horner's rule
+    (exact when the x-dependence is polynomial of degree < trunc_x)."""
     if not isinstance(w, TruncatedSeries):
         raise InvalidInputError(f"expected a series, got {w!r}")
     if w.ring is not b.ring or w.prime != b.prime:
@@ -299,23 +309,18 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries) -> TruncatedSeries:
     tu, tx, cols = b.trunc_u, b.trunc_x, b.cols
     if tx == 0:
         return zero_series(b.ring, 0, 0, b.prime, b._working_prec())
-    if w.is_zero:
-        return cols[0]
     e = w.order()
-    if e >= 1:
-        if tx * e < tu:
+    if e != 0:
+        if e is not None and tx * e < tu:
             raise InsufficientWindowError(
                 f"x-window {tx} with a section of order {e} only fills "
                 f"u-degrees below {tx * e}, u-window needs {tu}"
             )
+        if powers is None:
+            powers = _fiber_powers(w, tx - 1, tu)
         acc = cols[0]
-        power = w.clipped(trunc_order=tu)
-        for j in range(1, tx):
-            if j * e >= tu:
-                break
-            acc = acc + cols[j] * power
-            if j + 1 < tx and (j + 1) * e < tu:
-                power = (power * w).clipped(trunc_order=tu)
+        for col, power in zip(cols[1:], powers):
+            acc = acc + col * power
         return acc.clipped(trunc_order=tu)
     acc = cols[tx - 1]
     for j in range(tx - 2, -1, -1):
@@ -328,7 +333,8 @@ def section_pullback(family: FramedFamily,
     """Restrict the family to the section sending 1 + x to the unit v.
 
     Substitutes x := v - 1 everywhere; the dx components pick up the
-    chain-rule factor dv.  Returns the one-variable framed module."""
+    chain-rule factor dv; every entry shares one set of powers of v - 1.
+    Returns the one-variable framed module."""
     if not isinstance(v, TruncatedSeries):
         raise InvalidInputError(f"expected a series, got {v!r}")
     if v.ring is not family.ring or v.prime != family.prime:
@@ -351,17 +357,17 @@ def section_pullback(family: FramedFamily,
     prec = v._working_prec()
     w = v - one_series(v.ring, v.trunc_order, v.prime, prec)
     dv = derive(v).series
-    r = family.size
-    rows = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            f = family.entries[a][b]
-            s = (substitute_fiber(f.du_part, w)
-                 + substitute_fiber(f.dx_part, w) * dv)
-            row.append(DifferentialForm(s))
-        rows.append(tuple(row))
-    conn = ConnectionMatrix(family.ring, tuple(rows), family.prime)
+    parts = [f.du_part for row in family.entries for f in row]
+    powers = None if w.order() == 0 else _fiber_powers(
+        w, max(b.trunc_x for b in parts) - 1, max(b.trunc_u for b in parts))
+
+    def pulled(f):
+        return DifferentialForm(
+            substitute_fiber(f.du_part, w, powers=powers)
+            + substitute_fiber(f.dx_part, w, powers=powers) * dv)
+
+    rows = tuple(tuple(map(pulled, row)) for row in family.entries)
+    conn = ConnectionMatrix(family.ring, rows, family.prime)
     return FramedNablaModule(family.signature, conn)
 
 

@@ -10,6 +10,8 @@ stored coefficient is provably correct:
     mul:    [m_a + m_b,     min(T_a + m_b, T_b + m_a))
     derive: trunc drops by one
 
+A product with an all-zero factor multiplies no coefficients.
+
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
 allowed, and whether coefficients must stay in the integer ring.
@@ -115,6 +117,22 @@ def _dot(pairs, ring: RingLabel):
         if x and y:
             acc += x * y
     return acc
+
+
+def _zero_product(a, b, ring: RingLabel, prime):
+    """The coefficients of a * b when a or b is all zero, with no
+    coefficient product: over the p-adics, zeros at the min-plus precision
+    min_i min(N_a[i] + vf_b[k-i], N_b[k-i] + vf_a[i]) (N the abs_prec, vf
+    the valuation_floor) that the sum of the pairwise products carries."""
+    n = min(len(a), len(b))
+    if not ring.padic:
+        return (Fraction(0),) * n
+    na, va = [c.abs_prec for c in a], [c.valuation_floor for c in a]
+    nb, vb = [c.abs_prec for c in b], [c.valuation_floor for c in b]
+    return tuple(
+        PAdic.zero(prime, min(min(na[i] + vb[k - i], nb[k - i] + va[i])
+                              for i in range(k + 1)))
+        for k in range(n))
 
 
 def _max_abs_prec(coeffs) -> int:
@@ -275,10 +293,12 @@ class TruncatedSeries(_CoeffWindow):
         self._binary_check(other)
         lo = self.min_degree + other.min_degree
         a, b = self.coeffs, other.coeffs
-        n = min(len(a), len(b))
-        out = tuple(_dot(zip(a[:k + 1], b[k::-1]), self.ring)
-                    for k in range(n))
-        return TruncatedSeries(self.ring, lo, out, lo + n, self.prime)
+        if self.is_zero or other.is_zero:
+            out = _zero_product(a, b, self.ring, self.prime)
+        else:
+            out = tuple(_dot(zip(a[:k + 1], b[k::-1]), self.ring)
+                        for k in range(min(len(a), len(b))))
+        return TruncatedSeries(self.ring, lo, out, lo + len(out), self.prime)
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by the same scalar."""

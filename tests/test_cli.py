@@ -610,3 +610,32 @@ class TestPinnedDocuments:
         code, out, err = cli(argv, stdin=EDGE_FAMILY)
         assert (code, err) == (0, "")
         assert cli(argv, stdin=out) == (0, out, "")
+
+
+def one_entry_family(ring, du):
+    return json.dumps({
+        "signature": [1, 1], "ring": ring, "p": 3, "abs_prec": 20,
+        "trunc": 3, "trunc_x": 3,
+        "connection": [["0", {"du": du, "dx": "0"}], ["0", "0"]]})
+
+
+class TestProvenPrecision:
+    """At --abs-prec 5 the section 1 + 243*u is 1 + 0 (mod 3^5) u, so
+    x := v - 1 is a zero known mod 3^5 only, and the x term of du must cap
+    the pulled-back entry there (mod 3^4 with its 1/3)."""
+
+    @pytest.mark.parametrize("ring,du,prec", [
+        ("gamma+", "1 + x + O(u^3, x^3)", 5),
+        ("e+", "1 + 1/3*x + O(u^3, x^3)", 4),
+    ])
+    def test_integrate_claims_only_the_proven_precision(self, cli, ring, du,
+                                                        prec):
+        code, out, err = cli(
+            ["integrate", "--family", "-", "--section", "1 + 243*u + O(u^3)",
+             "--abs-prec", "5", "--format", "structured"],
+            stdin=one_entry_family(ring, du))
+        assert (code, err) == (0, "")
+        entry = json.loads(out)["entries"][0][1]
+        assert entry["window"] == [1, 3]
+        assert entry["coeffs"] == [f"3^0*1 (mod 3^{prec})",
+                                   f"0 (mod 3^{prec})"]

@@ -263,3 +263,52 @@ class TestKernelMatchesLoops:
         family = FramedFamily(Signature((1, 1, 1)), ring, entries, p)
         assert [[shown(f) for f in row] for row in curvature(family)] == \
             [[shown(f) for f in row] for row in loop_curvature(family)]
+
+
+# -- all-zero factors -------------------------------------------------------
+
+
+def zeroed(ring, p, drawn):
+    """A series shaped like make_series(ring, p, drawn) whose coefficients
+    are all zero, each at its own abs_prec (raw % 3 == 0 decodes to one)."""
+    m, raws = drawn
+    return make_series(ring, p, (m, [raw - raw % 3 for raw in raws]))
+
+
+def zeroed_columns(ring, p, tu, tx, raws, mask):
+    """make_biseries with the columns x^j, j in mask, all zero."""
+    cells = {(i, j): coefficient(ring, p, raws[i * tx + j]
+                                 - raws[i * tx + j] % 3 * (j in mask))
+             for i in range(tu) for j in range(tx)}
+    return biseries_from_map(ring, cells, tu, tx, p if ring.padic else None)
+
+
+class TestZeroFactors:
+    """A product with an all-zero factor multiplies no coefficients; its
+    zeros must still carry what the loop's sum of products carries."""
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_series_product(self, data):
+        ring, p = drawn_ring(data)
+        zero_a, zero_b = data.draw(st.sampled_from(
+            ((True, False), (False, True), (True, True))))
+        a, b = data.draw(SERIES), data.draw(SERIES)
+        a = zeroed(ring, p, a) if zero_a else make_series(ring, p, a)
+        b = zeroed(ring, p, b) if zero_b else make_series(ring, p, b)
+        assert a.is_zero or b.is_zero
+        assert outcome(lambda: a * b) == outcome(lambda: loop_mul(a, b)), \
+            (a, b)
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_two_variable_product_with_zero_columns(self, data):
+        ring, p = drawn_ring(data, POWER_RINGS)
+        raws = data.draw(st.lists(RAW, min_size=32, max_size=32))
+        masks = st.sets(st.integers(0, 3))
+        x = zeroed_columns(ring, p, data.draw(WINDOW), data.draw(WINDOW),
+                           raws[:16], data.draw(masks))
+        y = zeroed_columns(ring, p, data.draw(WINDOW), data.draw(WINDOW),
+                           raws[16:], data.draw(masks))
+        assert outcome(lambda: x * y) == outcome(lambda: loop_bimul(x, y)), \
+            (x, y)

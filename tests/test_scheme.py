@@ -29,9 +29,12 @@ from lineint.scheme import (
 )
 from lineint.series import (
     RingLabel,
+    derive,
     formal_log,
+    one_series,
     padic_log_dagger,
     series_from_coeffs,
+    zero_series,
     valuation_profile,
 )
 
@@ -390,3 +393,87 @@ class TestLineIntegral:
         rhs = (line_integral(fam, a).matrix.entries[0][1]
                + line_integral(fam, b).matrix.entries[0][1])
         assert lhs.agrees_with(rhs)
+
+
+def shown(s):
+    """A series' window and the text of every coefficient, precision
+    included."""
+    return s.min_degree, s.trunc_order, [str(c) for c in s.coeffs]
+
+
+class TestFiniteZeroPrecision:
+    """A power of the section that vanishes only modulo p^N still bounds
+    the result's precision, also when the section itself is such a zero."""
+
+    def test_vanishing_power_keeps_its_precision(self):
+        # b = 1 + x^3 at x := w, w = 0 (mod 3^5) + u: w^3 sits above the
+        # u-window but is known only mod 3^15, 3^10, 3^5 below it
+        b = biseries_from_map(GP, {(0, 0): 1, (0, 3): 1}, 3, 4, prime=3)
+        w = series_from_coeffs(GP, 0, [PAdic.zero(3, 5), 1, 0], prime=3)
+        assert shown(substitute_fiber(b, w)) == (
+            0, 3, ["3^0*1 (mod 3^15)", "0 (mod 3^10)", "0 (mod 3^5)"])
+
+    def test_zero_section_keeps_its_precision(self):
+        b = biseries_from_map(GP, {(0, 0): 1, (0, 1): 1}, 3, 2, prime=3)
+        w = zero_series(GP, 0, 3, 3, 5)
+        assert shown(substitute_fiber(b, w)) == (
+            0, 3, ["3^0*1 (mod 3^5)", "0 (mod 3^5)", "0 (mod 3^5)"])
+
+
+def mixed_window(tu, tx, seed):
+    """A gamma+ window over p = 3 whose coefficients vary in value,
+    valuation and abs_prec, with zeros at several precisions."""
+    cells = {}
+    for i in range(tu):
+        for j in range(tx):
+            k = seed + 7 * i + 3 * j
+            n = 6 + k % 9
+            cells[i, j] = (PAdic.zero(3, n) if k % 4 == 0
+                           else PAdic.from_rational(k % 11 + 1, 3, n))
+    return biseries_from_map(GP, cells, tu, tx, prime=3)
+
+
+def mixed_family():
+    """A (1, 1, 1) family whose entries, zero or not, have different
+    windows."""
+    def form(tu, tx, seed):
+        return BiForm(mixed_window(tu, tx, seed),
+                      mixed_window(tu, tx, seed + 5))
+
+    def zero(tu, tx):
+        z = zero_biseries(GP, tu, tx, prime=3, abs_prec=9)
+        return BiForm(z, z)
+
+    return FramedFamily(Signature((1, 1, 1)), GP, (
+        (zero(4, 5), form(3, 3, 2), form(5, 6, 3)),
+        (zero(3, 5), zero(2, 4), form(7, 7, 5)),
+        (zero(4, 4), zero(2, 2), zero(7, 7)),
+    ), prime=3)
+
+
+def section(*coeffs):
+    return series_from_coeffs(GP, 0, coeffs, prime=3, abs_prec=12)
+
+
+class TestSharedPowers:
+    """section_pullback computes the powers of w = v - 1 once for every
+    entry; that must give what each substitute_fiber finds on its own."""
+
+    @pytest.mark.parametrize("v", [
+        section(1, 1, 3, 0, 2, 5, 1, 4),              # w of order 1
+        section(1, 3, 1, 0, 2, 5, 1, 4),              # 3 | w's lead
+        section(1, 0, 1, 2, 0, 1, 3, 1),              # w of order 2
+        section(1, PAdic.zero(3, 4), 1, 2, 0, 1, 3),  # zero mod 3^4 at u
+        section(1, PAdic.zero(3, 5), PAdic.zero(3, 7), 0, 0, 0, 0),  # w = 0
+        section(2, 1, 0, 1, 4, 1, 1, 2),              # w a unit
+    ])
+    def test_pullback_matches_unshared_substitution(self, v):
+        family = mixed_family()
+        w = v - one_series(GP, v.trunc_order, 3, v._working_prec())
+        dv = derive(v).series
+        got = section_pullback(family, v).connection.entries
+        for row, got_row in zip(family.entries, got):
+            for f, g in zip(row, got_row):
+                want = (substitute_fiber(f.du_part, w)
+                        + substitute_fiber(f.dx_part, w) * dv)
+                assert shown(g.series) == shown(want)
