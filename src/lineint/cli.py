@@ -214,16 +214,14 @@ def _cmd_curvature(args) -> str:
 def _cmd_integrate(args) -> str:
     doc = _read_doc(args.family)
     family, _, _, _ = parsing.load_family(doc)
-    if args.p is not None and args.p != family.prime:
+    if not family.ring.padic:
+        prec = _mode_precision(args, family.ring)
+    elif args.p is not None and args.p != family.prime:
         raise _Usage(f"--p {args.p} disagrees with the family document "
                      f"(p = {family.prime})")
-    if family.ring.padic:
+    else:
         prec = args.abs_prec if args.abs_prec is not None \
             else parsing.document_precision(doc)
-    else:
-        if args.abs_prec is not None:
-            raise _Usage(f"ring {family.ring.value} takes no --abs-prec")
-        prec = DEFAULT_ABS_PREC
     section = parsing.parse_series(_read_expr(args.section), family.ring,
                                    family.prime, prec)
     rep = scheme.line_integral(family, section)

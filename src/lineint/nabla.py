@@ -80,6 +80,37 @@ class Signature:
                 for b, j in enumerate(blocks) if i >= j)
 
 
+def _check_square(entries, size, kind, ring, prime) -> tuple:
+    """The rows as tuples, once they form a nonempty size x size matrix
+    (size None: the row count) of kind entries over one ring and prime."""
+    entries = tuple(tuple(row) for row in entries)
+    r = len(entries) if size is None else size
+    if r == 0 or len(entries) != r or any(len(row) != r for row in entries):
+        raise InvalidInputError(
+            f"row lengths {[len(row) for row in entries]} do not form a "
+            f"nonempty {r} by {r} matrix")
+    for row in entries:
+        for x in row:
+            if not isinstance(x, kind):
+                raise InvalidInputError(
+                    f"expected a {kind.__name__}, got {x!r}")
+            if x.ring is not ring or x.prime != prime:
+                raise InvalidInputError(
+                    "matrix entries must share the matrix ring and prime")
+    return entries
+
+
+def _check_framed(signature: Signature, entries, what: str):
+    """Every entry on or below the block diagonal must vanish."""
+    for a, b in signature.lower_positions():
+        if not entries[a][b].is_zero:
+            raise NotFramedError(
+                f"block ({signature.block_of(a) + 1}, "
+                f"{signature.block_of(b) + 1}) of the {what} is not zero; "
+                "the frame requires strict block upper triangularity"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class ConnectionMatrix:
     """Square matrix of one-forms: a connection written in a frame."""
@@ -89,22 +120,8 @@ class ConnectionMatrix:
     prime: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           tuple(tuple(row) for row in self.entries))
-        r = len(self.entries)
-        if r == 0:
-            raise InvalidInputError("connection matrix must be nonempty")
-        for row in self.entries:
-            if len(row) != r:
-                raise InvalidInputError("connection matrix must be square")
-            for f in row:
-                if not isinstance(f, DifferentialForm):
-                    raise InvalidInputError(f"expected a one-form, got {f!r}")
-                if f.ring is not self.ring or f.series.prime != self.prime:
-                    raise InvalidInputError(
-                        "connection entries must share the matrix ring "
-                        "and prime"
-                    )
+        object.__setattr__(self, "entries", _check_square(
+            self.entries, None, DifferentialForm, self.ring, self.prime))
 
     @property
     def size(self) -> int:
@@ -147,13 +164,7 @@ class FramedNablaModule:
                 f"connection size {conn.size} does not match signature "
                 f"total {sig.total}"
             )
-        for a, b in sig.lower_positions():
-            if not conn.entries[a][b].is_zero:
-                raise NotFramedError(
-                    f"block ({sig.block_of(a) + 1}, {sig.block_of(b) + 1}) "
-                    "of the connection is not zero; the frame requires "
-                    "strict block upper triangularity"
-                )
+        _check_framed(sig, conn.entries, "connection")
 
     @property
     def ring(self) -> RingLabel:
@@ -176,22 +187,9 @@ class UnipotentMatrix:
     prime: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           tuple(tuple(row) for row in self.entries))
         sig = self.signature
-        r = sig.total
-        if len(self.entries) != r or any(len(row) != r for row in self.entries):
-            raise InvalidInputError(
-                f"matrix shape does not match signature total {r}"
-            )
-        for row in self.entries:
-            for s in row:
-                if not isinstance(s, TruncatedSeries):
-                    raise InvalidInputError(f"expected a series, got {s!r}")
-                if s.ring is not self.ring or s.prime != self.prime:
-                    raise InvalidInputError(
-                        "matrix entries must share the matrix ring and prime"
-                    )
+        object.__setattr__(self, "entries", _check_square(
+            self.entries, sig.total, TruncatedSeries, self.ring, self.prime))
         for a, b in sig.lower_positions():
             s = self.entries[a][b]
             if a == b:

@@ -349,9 +349,14 @@ def _join_terms(items) -> str:
     return "".join(chunks)
 
 
-def _with_marker(items, ends) -> str:
-    """The terms, then the O(...) marker of the (var, end) pairs; the bare
-    marker if there is no term and 0 would lie outside the window."""
+def _print_window(terms, ends) -> str:
+    """The text of a one- or two-variable window: the nonvanishing
+    (exponents, coefficient) terms in the order given, then the O(...)
+    marker of the (var, end) pairs; the bare marker if there is no term
+    and 0 would lie outside the window."""
+    items = [(_coeff_fraction(c),
+              [(v, e) for (v, _), e in zip(ends, exps) if e != 0])
+             for exps, c in terms if not _coeff_is_zero(c)]
     marker = "O(" + ", ".join(f"{v}^{e}" for v, e in ends) + ")"
     if not items and min(e for _, e in ends) <= 0:
         return marker
@@ -360,14 +365,8 @@ def _with_marker(items, ends) -> str:
 
 def print_series(s: TruncatedSeries) -> str:
     """Canonical text for a series window; print-parse-print is stable."""
-    var = s.ring.variable
-    items = []
-    for idx, c in enumerate(s.coeffs):
-        if _coeff_is_zero(c):
-            continue
-        d = s.min_degree + idx
-        items.append((_coeff_fraction(c), [(var, d)] if d != 0 else []))
-    return _with_marker(items, [(var, s.trunc_order)])
+    terms = (((d,), c) for d, c in enumerate(s.coeffs, s.min_degree))
+    return _print_window(terms, [(s.ring.variable, s.trunc_order)])
 
 
 def structured_series(s: TruncatedSeries) -> dict:
@@ -421,16 +420,10 @@ def _rows(b: BiSeries):
 
 def print_biseries(b: BiSeries, fiber_var: str = "x") -> str:
     """Canonical text, terms ordered by base then fiber degree."""
-    base = b.ring.variable
-    items = []
-    for i, row in enumerate(_rows(b)):
-        for j, c in enumerate(row):
-            if _coeff_is_zero(c):
-                continue
-            factors = [(v, e) for v, e in ((base, i), (fiber_var, j))
-                       if e != 0]
-            items.append((_coeff_fraction(c), factors))
-    return _with_marker(items, [(base, b.trunc_u), (fiber_var, b.trunc_x)])
+    return _print_window(
+        (((i, j), c) for i, row in enumerate(_rows(b))
+         for j, c in enumerate(row)),
+        [(b.ring.variable, b.trunc_u), (fiber_var, b.trunc_x)])
 
 
 def structured_biseries(b: BiSeries, fiber_var: str = "x") -> dict:
@@ -491,6 +484,8 @@ def _doc_mode(doc: dict, what: str):
         prec = document_precision(doc)
     else:
         _require(doc.get("p") is None, f"ring {ring.value} takes no prime")
+        _require(doc.get("abs_prec") is None,
+                 f"ring {ring.value} takes no abs_prec")
         prime = None
         prec = DEFAULT_ABS_PREC
     return ring, prime, prec

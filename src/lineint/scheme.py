@@ -16,17 +16,14 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 
-from .errors import (
-    InsufficientWindowError,
-    InvalidInputError,
-    NonUnitError,
-    NotFramedError,
-)
+from .errors import InsufficientWindowError, InvalidInputError
 from .nabla import (
     ConnectionMatrix,
     FramedNablaModule,
     InvariantRepresentative,
     Signature,
+    _check_framed,
+    _check_square,
     invariant,
     series_matrix_product,
 )
@@ -37,7 +34,7 @@ from .series import (
     TruncatedSeries,
     _CoeffWindow,
     _check_ring_prime,
-    _coeff_is_zero,
+    _unit_constant_term,
     derive,
     one_series,
     series_from_coeffs,
@@ -200,6 +197,10 @@ class BiForm:
         return self.du_part.ring
 
     @property
+    def prime(self) -> int | None:
+        return self.du_part.prime
+
+    @property
     def is_zero(self) -> bool:
         return self.du_part.is_zero and self.dx_part.is_zero
 
@@ -236,30 +237,10 @@ class FramedFamily:
     prime: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           tuple(tuple(row) for row in self.entries))
-        sig = self.signature
-        r = sig.total
-        if len(self.entries) != r or any(len(row) != r
-                                         for row in self.entries):
-            raise InvalidInputError(
-                f"matrix shape does not match signature total {r}"
-            )
-        for row in self.entries:
-            for f in row:
-                if not isinstance(f, BiForm):
-                    raise InvalidInputError(f"expected a two-variable "
-                                            f"one-form, got {f!r}")
-                if f.ring is not self.ring or f.du_part.prime != self.prime:
-                    raise InvalidInputError(
-                        "family entries must share the ring and prime"
-                    )
-        for a, b in sig.lower_positions():
-            if not self.entries[a][b].is_zero:
-                raise NotFramedError(
-                    f"block ({sig.block_of(a) + 1}, {sig.block_of(b) + 1}) "
-                    "of the family connection is not zero"
-                )
+        object.__setattr__(self, "entries", _check_square(
+            self.entries, self.signature.total, BiForm, self.ring,
+            self.prime))
+        _check_framed(self.signature, self.entries, "family connection")
 
     @property
     def size(self) -> int:
@@ -342,18 +323,7 @@ def section_pullback(family: FramedFamily,
             f"section over {v.ring.value} does not match family over "
             f"{family.ring.value}"
         )
-    if v.trunc_order <= 0:
-        raise InsufficientWindowError(
-            "section window does not show the constant term"
-        )
-    c0 = v.coefficient(0)
-    if _coeff_is_zero(c0):
-        raise NonUnitError("section must be a unit: constant term vanishes")
-    if v.ring.integral and c0.valuation != 0:
-        raise NonUnitError(
-            f"section must be a unit: constant term {c0} is divisible by "
-            f"{v.prime}"
-        )
+    _unit_constant_term(v)
     prec = v._working_prec()
     w = v - one_series(v.ring, v.trunc_order, v.prime, prec)
     dv = derive(v).series

@@ -367,6 +367,10 @@ class DifferentialForm:
         return self.series.ring
 
     @property
+    def prime(self) -> int | None:
+        return self.series.prime
+
+    @property
     def is_zero(self) -> bool:
         return self.series.is_zero
 
@@ -423,15 +427,9 @@ def monomial(ring: RingLabel, value, degree: int, trunc_order: int,
         raise InvalidInputError(
             f"monomial degree {degree} not inside window ending {trunc_order}"
         )
-    if ring.padic:
-        value = PAdic.from_rational(Fraction(value), prime, abs_prec)
-        zero = PAdic.zero(prime, abs_prec)
-    else:
-        value = Fraction(value)
-        zero = Fraction(0)
-    coeffs = [zero] * (trunc_order - degree)
-    coeffs[0] = value
-    return TruncatedSeries(ring, degree, tuple(coeffs), trunc_order, prime)
+    return series_from_coeffs(ring, degree,
+                              [value] + [0] * (trunc_order - degree - 1),
+                              prime, abs_prec)
 
 
 def series_from_coeffs(ring: RingLabel, min_degree: int, values,
@@ -535,23 +533,11 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
     if len(s.coeffs) == 0:
         raise InsufficientWindowError("cannot invert: empty window")
     if not s.ring.laurent:
-        if s.min_degree > 0 or _coeff_is_zero(s.coeffs[0]):
-            raise NonUnitError(
-                f"not a unit of {s.ring.value}: constant term vanishes"
-            )
-        if s.min_degree < 0:
-            raise InvalidInputError("negative degree in a power-series ring")
-    else:
-        pivot = s.coeffs[0]
-        if _coeff_is_zero(pivot) or pivot.valuation != 0:
-            raise NonUnitError(
-                f"lowest known coefficient (degree {s.min_degree}) must be a "
-                f"unit of the integer ring, got {pivot}"
-            )
-    if s.ring.integral and s.coeffs[0].valuation != 0:
+        _unit_constant_term(s)
+    elif _coeff_is_zero(s.coeffs[0]) or s.coeffs[0].valuation != 0:
         raise NonUnitError(
-            f"not a unit of {s.ring.value}: constant term has valuation "
-            f"{s.coeffs[0].valuation}"
+            f"lowest known coefficient (degree {s.min_degree}) must be a "
+            f"unit of the integer ring, got {s.coeffs[0]}"
         )
     m = s.min_degree
     n = len(s.coeffs)

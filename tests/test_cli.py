@@ -639,3 +639,37 @@ class TestProvenPrecision:
         assert entry["window"] == [1, 3]
         assert entry["coeffs"] == [f"3^0*1 (mod 3^{prec})",
                                    f"0 (mod 3^{prec})"]
+
+
+class TestRationalModeFlags:
+    """A rational ring has no prime and so no p-adic precision: documents
+    and flags that state one are refused like --p and --abs-prec."""
+
+    @pytest.mark.parametrize("flag,doc", [("--file", LOG_CONNECTION),
+                                          ("--family", FORMAL_FAMILY)],
+                             ids=["connection", "family"])
+    @pytest.mark.parametrize("abs_prec", ["junk", 7])
+    def test_document_abs_prec_refused(self, cli, flag, doc, abs_prec):
+        doc = json.loads(doc)
+        doc["abs_prec"] = abs_prec
+        code, out, err = cli(["parse-check", flag, "-"],
+                             stdin=json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "parse-error"
+
+    @pytest.mark.parametrize("flag,doc", [("--file", LOG_CONNECTION),
+                                          ("--family", FORMAL_FAMILY)],
+                             ids=["connection", "family"])
+    def test_echo_with_null_abs_prec_rereads(self, cli, flag, doc):
+        argv = ["parse-check", flag, "-"]
+        code, out, err = cli(argv, stdin=doc)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["abs_prec"] is None
+        assert cli(argv, stdin=out) == (0, out, "")
+
+    def test_integrate_refuses_p_as_every_command_does(self, cli):
+        code, out, err = cli(["integrate", "--family", "-", "--section",
+                              "1 + t + O(t^5)", "--p", "3"],
+                             stdin=FORMAL_FAMILY)
+        assert (code, out) == (2, "")
+        assert err == "lineint: error: ring formal takes no --p\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lineint.errors import (
+    CalculusError,
     InvalidInputError,
     IntegralObstructionError,
     NotFramedError,
@@ -24,6 +25,7 @@ from lineint.nabla import (
     series_matrix_product,
     trivialize,
 )
+from lineint.scheme import BiForm, FramedFamily, biseries_from_map
 from lineint.series import (
     DifferentialForm,
     RingLabel,
@@ -193,6 +195,129 @@ class TestUnipotentMatrix:
         t = series_from_coeffs(F, 0, [0, 1, 0, 0])
         v = UnipotentMatrix(sig, F, ((one, t), (z, one)))
         assert v.constant_matrix() == ((1, 0), (0, 1))
+
+
+def series3(value, ring=GP, prime=3):
+    return series_from_coeffs(ring, 0, [value, 0, 0], prime=prime)
+
+
+def form3(value, ring=GP, prime=3):
+    return DifferentialForm(series3(value, ring, prime))
+
+
+def biform3(value, ring=GP, prime=3):
+    b = biseries_from_map(ring, {(0, 0): value}, 3, 3, prime=prime)
+    return BiForm(b, b)
+
+
+SIG_1_1 = Signature((1, 1))
+
+# Each square matrix class: its entry builder, its constructor from rows over
+# gamma+ at p = 3 with signature (1, 1), and its diagonal value.
+MATRIX_CLASSES = {
+    "ConnectionMatrix": (
+        form3, lambda rows: ConnectionMatrix(GP, rows, prime=3), 0),
+    "FramedNablaModule": (
+        form3, lambda rows: FramedNablaModule(
+            SIG_1_1, ConnectionMatrix(GP, rows, prime=3)), 0),
+    "UnipotentMatrix": (
+        series3, lambda rows: UnipotentMatrix(SIG_1_1, GP, rows, prime=3), 1),
+    "FramedFamily": (
+        biform3, lambda rows: FramedFamily(SIG_1_1, GP, rows, prime=3), 0),
+}
+
+
+def no_fault(rows, entry, diag):
+    pass
+
+
+def empty(rows, entry, diag):
+    rows.clear()
+
+
+def ragged(rows, entry, diag):
+    rows[1].pop()
+
+
+def three_by_three(rows, entry, diag):
+    rows[:] = [[entry(diag if a == b else 0) for b in range(3)]
+               for a in range(3)]
+
+
+def wrong_type(rows, entry, diag):
+    rows[0][1] = form3(1) if entry is series3 else series3(1)
+
+
+def wrong_ring(rows, entry, diag):
+    rows[0][1] = entry(1, RingLabel.E_PLUS, 3)
+
+
+def wrong_prime(rows, entry, diag):
+    rows[0][1] = entry(1, GP, 5)
+
+
+def lower(rows, entry, diag):
+    rows[1][0] = entry(1)
+
+
+def diagonal_two(rows, entry, diag):
+    rows[0][0] = entry(2)
+
+
+def diagonal_zero(rows, entry, diag):
+    rows[1][1] = entry(0)
+
+
+def both(*faults):
+    def mutate(rows, entry, diag):
+        for fault in faults:
+            fault(rows, entry, diag)
+    return mutate
+
+
+INV, NF = InvalidInputError, NotFramedError
+
+# fault, then the error of ConnectionMatrix, FramedNablaModule,
+# UnipotentMatrix and FramedFamily (None: accepted)
+MATRIX_FAULTS = [
+    ("well-formed", no_fault, (None, None, None, None)),
+    ("empty", empty, (INV, INV, INV, INV)),
+    ("ragged", ragged, (INV, INV, INV, INV)),
+    ("3x3", three_by_three, (None, INV, INV, INV)),
+    ("wrong-type", wrong_type, (INV, INV, INV, INV)),
+    ("wrong-ring", wrong_ring, (INV, INV, INV, INV)),
+    ("wrong-prime", wrong_prime, (INV, INV, INV, INV)),
+    ("lower", lower, (None, NF, INV, NF)),
+    ("diagonal-2", diagonal_two, (None, NF, INV, NF)),
+    ("diagonal-0", diagonal_zero, (None, None, INV, None)),
+    ("3x3+lower", both(three_by_three, lower), (None, INV, INV, INV)),
+    ("wrong-type+lower", both(wrong_type, lower), (INV, INV, INV, INV)),
+    ("wrong-prime+lower", both(wrong_prime, lower), (INV, INV, INV, INV)),
+    ("wrong-ring+diagonal-2", both(wrong_ring, diagonal_two),
+     (INV, INV, INV, INV)),
+    ("lower+diagonal-2", both(lower, diagonal_two), (None, NF, INV, NF)),
+]
+
+
+class TestMatrixRefusals:
+    """One table for the square, ring, prime and frame checks of every
+    matrix class; an input with two faults reports the first in the order
+    shape, entries, frame."""
+
+    @pytest.mark.parametrize("fault,mutate,errors", MATRIX_FAULTS,
+                             ids=[f[0] for f in MATRIX_FAULTS])
+    @pytest.mark.parametrize("name", list(MATRIX_CLASSES))
+    def test_refusal(self, name, fault, mutate, errors):
+        entry, build, diag = MATRIX_CLASSES[name]
+        rows = [[entry(diag), entry(1)], [entry(0), entry(diag)]]
+        mutate(rows, entry, diag)
+        error = dict(zip(MATRIX_CLASSES, errors))[name]
+        if error is None:
+            build(rows)
+            return
+        with pytest.raises(CalculusError) as info:
+            build(rows)
+        assert type(info.value) is error
 
 
 class TestFundamentalSolution:

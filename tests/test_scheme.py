@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lineint.coeff import PAdic
 from lineint.errors import (
+    CalculusError,
     InsufficientWindowError,
     InvalidInputError,
     NonUnitError,
@@ -31,6 +32,7 @@ from lineint.series import (
     RingLabel,
     derive,
     formal_log,
+    inverse,
     one_series,
     padic_log_dagger,
     series_from_coeffs,
@@ -354,6 +356,63 @@ class TestSectionPullback:
         v = series_from_coeffs(GP, 0, [1, 1, 0, 0], prime=2)
         with pytest.raises(InvalidInputError):
             section_pullback(fam, v)
+
+
+UNIT_RINGS = [(F, None), (GP, 3), (RingLabel.E_PLUS, 3)]
+
+UNIT_OPERATIONS = {
+    "inverse": inverse,
+    "formal_log": formal_log,
+    "section_pullback": lambda v: section_pullback(
+        geometric_family(v.ring, 4, 4, prime=v.prime), v),
+}
+
+IW, NU, INV = InsufficientWindowError, NonUnitError, InvalidInputError
+
+# The coefficients of each test window on [0, 4); empty is [0, 0).
+UNIT_WINDOWS = {"empty": [], "zero-constant": [0, 1, 0, 0],
+                "constant-3": [3, 1, 0, 0], "zero": [0, 0, 0, 0],
+                "unit": [1, 1, 0, 0]}
+
+# operation, window, then the error over formal, gamma+ and e+ at p = 3
+# (None: accepted)
+UNIT_TABLE = [
+    ("inverse", "empty", (IW, IW, IW)),
+    ("inverse", "zero-constant", (NU, NU, NU)),
+    ("inverse", "constant-3", (None, NU, None)),
+    ("inverse", "zero", (IW, NU, NU)),
+    ("inverse", "unit", (None, None, None)),
+    ("formal_log", "empty", (IW, INV, INV)),
+    ("formal_log", "zero-constant", (NU, INV, INV)),
+    ("formal_log", "constant-3", (None, INV, INV)),
+    ("formal_log", "zero", (NU, INV, INV)),
+    ("formal_log", "unit", (None, INV, INV)),
+    ("section_pullback", "empty", (IW, IW, IW)),
+    ("section_pullback", "zero-constant", (NU, NU, NU)),
+    ("section_pullback", "constant-3", (None, NU, None)),
+    ("section_pullback", "zero", (NU, NU, NU)),
+    ("section_pullback", "unit", (None, None, None)),
+]
+
+
+class TestUnitCheck:
+    """The power-series unit check behind inverse, formal_log and
+    section_pullback: a constant divisible by p is a unit of e+ but not of
+    gamma+, and inverse reads 0 + O(t^4) as a window with nothing in it."""
+
+    @pytest.mark.parametrize("operation,window,errors", UNIT_TABLE,
+                             ids=[f"{o}-{w}" for o, w, _ in UNIT_TABLE])
+    @pytest.mark.parametrize("ring,prime", UNIT_RINGS,
+                             ids=[r.value for r, _ in UNIT_RINGS])
+    def test_unit_check(self, ring, prime, operation, window, errors):
+        v = series_from_coeffs(ring, 0, UNIT_WINDOWS[window], prime=prime)
+        error = errors[UNIT_RINGS.index((ring, prime))]
+        if error is None:
+            UNIT_OPERATIONS[operation](v)
+            return
+        with pytest.raises(CalculusError) as info:
+            UNIT_OPERATIONS[operation](v)
+        assert type(info.value) is error
 
 
 class TestLineIntegral:
