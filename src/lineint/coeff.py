@@ -239,8 +239,6 @@ class PAdic:
             s = self.unit + o.unit * p ** (vb - va)
         else:
             s, va = o.unit + self.unit * p ** (va - vb), vb
-        if s == 0:
-            return PAdic.zero(p, n)
         return _reduce(p, va, s, n)
 
     __radd__ = __add__
@@ -374,9 +372,11 @@ def padic_normalize(numerator: int, denominator: int, prime: int,
 
 def _reduce(prime: int, valuation: int, num: int, abs_prec: int,
             den: int = 1) -> PAdic:
-    """p^valuation * num/den at precision abs_prec, for num nonzero and den
-    prime to p: strip p from num, then reduce modulo p^(abs_prec - v)."""
+    """p^valuation * num/den at precision abs_prec, for den prime to p:
+    strip p from num, then reduce modulo p^(abs_prec - v)."""
     if num % prime == 0:
+        if num == 0:
+            return PAdic.zero(prime, abs_prec)
         k = vp_int(num, prime)
         num //= prime**k
         valuation += k

@@ -263,8 +263,7 @@ def fundamental_solution(n_matrix: ConnectionMatrix, trunc_order: int) -> tuple:
         inv = Fraction(1, i + 1)
         layers.append([
             [_dot(((n_coeff[j][a][c], layers[i - j][c][b])
-                   for j in range(i + 1) for c in range(r)),
-                  RingLabel.FORMAL) * inv
+                   for j in range(i + 1) for c in range(r))) * inv
              for b in range(r)]
             for a in range(r)])
     return tuple(

@@ -10,7 +10,16 @@ stored coefficient is provably correct:
     mul:    [m_a + m_b,     min(T_a + m_b, T_b + m_a))
     derive: trunc drops by one
 
-A product with an all-zero factor multiplies no coefficients.
+A p-adic ``*`` or ``inverse`` is lift and reduce.  Every coefficient it
+returns equals the exact result on the operands' lifts ``p^v * unit``
+(``PAdic.to_fraction``), reduced modulo the power of p it can prove, so
+values and precisions are computed apart.  The values of ``*`` come from
+one multiply of the lifts packed into one integer each (Kronecker
+substitution), those of ``inverse`` from long division on integers modulo
+one power of p; the precisions come from a min-plus pass over the
+operands' ``abs_prec`` and ``valuation_floor``.  Zeros lift to 0, so a
+zero coefficient costs only its precision.  Over the rationals both are
+sums of exact products.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
@@ -19,14 +28,12 @@ allowed, and whether coefficients must stay in the integer ring.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from itertools import starmap
+from operator import add, mul
 
-from .coeff import PAdic, check_prime, vp_int
+from .coeff import PAdic, _reduce, check_prime, vp_int
 from .errors import (
     CannotDetermineDegreeError,
     DisjointWindowsError,
@@ -103,15 +110,10 @@ def _check_ring_prime(ring: RingLabel, prime):
         raise InvalidInputError("rational ring takes no prime")
 
 
-def _dot(pairs, ring: RingLabel):
-    """The sum of x*y over the pairs, added in the given order: the one
-    product kernel behind every series and matrix product.
-
-    Over the rationals exact zeros are skipped and the sum starts from 0.
-    p-adic zero products are kept, because their precision bounds the
-    sum's; p-adic pairs must therefore be nonempty."""
-    if ring.padic:
-        return reduce(operator.add, starmap(operator.mul, pairs))
+def _dot(pairs):
+    """The sum of x*y over pairs of rationals, exact zeros skipped: the
+    rational kernel behind the series ``*``, ``inverse`` and the layers of
+    ``fundamental_solution``."""
     acc = Fraction(0)
     for x, y in pairs:
         if x and y:
@@ -119,20 +121,98 @@ def _dot(pairs, ring: RingLabel):
     return acc
 
 
-def _zero_product(a, b, ring: RingLabel, prime):
-    """The coefficients of a * b when a or b is all zero, with no
-    coefficient product: over the p-adics, zeros at the min-plus precision
-    min_i min(N_a[i] + vf_b[k-i], N_b[k-i] + vf_a[i]) (N the abs_prec, vf
-    the valuation_floor) that the sum of the pairwise products carries."""
+def _pair_precisions(a, b):
+    """For every k below len(a) == len(b), the abs_prec
+    min_(i<=k) min(N_a[i] + vf_b[k-i], N_b[k-i] + vf_a[i]) that the sum of
+    the products a_i * b_(k-i) proves, N the abs_prec and vf the
+    valuation_floor: the min-plus pass behind every p-adic ``*``."""
+    na, va = [x.abs_prec for x in a], [x.valuation_floor for x in a]
+    nb, vb = ([y.abs_prec for y in b[::-1]],
+              [y.valuation_floor for y in b[::-1]])
+    top = len(a) - 1
+    # map stops at the shorter list: na[i] meets vb[top - k + i], the
+    # valuation_floor of b[k - i], for i <= k.
+    return [min(min(map(add, na, vb[top - k:])),
+                min(map(add, nb[top - k:], va)))
+            for k in range(len(a))]
+
+
+def _lifts(coeffs, p):
+    """(w, lifts): each lift p^v * unit of the p-adic coefficients as the
+    integer unit * p^(v - w), w their least valuation (0 if all vanish);
+    a zero lifts to 0."""
+    w = min((c.valuation for c in coeffs if c.valuation is not None),
+            default=0)
+    return w, [0 if c.valuation is None else c.unit * p ** (c.valuation - w)
+               for c in coeffs]
+
+
+def _kronecker(xs, ys):
+    """The first len(xs) coefficients of the product of two polynomials of
+    that length with nonnegative integer coefficients: each is packed into
+    one integer, slots wide enough that no coefficient carries into the
+    next, and one multiply gives them all."""
+    n = len(xs)
+    width = (max(xs).bit_length() + max(ys).bit_length()
+             + n.bit_length() + 7) // 8
+
+    def pack(zs):
+        return int.from_bytes(b"".join([z.to_bytes(width, "little")
+                                        for z in zs]), "little")
+
+    prod = (pack(xs) * pack(ys)).to_bytes(2 * n * width, "little")
+    return [int.from_bytes(prod[i:i + width], "little")
+            for i in range(0, n * width, width)]
+
+
+def _padic_product(a, b, p):
+    """The coefficients of degrees < min(len(a), len(b)) of the product of
+    two p-adic coefficient windows, each the exact product of the lifts
+    reduced modulo p^abs_prec."""
     n = min(len(a), len(b))
-    if not ring.padic:
-        return (Fraction(0),) * n
-    na, va = [c.abs_prec for c in a], [c.valuation_floor for c in a]
-    nb, vb = [c.abs_prec for c in b], [c.valuation_floor for c in b]
-    return tuple(
-        PAdic.zero(prime, min(min(na[i] + vb[k - i], nb[k - i] + va[i])
-                              for i in range(k + 1)))
-        for k in range(n))
+    if n == 0:
+        return ()
+    a, b = a[:n], b[:n]
+    (wa, xs), (wb, ys) = _lifts(a, p), _lifts(b, p)
+    return tuple(_reduce(p, wa + wb, x, prec)
+                 for x, prec in zip(_kronecker(xs, ys),
+                                    _pair_precisions(a, b)))
+
+
+def _padic_inverse(a, p):
+    """The coefficients of 1/a for a p-adic window a whose first coefficient
+    is nonzero, each the exact inverse of the lifts reduced modulo
+    p^abs_prec.
+
+    The precision is that of long division,
+    out_k = -(sum_(j=1..k) a_j * out_(k-j)) * (1/a_0), with the pair
+    precisions of ``*`` (N the abs_prec, vf the valuation_floor).  By
+    induction on k two of its terms never bind: N(1/a_0) + vf(sum), and
+    N(a_j) + vf(out_(k-j)) for j < k, as vf(out_i) >= vf(a_l) +
+    vf(out_(i-l)) - v_0 for some l.  What is left is
+    N(out_k) = min(N(a_k) - v_0, min_j N(out_(k-j)) + vf(a_j)) - v_0.
+
+    The values come from long division modulo one power of p after the
+    substitution u -> p^c u, with c the least shift that leaves every
+    a_i * p^(c*i - v_0) integral: out_k is p^(-v_0 - c*k) times the k-th
+    coefficient b_k of that inverse."""
+    v0 = a[0].valuation
+    c = max([0] + [(v0 - x.valuation + i - 1) // i
+                   for i, x in enumerate(a) if i and x.valuation is not None])
+    # out_k needs b_k modulo p^(N(out_k) + v_0 + c*k), at most this.
+    q = p ** max([1] + [x.abs_prec - v0 + c * i for i, x in enumerate(a)][1:])
+    scaled = [0 if x.valuation is None
+              else x.unit * p ** (x.valuation + c * i - v0) % q
+              for i, x in enumerate(a)]
+    vf = [x.valuation_floor for x in a]
+    inv0 = a[0].inverse()
+    out, b, ns = [inv0], [pow(scaled[0], -1, q)], [inv0.abs_prec]
+    for k in range(1, len(a)):
+        b.append(sum(map(mul, scaled[1:k + 1], b[k - 1::-1])) * -b[0] % q)
+        ns.append(min(a[k].abs_prec - v0,
+                      min(map(add, ns[k - 1::-1], vf[1:k + 1]))) - v0)
+        out.append(_reduce(p, -v0 - c * k, b[k], ns[k]))
+    return out
 
 
 def _max_abs_prec(coeffs) -> int:
@@ -246,18 +326,6 @@ class TruncatedSeries(_CoeffWindow):
             hi, self.prime,
         )
 
-    def stripped(self) -> "TruncatedSeries":
-        """Raise min_degree past leading exact zeros (rational rings only)."""
-        if self.ring.padic:
-            return self
-        k = 0
-        while k < len(self.coeffs) and self.coeffs[k] == 0:
-            k += 1
-        if k == 0:
-            return self
-        return TruncatedSeries(self.ring, self.min_degree + k,
-                               self.coeffs[k:], self.trunc_order, self.prime)
-
     def relabeled(self, ring: RingLabel) -> "TruncatedSeries":
         """The same window of coefficients viewed in another ring."""
         return TruncatedSeries(ring, self.min_degree, self.coeffs,
@@ -293,10 +361,10 @@ class TruncatedSeries(_CoeffWindow):
         self._binary_check(other)
         lo = self.min_degree + other.min_degree
         a, b = self.coeffs, other.coeffs
-        if self.is_zero or other.is_zero:
-            out = _zero_product(a, b, self.ring, self.prime)
+        if self.ring.padic:
+            out = _padic_product(a, b, self.prime)
         else:
-            out = tuple(_dot(zip(a[:k + 1], b[k::-1]), self.ring)
+            out = tuple(_dot(zip(a[:k + 1], b[k::-1]))
                         for k in range(min(len(a), len(b))))
         return TruncatedSeries(self.ring, lo, out, lo + len(out), self.prime)
 
@@ -529,24 +597,24 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
     the lowest known coefficient to be a unit of the integer ring, otherwise
     the inverse is not a finitely supported Laurent window at all.
     """
-    s = a.stripped() if not a.ring.padic else a
-    if len(s.coeffs) == 0:
+    if len(a.coeffs) == 0:
         raise InsufficientWindowError("cannot invert: empty window")
-    if not s.ring.laurent:
-        _unit_constant_term(s)
-    elif _coeff_is_zero(s.coeffs[0]) or s.coeffs[0].valuation != 0:
+    if not a.ring.laurent:
+        _unit_constant_term(a)
+    elif _coeff_is_zero(a.coeffs[0]) or a.coeffs[0].valuation != 0:
         raise NonUnitError(
-            f"lowest known coefficient (degree {s.min_degree}) must be a "
-            f"unit of the integer ring, got {s.coeffs[0]}"
+            f"lowest known coefficient (degree {a.min_degree}) must be a "
+            f"unit of the integer ring, got {a.coeffs[0]}"
         )
-    m = s.min_degree
-    n = len(s.coeffs)
-    inv0 = s.coeffs[0].inverse() if s.ring.padic else 1 / s.coeffs[0]
-    out = [inv0]
-    for k in range(1, n):
-        out.append(-(_dot(zip(s.coeffs[1:k + 1], reversed(out)), s.ring)
-                     * inv0))
-    return TruncatedSeries(s.ring, -m, tuple(out), -m + n, s.prime)
+    m, n = a.min_degree, len(a.coeffs)
+    if a.ring.padic:
+        out = _padic_inverse(a.coeffs, a.prime)
+    else:
+        inv0 = 1 / a.coeffs[0]
+        out = [inv0]
+        for k in range(1, n):
+            out.append(-(_dot(zip(a.coeffs[1:k + 1], reversed(out))) * inv0))
+    return TruncatedSeries(a.ring, -m, tuple(out), -m + n, a.prime)
 
 
 def dlog(a: TruncatedSeries) -> DifferentialForm:

@@ -514,8 +514,8 @@ class TestExitCodes:
     def test_dlog_of_zero_is_1(self, cli):
         code, out, err = cli(["dlog", "0 + O(t^4)"])
         assert code == 1
-        # the zero window strips to nothing, so no unit order is visible
-        assert json.loads(err)["error"] == "insufficient-window"
+        # the constant term is shown and vanishes, as over every ring
+        assert json.loads(err)["error"] == "non-unit"
 
 
 class TestStdin:

@@ -13,6 +13,7 @@ from lineint.errors import (
 )
 from lineint.series import (
     RingLabel,
+    TruncatedSeries,
     derive,
     dlog,
     formal_log,
@@ -80,6 +81,15 @@ class TestUnitDecompose:
             unit_decompose(s)
 
 
+def stripped(s):
+    """A rational window with min_degree raised past its leading zeros."""
+    k = 0
+    while k < len(s.coeffs) and s.coeffs[k] == 0:
+        k += 1
+    return TruncatedSeries(s.ring, s.min_degree + k, s.coeffs[k:],
+                           s.trunc_order)
+
+
 def power_sum_log(a):
     """-sum(w^n / n) for a = c * (1 - w), cut at the window end of a.
 
@@ -88,14 +98,14 @@ def power_sum_log(a):
     _, w = unit_decompose(a)
     t = a.trunc_order
     acc = zero_series(F, 0, t)
-    w = w.stripped()
+    w = stripped(w)
     power = w
     for n in range(1, t):
         if power.order() is None:
             break
         acc = acc + power.clipped(trunc_order=t).scale(Fraction(-1, n))
         if n + 1 < t:
-            power = (power * w).stripped().clipped(trunc_order=t)
+            power = stripped(power * w).clipped(trunc_order=t)
             if power.min_degree >= t:
                 break
     return acc.clipped(trunc_order=t)

@@ -1,19 +1,23 @@
-"""The one product kernel against the loops it replaced.
+"""The product kernels against the coefficient loops they replaced.
 
 ``TruncatedSeries.__mul__``, ``inverse`` and ``BiSeries.__mul__`` each wrote
-their own sum of products, and ``curvature`` its own matrix product, before
-all of them went through ``series._dot`` and ``series_matrix_product``;
-``BiSeries.__mul__`` is now a convolution of its columns' series products.
-Those loops are kept here as test-only oracles: the kernel must give the
+their own sum of products, and ``curvature`` its own matrix product; now a
+p-adic ``*`` and ``inverse`` are lift and reduce (``series._padic_product``,
+``series._padic_inverse``), the rational ones sum through ``series._dot``,
+and ``BiSeries.__mul__`` is a convolution of its columns' series products.
+Those loops are kept here as test-only oracles: the kernels must give the
 same ring, window, coefficient type and text, and error class, on every
 ring label, with mixed precisions, negative valuations, Laurent windows,
-empty windows and zeros of every kind.  The two-variable loop reads
-coefficients through ``coefficient(i, j)`` and builds its result from a
-full map, so it does not depend on how a ``BiSeries`` stores them.
+empty windows, zeros of every kind, windows of up to 64 coefficients and a
+prime of 61 bits.  The two-variable loop reads coefficients through
+``coefficient(i, j)`` and builds its result from a full map, so it does
+not depend on how a ``BiSeries`` stores them.  ``TestLiftRule`` checks the
+rule the p-adic kernels rest on against exact ``Fraction`` arithmetic.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lineint.coeff import PAdic
@@ -43,8 +47,12 @@ from lineint.series import (
     inverse,
 )
 
-PRIMES = (2, 3, 5, 101)
+# 2^61 - 1 makes a lift span several machine words.
+PRIMES = (2, 3, 5, 101, 2**61 - 1)
 POWER_SERIES_RINGS = tuple(r for r in RingLabel if not r.laurent)
+PADIC_RINGS = tuple(r for r in RingLabel if r.padic)
+# Power-series rings over Q_p, where every nonzero constant is invertible.
+FIELD_CONSTANT_RINGS = (RingLabel.E_PLUS, RingLabel.ROBBA_PLUS)
 
 
 # -- the loops the kernel replaced ------------------------------------------
@@ -69,8 +77,7 @@ def loop_mul(a, b):
     return TruncatedSeries(a.ring, lo, tuple(out), hi, a.prime)
 
 
-def loop_inverse(a):
-    s = a.stripped() if not a.ring.padic else a
+def loop_inverse(s):
     if len(s.coeffs) == 0:
         raise InsufficientWindowError("cannot invert: empty window")
     if not s.ring.laurent:
@@ -165,25 +172,35 @@ RAW = st.integers(0, 2**80)
 SERIES = st.tuples(st.integers(-3, 3), st.lists(RAW, max_size=7))
 UNIT_SERIES = st.tuples(st.integers(-3, 3), st.lists(RAW, min_size=1,
                                                      max_size=7))
+# Windows long enough to widen the packed slots of the p-adic kernel.
+LONG_SERIES = st.tuples(st.integers(-3, 3), st.integers(8, 64).flatmap(
+    lambda n: st.lists(RAW, min_size=n, max_size=n)))
 WINDOW = st.integers(0, 4)
 RINGS = st.tuples(st.sampled_from(tuple(RingLabel)), st.sampled_from(PRIMES))
 POWER_RINGS = st.tuples(st.sampled_from(POWER_SERIES_RINGS),
                         st.sampled_from(PRIMES))
+P_RINGS = st.tuples(st.sampled_from(PADIC_RINGS), st.sampled_from(PRIMES))
 
 
 def coefficient(ring, p, raw, unit=False):
     """Exact rationals with a third zeros; p-adics with zeros at every
     precision, negative valuations off the integral rings, and each
-    coefficient at its own abs_prec.  unit asks for a unit of valuation 0."""
+    coefficient at its own abs_prec.  unit asks for a lowest coefficient
+    that inverse accepts: of valuation 0, or of any valuation from -3 to 3
+    over e+ and robba+."""
     zero, n, v, u = raw % 3, raw // 3 % 11 - 3, raw // 33 % 11, raw // 363
     if not ring.padic:
         num = u % 9 + 1 if unit else (u % 19 - 9) * (zero != 0)
         return Fraction(num, v % 6 + 1)
-    low = 0 if ring.integral or unit else -3
-    n = max(n, 1 if unit else low)
-    if not unit and (n == low or zero == 0):
-        return PAdic.zero(p, n)
-    v = 0 if unit else low + v % (n - low)
+    if unit:
+        v = raw // 33 % 7 - 3 if ring in FIELD_CONSTANT_RINGS else 0
+        n = max(n, v + 1)
+    else:
+        low = 0 if ring.integral else -3
+        n = max(n, low)
+        if n == low or zero == 0:
+            return PAdic.zero(p, n)
+        v = low + v % (n - low)
     u = 1 + u % (p ** (n - v) - 1)
     return PAdic(p, v, u + (u % p == 0), n)
 
@@ -233,6 +250,18 @@ class TestKernelMatchesLoops:
             outcome(lambda: loop_inverse(a)), a
         assert outcome(lambda: dlog(a)) == outcome(
             lambda: loop_mul(derive(a).series, loop_inverse(a))), a
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(data=st.data())
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    def test_long_windows(self, p, data):
+        ring = data.draw(st.sampled_from(PADIC_RINGS))
+        a = make_series(ring, p, data.draw(LONG_SERIES), unit_lead=True)
+        b = make_series(ring, p, data.draw(LONG_SERIES))
+        assert outcome(lambda: a * b) == outcome(lambda: loop_mul(a, b)), \
+            (a, b)
+        assert outcome(lambda: inverse(a)) == \
+            outcome(lambda: loop_inverse(a)), a
 
     @given(st.data())
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -312,3 +341,62 @@ class TestZeroFactors:
                            raws[16:], data.draw(masks))
         assert outcome(lambda: x * y) == outcome(lambda: loop_bimul(x, y)), \
             (x, y)
+
+
+# -- the lift rule ----------------------------------------------------------
+
+
+def lifts(s):
+    return [c.to_fraction() for c in s.coeffs]
+
+
+def exact_product(a, b):
+    """The coefficients of the product of the lifts, as far as a * b shows."""
+    x, y = lifts(a), lifts(b)
+    return [sum(x[i] * y[k - i] for i in range(k + 1))
+            for k in range(min(len(x), len(y)))]
+
+
+def exact_inverse(a):
+    """The coefficients of the inverse of the lifts, with p-unit
+    denominators after the power of p."""
+    x = lifts(a)
+    out = [1 / x[0]]
+    for k in range(1, len(x)):
+        out.append(-sum(x[j] * out[k - j] for j in range(1, k + 1)) / x[0])
+    return out
+
+
+def fields(c):
+    return c.valuation, c.unit, c.abs_prec
+
+
+class TestLiftRule:
+    """Each coefficient of a p-adic * and inverse is the exact result on
+    the operands' lifts (to_fraction) reduced modulo p^abs_prec, at the
+    abs_prec the coefficient loops prove."""
+
+    def check(self, got, loop, exact, p):
+        assert [c.abs_prec for c in got.coeffs] == \
+            [c.abs_prec for c in loop.coeffs]
+        assert [fields(c) for c in got.coeffs] == \
+            [fields(PAdic.from_rational(x, p, c.abs_prec))
+             for c, x in zip(got.coeffs, exact)]
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_product(self, data):
+        ring, p = data.draw(P_RINGS)
+        windows = st.one_of(SERIES, LONG_SERIES)
+        a = make_series(ring, p, data.draw(windows))
+        b = make_series(ring, p, data.draw(windows))
+        self.check(a * b, loop_mul(a, b), exact_product(a, b), p)
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_inverse(self, data):
+        ring, p = data.draw(P_RINGS)
+        m, raws = data.draw(UNIT_SERIES)
+        a = make_series(ring, p, (m if ring.laurent else 0, raws),
+                        unit_lead=True)
+        self.check(inverse(a), loop_inverse(a), exact_inverse(a), p)

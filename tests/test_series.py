@@ -178,15 +178,6 @@ class TestShapes:
         s = fseries(0, [1, 2])
         assert s.clipped(min_degree=5).coeffs == ()
 
-    def test_stripped_drops_leading_exact_zeros(self):
-        s = fseries(0, [0, 0, 3])
-        assert s.stripped().min_degree == 2
-
-    def test_stripped_is_identity_for_padics(self):
-        # a vanishing p-adic coefficient is only zero at finite precision
-        s = series_from_coeffs(G, -1, [0, 1], prime=2)
-        assert s.stripped().min_degree == -1
-
     def test_relabeled_keeps_coefficients(self):
         s = series_from_coeffs(GP, 0, [1, 2], prime=2)
         r = s.relabeled(RP)
