@@ -326,9 +326,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once, at import: parse_args keeps no state between calls, so every
+# main call in a process shares this parser.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         print(args.func(args))
         sys.stdout.flush()
         return 0

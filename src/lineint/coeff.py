@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
 from .errors import InvalidInputError, NotIntegralError
 
@@ -39,6 +40,12 @@ _PRIMES_SEEN: set[int] = set()
 # Miller-Rabin deterministic.
 PRIME_LIMIT = 2**64
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# A working precision must keep abs_prec * log2(p) within this many bits.
+# p^abs_prec then has at most 1,234 decimal digits, which leaves room under
+# the 4,300 digits Python converts between int and str for the digits a
+# negative valuation adds, so every coefficient prints.
+PREC_BITS_LIMIT = 4096
 
 
 def check_prime(p: int) -> int:
@@ -55,6 +62,16 @@ def check_prime(p: int) -> int:
         raise InvalidInputError(f"{p} is not prime")
     _PRIMES_SEEN.add(p)
     return p
+
+
+def check_precision(p: int | None, abs_prec: int) -> int:
+    """Validate that abs_prec * log2(p) is at most PREC_BITS_LIMIT; return
+    abs_prec.  A rational ring (p None) has no working precision to bound."""
+    if p is not None and abs_prec * math.log2(p) > PREC_BITS_LIMIT:
+        raise InvalidInputError(
+            f"abs_prec {abs_prec} at p = {p} exceeds the precision bound "
+            f"abs_prec * log2(p) <= {PREC_BITS_LIMIT}")
+    return abs_prec
 
 
 def _is_prime(n: int) -> bool:

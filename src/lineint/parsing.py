@@ -1,13 +1,17 @@
 """Text grammar for series windows, and every JSON document format.
 
-The one-variable grammar:
+The grammar, which the scanner's regular expressions implement:
 
-    series ::= ['-'] term (('+' | '-') term)* '+' marker
-    term   ::= coeff | [coeff '*'] factor ('*' factor)*
-    factor ::= var ['^' ['-'] int]
+    series ::= marker | ['-'] term (('+' | '-') term)* '+' marker
+    term   ::= (coeff | factor) (['*'] factor)*
     coeff  ::= int ['/' int]
-    marker ::= 'O(' var '^' ['-'] int [',' var '^' int] ')'
+    factor ::= var ['^' ['-'] int]
+    marker ::= 'O' '(' var '^' ['-'] int [',' var '^' ['-'] int] ')'
     var    ::= 't' | 'u' | 'x'
+
+Whitespace may stand between any two tokens, and a name is a whole run of
+letters, so "3 t t" reads as 3t^2 and "tx" is an unknown symbol.  A working
+precision must keep abs_prec * log2(p) within coeff.PREC_BITS_LIMIT.
 
 The marker is mandatory: text with no stated window end does not describe a
 value of this library.  A bare marker is the all-zero window.  Like terms
@@ -26,12 +30,8 @@ known.
 from fractions import Fraction
 import re
 
-from .coeff import PAdic, check_prime
-from .errors import (
-    InsufficientWindowError,
-    InvalidInputError,
-    ParseError,
-)
+from .coeff import PAdic, check_precision, check_prime
+from .errors import InsufficientWindowError, InvalidInputError, ParseError
 from .nabla import ConnectionMatrix, FramedNablaModule, Signature
 from .scheme import BiForm, BiSeries, FramedFamily, biseries_from_map, \
     zero_biseries
@@ -50,191 +50,95 @@ from .series import (
 
 _VARS = ("t", "u", "x")
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z]+)|(?P<op>[-+*/^(),])"
-)
+# A term, factor, marker or marker entry pattern matches as far as the text
+# fits the grammar, whitespace after a token included, so where it stops is
+# the token a ParseError points at.  A factor is never the bare O that starts
+# the marker.
+_SPACE = re.compile(r"\s*")
+_STRAY = re.compile(r"[^\s\dA-Za-z+\-*/^(),]")
+_FACTOR = re.compile(r"\*?\s*(?!O(?![A-Za-z]))(?P<var>[A-Za-z]+)\s*"
+                     r"(?:\^\s*(?P<neg>-\s*)?(?P<exp>\d*)\s*)?")
+_TERM = re.compile(r"(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d*)\s*)?)?"
+                   rf"(?P<factors>(?:{_FACTOR.pattern})*)(?P<star>\*)?")
+_MARKER = re.compile(r"O(?![A-Za-z])\s*(?P<open>\(\s*)?")
+_ENTRY = re.compile(r"(?:(?P<var>[A-Za-z]+)\s*(?:(?P<caret>\^)\s*"
+                    r"(?P<neg>-\s*)?(?:(?P<end>\d+)\s*(?P<sep>[,)]\s*)?)?)?)?")
+_ENTRY_MISSING = {"var": "expected a variable in the O(...) marker",
+                  "caret": "expected '^'",
+                  "end": "expected an integer window end",
+                  "sep": "expected ')'"}
 
 
-def _tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), m.start()))
-        pos = m.end()
-    return out
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.end = len(text)
-
-    def peek(self, ahead: int = 0):
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
-
-    def pos(self) -> int:
-        tok = self.peek()
-        return tok[2] if tok is not None else self.end
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end)
-        self.i += 1
-        return tok
-
-    def at_op(self, op: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok[0] == "op" and tok[1] == op
-
-    def at_name(self, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok[0] == "name"
-
-    def at_int(self) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == "int"
-
-    def expect_op(self, op: str):
-        if not self.at_op(op):
-            raise ParseError(f"expected {op!r}", self.pos())
-        return self.take()
-
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
-
-
-def _parse_int(c: _Cursor, what: str) -> int:
-    sign = 1
-    if c.at_op("-"):
-        c.take()
-        sign = -1
-    if not c.at_int():
-        raise ParseError(f"expected an integer {what}", c.pos())
-    return sign * int(c.take()[1])
-
-
-def _parse_coeff(c: _Cursor) -> Fraction:
-    num = int(c.take()[1])
-    if c.at_op("/"):
-        c.take()
-        if not c.at_int():
-            raise ParseError("expected a denominator", c.pos())
-        pos = c.pos()
-        den = int(c.take()[1])
-        if den == 0:
-            raise ParseError("zero denominator", pos)
-        return Fraction(num, den)
-    return Fraction(num)
-
-
-def _parse_factor(c: _Cursor, powers: dict):
-    kind, name, pos = c.take()
-    if name not in _VARS:
-        raise ParseError(f"unknown symbol {name!r}", pos)
-    exp = 1
-    if c.at_op("^"):
-        c.take()
-        exp = _parse_int(c, "exponent")
-    powers[name] = powers.get(name, 0) + exp
-
-
-def _at_marker(c: _Cursor, ahead: int = 0) -> bool:
-    tok = c.peek(ahead)
-    return tok is not None and tok[0] == "name" and tok[1] == "O"
-
-
-def _parse_term(c: _Cursor, sign: int):
-    pos = c.pos()
-    coeff = None
+def _term(text: str, i: int, negate: bool):
+    """Read the term at i, negated if negate; return the term
+    (coefficient, {var: exponent}, i) and where the next token starts."""
+    m = _TERM.match(text, i)
+    num, den = m.group("num", "den")
+    if num is None and not text[i:i + 1].isalpha():
+        raise ParseError("expected a term", i)
+    if den == "":
+        raise ParseError("expected a denominator", m.start("den"))
+    if den and int(den) == 0:
+        raise ParseError("zero denominator", m.start("den"))
+    coeff = Fraction(int(num), int(den or 1)) if num else Fraction(1)
     powers: dict = {}
-    if c.at_int():
-        coeff = _parse_coeff(c)
-    elif not c.at_name():
-        raise ParseError("expected a term", pos)
-    while True:
-        if c.at_name() and not _at_marker(c):
-            _parse_factor(c, powers)
-        elif c.at_op("*"):
-            if not c.at_name(1) or _at_marker(c, 1):
-                raise ParseError("expected a variable after '*'", c.pos())
-            c.take()
-            _parse_factor(c, powers)
-        else:
-            break
-    if coeff is None and not powers:
-        raise ParseError("expected a term", pos)
-    if coeff is None:
-        coeff = Fraction(1)
-    return sign * coeff, powers, pos
-
-
-def _parse_marker(c: _Cursor):
-    _, _, mpos = c.take()
-    c.expect_op("(")
-    entries = []
-    while True:
-        if not c.at_name():
-            raise ParseError("expected a variable in the O(...) marker",
-                             c.pos())
-        kind, name, pos = c.take()
-        if name not in _VARS:
-            raise ParseError(f"unknown symbol {name!r}", pos)
-        c.expect_op("^")
-        entries.append((name, _parse_int(c, "window end"), pos))
-        if c.at_op(","):
-            c.take()
-            continue
-        break
-    c.expect_op(")")
-    if len(entries) > 2:
-        raise ParseError("the O(...) marker takes at most two variables",
-                         mpos)
-    return entries
+    for f in _FACTOR.finditer(text, m.start("factors"), m.end("factors")):
+        var, neg, exp = f.group("var", "neg", "exp")
+        if var not in _VARS:
+            raise ParseError(f"unknown symbol {var!r}", f.start("var"))
+        if exp == "":
+            raise ParseError("expected an integer exponent", f.start("exp"))
+        exp = 1 if exp is None else -int(exp) if neg else int(exp)
+        powers[var] = powers.get(var, 0) + exp
+    if m.group("star") is not None:
+        raise ParseError("expected a variable after '*'", m.start("star"))
+    return (-coeff if negate else coeff, powers, i), m.end()
 
 
 def _parse_text(text: str, arity: int, arity_error: str):
-    """Lex and parse text whose O(...) marker names arity variables; return
+    """Scan text whose O(...) marker names arity variables; return
     (terms, marker).
 
     terms is a list of (coefficient, {var: exponent}, position); marker is a
     list of arity (var, window end, position) entries.
     """
-    c = _Cursor(text)
-    if c.done():
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray[0]!r}", stray.start())
+    i = _SPACE.match(text).end()
+    if i == len(text):
         raise ParseError("empty input", 0)
-    terms = []
-    negate = False
-    if c.at_op("-"):
-        c.take()
-        negate = True
-    while True:
-        if _at_marker(c):
-            if negate:
-                raise ParseError("the O(...) marker follows '+', not '-'",
-                                 c.pos())
-            marker = _parse_marker(c)
-            break
-        terms.append(_parse_term(c, -1 if negate else 1))
-        if c.done():
-            raise ParseError("missing O(...) marker", c.end)
-        if c.at_op("+"):
-            c.take()
-            negate = False
-        elif c.at_op("-"):
-            c.take()
-            negate = True
-        else:
-            raise ParseError("expected '+', '-' or the O(...) marker",
-                             c.pos())
-    if not c.done():
-        raise ParseError("unexpected input after the O(...) marker", c.pos())
+    terms, negate = [], text[i] == "-"
+    if negate:
+        i = _SPACE.match(text, i + 1).end()
+    while (m := _MARKER.match(text, i)) is None:
+        term, j = _term(text, i, negate)
+        terms.append(term)
+        if j == len(text):
+            raise ParseError("missing O(...) marker", j)
+        if text[j] not in "+-":
+            raise ParseError("expected '+', '-' or the O(...) marker", j)
+        negate, i = text[j] == "-", _SPACE.match(text, j + 1).end()
+    if negate:
+        raise ParseError("the O(...) marker follows '+', not '-'", i)
+    if m.group("open") is None:
+        raise ParseError("expected '('", m.end())
+    marker, j, sep = [], m.end(), ","
+    while sep[0] == ",":
+        e = _ENTRY.match(text, j)
+        var, neg, end, sep = e.group("var", "neg", "end", "sep")
+        j = e.end()
+        if var is not None and var not in _VARS:
+            raise ParseError(f"unknown symbol {var!r}", e.start("var"))
+        for group, message in _ENTRY_MISSING.items():
+            if e.group(group) is None:
+                raise ParseError(message, j)
+        marker.append((var, -int(end) if neg else int(end), e.start("var")))
+    if len(marker) > 2:
+        raise ParseError("the O(...) marker takes at most two variables",
+                         m.start())
+    if j < len(text):
+        raise ParseError("unexpected input after the O(...) marker", j)
     if len(marker) != arity:
         raise ParseError(arity_error, marker[0][2])
     return terms, marker
@@ -304,6 +208,7 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
             f"ring {ring.value} uses the variable {ring.variable!r}, "
             f"not {var!r}")
     _check_ring_prime(ring, prime)
+    check_precision(prime, abs_prec)
     lo = min([0] + list(acc))
     if lo < 0 and not ring.laurent:
         raise ParseError(
@@ -317,12 +222,6 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
     return series_from_coeffs(ring, lo, coeffs, prime, abs_prec)
 
 
-def _frac_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _coeff_fraction(c) -> Fraction:
     return c.to_fraction() if isinstance(c, PAdic) else c
 
@@ -330,10 +229,10 @@ def _coeff_fraction(c) -> Fraction:
 def _term_chunk(mag: Fraction, factors) -> str:
     names = [v if e == 1 else f"{v}^{e}" for v, e in factors]
     if not names:
-        return _frac_text(mag)
+        return str(mag)
     if mag == 1:
         return "*".join(names)
-    return "*".join([_frac_text(mag)] + names)
+    return "*".join([str(mag)] + names)
 
 
 def _join_terms(items) -> str:
@@ -395,6 +294,7 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
             f"fiber variable must be one of {_VARS} and differ from "
             f"{base!r}, got {fiber_var!r}")
     _check_ring_prime(ring, prime)
+    check_precision(prime, abs_prec)
     terms, marker = _parse_text(
         text, 2, f"a two-variable window takes O({base}^A, {fiber_var}^B)")
     (bv, tu, p1), (fv, tx, p2) = marker
@@ -481,7 +381,7 @@ def _doc_mode(doc: dict, what: str):
     ring = _ring_from_label(_field(doc, "ring", str, what))
     if ring.padic:
         prime = check_prime(_field(doc, "p", int, what))
-        prec = document_precision(doc)
+        prec = check_precision(prime, document_precision(doc))
     else:
         _require(doc.get("p") is None, f"ring {ring.value} takes no prime")
         _require(doc.get("abs_prec") is None,

@@ -151,8 +151,11 @@ def _kronecker(xs, ys):
     """The first len(xs) coefficients of the product of two polynomials of
     that length with nonnegative integer coefficients: each is packed into
     one integer, slots wide enough that no coefficient carries into the
-    next, and one multiply gives them all."""
+    next, and one multiply gives them all.  A product with an all-zero
+    factor is all zero and skips the multiply."""
     n = len(xs)
+    if not any(xs) or not any(ys):
+        return [0] * n
     width = (max(xs).bit_length() + max(ys).bit_length()
              + n.bit_length() + 7) // 8
 

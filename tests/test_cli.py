@@ -518,6 +518,82 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "non-unit"
 
 
+class TestParseErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["log", "1 - t"], "missing O(...) marker (at column 6)"),
+        (["log", "1/0 + O(t^3)"], "zero denominator (at column 3)"),
+        (["plog", "--p", "3", "1 + O(u^2)   junk"],
+         "unexpected input after the O(...) marker (at column 14)"),
+        (["dlog", "- O(t^2)"],
+         "the O(...) marker follows '+', not '-' (at column 3)"),
+        (["parse-check", "O(t)"], "expected '^' (at column 4)"),
+        (["residue", "u^-1 + O(u^1, x^2)"],
+         "a one-variable series takes a one-variable marker (at column 10)"),
+    ])
+    def test_stderr_bytes(self, cli, argv, message):
+        code, out, err = cli(argv)
+        assert code == 2 and out == ""
+        assert err == ('{"error":"parse-error","message":'
+                       + json.dumps(message) + "}\n")
+
+
+def fresh_process(argv, timeout=60):
+    """(exit status, stdout, stderr) of one command in a new interpreter."""
+    r = subprocess.run([sys.executable, "-m", "lineint.cli", *argv],
+                       capture_output=True, text=True,
+                       env=checkout_env(COLUMNS="80"), timeout=timeout)
+    return r.returncode, r.stdout, r.stderr
+
+
+class TestSharedParser:
+    """main reuses one parser; no call may see what an earlier one parsed."""
+
+    @pytest.mark.parametrize("calls", [
+        [["plog", "--p", "3", "--trunc", "4", "1 - u + O(u^9)"],
+         ["plog", "--p", "3", "1 - u + O(u^9)"]],
+        [["dlog", "--ring", "gamma+", "--p", "3", "1 - u + O(u^5)"],
+         ["dlog", "1 - t + O(t^5)"]],
+        [["plog", "--p", "4", "1 + O(u^3)"], ["--help"], ["plog", "--help"]],
+    ])
+    def test_calls_in_a_row_match_fresh_processes(self, cli, monkeypatch,
+                                                  calls):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in calls:
+            assert cli(argv) == fresh_process(argv)
+
+
+class TestPrecisionBound:
+    @pytest.mark.parametrize("p,abs_prec", [(3, 10000), (2, 100000000)])
+    def test_oversized_abs_prec_refused_at_once(self, p, abs_prec):
+        code, out, err = fresh_process(
+            ["plog", "--p", str(p), "--abs-prec", str(abs_prec),
+             "1 - u + O(u^9)"], timeout=1)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "invalid-input"
+
+    @pytest.mark.parametrize("argv,doc", [
+        (["trivialize", "--file", "-"], DAGGER_CONNECTION),
+        (["curvature", "--family", "-"], DAGGER_FAMILY),
+    ])
+    def test_oversized_document_abs_prec_refused(self, cli, argv, doc):
+        doc = dict(json.loads(doc), abs_prec=5000)
+        code, out, err = cli(argv, stdin=json.dumps(doc))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "invalid-input"
+
+    @pytest.mark.parametrize("p,largest", [(2, 4096), (3, 2584)])
+    def test_largest_abs_prec_answers(self, cli, p, largest):
+        def plog(abs_prec):
+            return cli(["plog", "--p", str(p), "--abs-prec", str(abs_prec),
+                        "1 - u + O(u^9)"])
+
+        code, out, err = plog(largest)
+        assert code == 0 and out.endswith(" + O(u^9)\n")
+        code, out, err = plog(largest + 1)
+        assert code == 1
+        assert json.loads(err)["error"] == "invalid-input"
+
+
 class TestStdin:
     def test_expression_from_stdin(self, cli):
         code, out, err = cli(["log", "-"], stdin="1 - t + O(t^5)\n")

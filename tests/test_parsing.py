@@ -45,6 +45,57 @@ E = RingLabel.E
 GP = RingLabel.GAMMA_PLUS
 
 
+# Every way the grammar refuses one-variable text: the text, the message and
+# the position of the token it points at (whitespace skipped).
+REJECTED = [
+    ("", "empty input", 0),
+    ("   ", "empty input", 0),
+    ("1 # t + O(t^2)", "unexpected character '#'", 2),
+    ("q + O(t^2)", "unknown symbol 'q'", 0),
+    ("tO + O(t^2)", "unknown symbol 'tO'", 0),
+    ("Ox + O(t^2)", "unknown symbol 'Ox'", 0),
+    ("1/0 + O(t^2)", "zero denominator", 2),
+    ("1/ + O(t^2)", "expected a denominator", 3),
+    ("1/t + O(t^2)", "expected a denominator", 2),
+    ("+ t + O(t^2)", "expected a term", 0),
+    ("1 + + t + O(t^2)", "expected a term", 4),
+    ("*t + O(t^2)", "expected a term", 0),
+    ("1 +", "expected a term", 3),
+    ("-", "expected a term", 1),
+    ("t ^ + O(t^2)", "expected an integer exponent", 4),
+    ("t^-x + O(t^2)", "expected an integer exponent", 3),
+    ("3* + O(t^2)", "expected a variable after '*'", 1),
+    ("t*O(t^2)", "expected a variable after '*'", 1),
+    ("1 - t", "missing O(...) marker", 5),
+    ("t O(t^2)", "expected '+', '-' or the O(...) marker", 2),
+    ("3^2 + O(t^3)", "expected '+', '-' or the O(...) marker", 1),
+    ("t^2^3 + O(t^9)", "expected '+', '-' or the O(...) marker", 3),
+    ("- O(t^2)", "the O(...) marker follows '+', not '-'", 2),
+    ("1 - O(t^2)", "the O(...) marker follows '+', not '-'", 4),
+    ("1 + O t^2)", "expected '('", 6),
+    ("1 + O", "expected '('", 5),
+    ("O + t", "expected '('", 2),
+    ("O()", "expected a variable in the O(...) marker", 2),
+    ("O(t^2,)", "expected a variable in the O(...) marker", 6),
+    ("O(q^2)", "unknown symbol 'q'", 2),
+    ("O(t)", "expected '^'", 3),
+    ("O(t^)", "expected an integer window end", 4),
+    ("O(t^-)", "expected an integer window end", 5),
+    ("O(t^2", "expected ')'", 5),
+    ("O(t^2 u^3)", "expected ')'", 6),
+    ("O(t^1, u^2, x^3)", "the O(...) marker takes at most two variables", 0),
+    ("1 + O(t^1,u^2,x^3) junk",
+     "the O(...) marker takes at most two variables", 4),
+    ("1 + O(t^2) + 1", "unexpected input after the O(...) marker", 11),
+    ("1 + O(t^2) junk", "unexpected input after the O(...) marker", 11),
+    ("1 + O(t^2)   junk", "unexpected input after the O(...) marker", 13),
+    ("1 + O(t^2)O", "unexpected input after the O(...) marker", 10),
+    ("t + O(t^2, x^3)",
+     "a one-variable series takes a one-variable marker", 6),
+    ("x + O(t^3)", "variable 'x' does not belong in a series in 't'", 0),
+]
+
+
 class TestGrammar:
     def test_basic_window(self):
         s = parse_series("1 - t + 3*t^2 + O(t^5)")
@@ -126,24 +177,22 @@ class TestGrammar:
         assert exc.value.position == 4
         assert "column 5" in str(exc.value)
 
-    @pytest.mark.parametrize("bad", [
-        "",
-        "   ",
-        "q + O(t^2)",
-        "1/0 + O(t^2)",
-        "- O(t^2)",
-        "1 + O(t^2) + 1",
-        "1 + O(t^2) junk",
-        "t ^ + O(t^2)",
-        "3* + O(t^2)",
-        "O(t)",
-        "O(t^2",
-        "1 # t + O(t^2)",
-        "x + O(t^3)",
-    ])
-    def test_rejected_text(self, bad):
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("bad,message,position", REJECTED,
+                             ids=[row[0] for row in REJECTED])
+    def test_rejected_text(self, bad, message, position):
+        with pytest.raises(ParseError) as exc:
             parse_series(bad)
+        assert str(exc.value) == f"{message} (at column {position + 1})"
+        assert exc.value.position == position
+
+    def test_precision_bound(self):
+        # abs_prec * log2(p) <= 4096: 2584 * log2(3) is about 4095.6.
+        assert parse_series("1 + O(u^2)", GP, prime=3,
+                            abs_prec=2584).coefficient(0).abs_prec == 2584
+        with pytest.raises(InvalidInputError):
+            parse_series("1 + O(u^2)", GP, prime=3, abs_prec=2585)
+        with pytest.raises(InvalidInputError):
+            parse_biseries("1 + O(u^2, x^2)", GP, prime=2, abs_prec=4097)
 
     def test_integrality_enforced_on_materialize(self):
         with pytest.raises(IntegralityError):
@@ -275,6 +324,17 @@ class TestBiGrammar:
     def test_single_marker_rejected(self):
         with pytest.raises(ParseError):
             parse_biseries("1 + O(u^3)", GP, prime=2)
+
+    @pytest.mark.parametrize("bad,message,position", [
+        ("1 + O(u^3)", "a two-variable window takes O(u^A, x^B)", 6),
+        ("u + O(u^2, x^2, t^1)",
+         "the O(...) marker takes at most two variables", 4),
+    ])
+    def test_marker_refusals(self, bad, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_biseries(bad, GP, prime=2)
+        assert str(exc.value) == f"{message} (at column {position + 1})"
+        assert exc.value.position == position
 
     def test_wrong_variables_rejected(self):
         with pytest.raises(ParseError):
