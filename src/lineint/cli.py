@@ -168,11 +168,11 @@ def _cmd_residue(args) -> str:
         ring_label = ring.value
         prime = args.p
     if args.format == "structured":
-        return _compact({"residue": str(value), "ring": ring_label,
-                         "p": prime})
+        return _compact({"residue": parsing.coeff_text(value, -1),
+                         "ring": ring_label, "p": prime})
     if isinstance(value, PAdic):
         value = value.to_fraction()
-    return str(value)
+    return parsing.coeff_text(value, -1)
 
 
 def _cmd_fundsol(args) -> str:

@@ -11,7 +11,9 @@ The grammar, which the scanner's regular expressions implement:
 
 Whitespace may stand between any two tokens, and a name is a whole run of
 letters, so "3 t t" reads as 3t^2 and "tx" is an unknown symbol.  A working
-precision must keep abs_prec * log2(p) within coeff.PREC_BITS_LIMIT.
+precision must keep abs_prec * log2(p) within coeff.PREC_BITS_LIMIT.  A
+number literal may be as long as Python converts text to integers
+(sys.get_int_max_str_digits(), 4300 digits by default).
 
 The marker is mandatory: text with no stated window end does not describe a
 value of this library.  A bare marker is the all-zero window.  Like terms
@@ -24,11 +26,13 @@ Coefficients known modulo a prime power print as their exact rational
 representative, so printed text always re-parses; the precision-qualified
 form appears in the structured documents only.  Re-parsed, such a
 coefficient claims the abs_prec it is read at, which can exceed what was
-known.
+known.  A coefficient Python will not write out in decimal, one with more
+digits than the literal limit, is refused with invalid-input.
 """
 
 from fractions import Fraction
 import re
+import sys
 
 from .coeff import PAdic, check_precision, check_prime
 from .errors import InsufficientWindowError, InvalidInputError, ParseError
@@ -102,6 +106,19 @@ def _parse_text(text: str, arity: int, arity_error: str):
     terms is a list of (coefficient, {var: exponent}, position); marker is a
     list of arity (var, window end, position) entries.
     """
+    try:
+        return _scan(text, arity, arity_error)
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits().  The
+        # scan converts literals left to right and digits occur only in
+        # literals, so the refused one is the first run of that many.
+        limit = sys.get_int_max_str_digits()
+        at = re.search(rf"\d{{{limit + 1}}}", text).start()
+        raise ParseError(f"number literal longer than {limit} digits",
+                         at) from None
+
+
+def _scan(text: str, arity: int, arity_error: str):
     stray = _STRAY.search(text)
     if stray:
         raise ParseError(f"unexpected character {stray[0]!r}", stray.start())
@@ -226,21 +243,34 @@ def _coeff_fraction(c) -> Fraction:
     return c.to_fraction() if isinstance(c, PAdic) else c
 
 
-def _term_chunk(mag: Fraction, factors) -> str:
+def coeff_text(c, degree) -> str:
+    """str(c) for the coefficient of degree (an int, or a pair for two
+    variables); invalid-input when a rational in it has more digits than
+    Python writes out (sys.get_int_max_str_digits())."""
+    try:
+        return str(c)
+    except ValueError:
+        raise InvalidInputError(
+            f"the coefficient of degree {degree} has more than "
+            f"{sys.get_int_max_str_digits()} digits and cannot be printed"
+        ) from None
+
+
+def _term_chunk(mag: str, factors) -> str:
     names = [v if e == 1 else f"{v}^{e}" for v, e in factors]
     if not names:
-        return str(mag)
-    if mag == 1:
+        return mag
+    if mag == "1":
         return "*".join(names)
-    return "*".join([str(mag)] + names)
+    return "*".join([mag] + names)
 
 
 def _join_terms(items) -> str:
     if not items:
         return "0"
     chunks = []
-    for k, (q, factors) in enumerate(items):
-        body = _term_chunk(abs(q), factors)
+    for k, (q, degree, factors) in enumerate(items):
+        body = _term_chunk(coeff_text(abs(q), degree), factors)
         if k == 0:
             chunks.append(f"-{body}" if q < 0 else body)
         else:
@@ -253,7 +283,7 @@ def _print_window(terms, ends) -> str:
     (exponents, coefficient) terms in the order given, then the O(...)
     marker of the (var, end) pairs; the bare marker if there is no term
     and 0 would lie outside the window."""
-    items = [(_coeff_fraction(c),
+    items = [(_coeff_fraction(c), exps[0] if len(exps) == 1 else exps,
               [(v, e) for (v, _), e in zip(ends, exps) if e != 0])
              for exps, c in terms if not _coeff_is_zero(c)]
     marker = "O(" + ", ".join(f"{v}^{e}" for v, e in ends) + ")"
@@ -272,7 +302,8 @@ def structured_series(s: TruncatedSeries) -> dict:
     """The machine-readable document for one series window."""
     doc = {
         "window": [s.min_degree, s.trunc_order],
-        "coeffs": [str(c) for c in s.coeffs],
+        "coeffs": [coeff_text(c, d)
+                   for d, c in enumerate(s.coeffs, s.min_degree)],
         "ring": s.ring.value,
         "p": s.prime,
     }
@@ -330,7 +361,8 @@ def structured_biseries(b: BiSeries, fiber_var: str = "x") -> dict:
     """The machine-readable document for one two-variable window."""
     return {
         "trunc": [b.trunc_u, b.trunc_x],
-        "coeffs": [[str(c) for c in row] for row in _rows(b)],
+        "coeffs": [[coeff_text(c, (i, j)) for j, c in enumerate(row)]
+                   for i, row in enumerate(_rows(b))],
         "ring": b.ring.value,
         "p": b.prime,
         "fiber_var": fiber_var,

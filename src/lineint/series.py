@@ -18,8 +18,10 @@ one multiply of the lifts packed into one integer each (Kronecker
 substitution), those of ``inverse`` from long division on integers modulo
 one power of p; the precisions come from a min-plus pass over the
 operands' ``abs_prec`` and ``valuation_floor``.  Zeros lift to 0, so a
-zero coefficient costs only its precision.  Over the rationals both are
-sums of exact products.
+zero coefficient costs only its precision.  Over the rationals ``*`` sums
+exact products, and ``inverse`` and ``dlog`` are one quotient each: long
+division on integers, each coefficient a numerator over its own reduced
+denominator, with one ``Fraction`` built per output coefficient.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
@@ -31,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add, mul
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import add, floordiv, mul
 
 from .coeff import PAdic, _reduce, check_prime, vp_int
 from .errors import (
@@ -112,13 +116,49 @@ def _check_ring_prime(ring: RingLabel, prime):
 
 def _dot(pairs):
     """The sum of x*y over pairs of rationals, exact zeros skipped: the
-    rational kernel behind the series ``*``, ``inverse`` and the layers of
+    rational kernel behind the series ``*`` and the layers of
     ``fundamental_solution``."""
     acc = Fraction(0)
     for x, y in pairs:
         if x and y:
             acc += x * y
     return acc
+
+
+def _rational_quotient(num, den):
+    """The first min(len(num), len(den)) coefficients of num/den for two
+    windows of rationals with den[0] nonzero, by long division on integers.
+
+    With 1/den[0] = w/u, num[k] = y/z and r_j = den[j]/den[0] = a_j/b_j
+    in lowest terms, Q_k = y*w/(z*u) - sum_(j=1..k) r_j * Q_(k-j).
+    Each Q_k is kept as q_k/d_k in lowest terms: with m the lcm of the
+    b_j * d_(k-j) over the nonzero r_j and, if y is nonzero, of z*u,
+    m * Q_k = y*w * (m/(z*u)) - sum_j a_j * (m/(b_j * d_(k-j))) * q_(k-j),
+    and one gcd reduces it.  Reduced denominators keep each integer the
+    size of its coefficient.  Scaling every Q_k by a power of one integer
+    instead, den[0] times the lcm of den's denominators, would not: for
+    the inverse of exp(t) to 128 terms that integer is 127!, and Q_127 =
+    -1/127! of 710 bits would be held as an integer of 90,000 bits."""
+    n = min(len(num), len(den))
+    u, w = den[0].numerator, den[0].denominator
+    nonzero = [bool(y) for y in den[1:n]]
+    r = [y / den[0] for y in compress(den[1:n], nonzero)]
+    a, b = [y.numerator for y in r], [y.denominator for y in r]
+    q, d = [], []
+    for x in num[:n]:
+        bd = list(map(mul, b, compress(reversed(d), nonzero)))
+        v = x.denominator * u
+        m = lcm(v, *bd) if x else lcm(*bd)
+        s = -sum(map(mul, map(mul, a, map(floordiv, repeat(m), bd)),
+                     compress(reversed(q), nonzero)))
+        if x:
+            s += x.numerator * w * (m // v)
+        g = gcd(s, m)
+        if g > 1:
+            s, m = s // g, m // g
+        q.append(s)
+        d.append(m)
+    return tuple(map(Fraction, q, d))
 
 
 def _pair_precisions(a, b):
@@ -600,6 +640,17 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
     the lowest known coefficient to be a unit of the integer ring, otherwise
     the inverse is not a finitely supported Laurent window at all.
     """
+    _check_invertible(a)
+    m, n = a.min_degree, len(a.coeffs)
+    if a.ring.padic:
+        out = _padic_inverse(a.coeffs, a.prime)
+    else:
+        out = _rational_quotient((1,) + (0,) * (n - 1), a.coeffs)
+    return TruncatedSeries(a.ring, -m, tuple(out), -m + n, a.prime)
+
+
+def _check_invertible(a: TruncatedSeries):
+    """Raise unless inverse accepts a."""
     if len(a.coeffs) == 0:
         raise InsufficientWindowError("cannot invert: empty window")
     if not a.ring.laurent:
@@ -609,20 +660,19 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
             f"lowest known coefficient (degree {a.min_degree}) must be a "
             f"unit of the integer ring, got {a.coeffs[0]}"
         )
-    m, n = a.min_degree, len(a.coeffs)
-    if a.ring.padic:
-        out = _padic_inverse(a.coeffs, a.prime)
-    else:
-        inv0 = 1 / a.coeffs[0]
-        out = [inv0]
-        for k in range(1, n):
-            out.append(-(_dot(zip(a.coeffs[1:k + 1], reversed(out))) * inv0))
-    return TruncatedSeries(a.ring, -m, tuple(out), -m + n, a.prime)
 
 
 def dlog(a: TruncatedSeries) -> DifferentialForm:
-    """The logarithmic derivative da/a as a one-form."""
-    return DifferentialForm(derive(a).series * inverse(a))
+    """The logarithmic derivative da/a as a one-form: over the rationals
+    one quotient, over the p-adics derive(a) * inverse(a)."""
+    da = derive(a).series
+    if a.ring.padic:
+        return DifferentialForm(da * inverse(a))
+    _check_invertible(a)
+    lo = da.min_degree - a.min_degree
+    out = _rational_quotient(da.coeffs, a.coeffs)
+    return DifferentialForm(
+        TruncatedSeries(a.ring, lo, out, lo + len(out), a.prime))
 
 
 def degree_of_unit(x: TruncatedSeries) -> int:

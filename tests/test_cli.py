@@ -517,6 +517,24 @@ class TestExitCodes:
         # the constant term is shown and vanishes, as over every ring
         assert json.loads(err)["error"] == "non-unit"
 
+    # The degree-k coefficient of log(a + t) is (-1)^(k+1)/(k*a^k): at a of
+    # 30 digits it passes Python's 4,300-digit limit at degree 148.  Two
+    # residues over coprime 3,000-digit denominators sum to one over their
+    # 6,000-digit product.
+    @pytest.mark.parametrize("argv,degree", [
+        (["log", "123456789012345678901234567890 + t + O(t^200)"], 148),
+        (["residue", f"1/1{'0' * 2999}1*t^-1 + 1/1{'0' * 2999}3*t^-1 "
+          "+ O(t^0)"], -1),
+    ], ids=["log", "residue"])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_unprintable_coefficient_is_1(self, cli, argv, degree, fmt):
+        code, out, err = cli(argv[:1] + ["--format", fmt] + argv[1:])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "invalid-input",
+            "message": f"the coefficient of degree {degree} has more than "
+                       "4300 digits and cannot be printed"}
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("argv,message", [

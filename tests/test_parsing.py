@@ -93,7 +93,20 @@ REJECTED = [
     ("t + O(t^2, x^3)",
      "a one-variable series takes a one-variable marker", 6),
     ("x + O(t^3)", "variable 'x' does not belong in a series in 't'", 0),
+    # Python converts at most 4,300 digits of text to an integer.
+    ("1" * 4400 + " + O(t^2)", "number literal longer than 4300 digits", 0),
+    ("1/" + "3" * 4400 + " + O(t^2)",
+     "number literal longer than 4300 digits", 2),
+    ("t^" + "2" * 4400 + " + O(t^2)",
+     "number literal longer than 4300 digits", 2),
+    ("O(t^" + "9" * 4400 + ")", "number literal longer than 4300 digits", 4),
 ]
+
+
+def case_id(text: str) -> str:
+    """The text itself, or a short name for a text of more than 40
+    characters."""
+    return text if len(text) <= 40 else f"{text[:4]}...({len(text)} chars)"
 
 
 class TestGrammar:
@@ -178,7 +191,7 @@ class TestGrammar:
         assert "column 5" in str(exc.value)
 
     @pytest.mark.parametrize("bad,message,position", REJECTED,
-                             ids=[row[0] for row in REJECTED])
+                             ids=[case_id(row[0]) for row in REJECTED])
     def test_rejected_text(self, bad, message, position):
         with pytest.raises(ParseError) as exc:
             parse_series(bad)

@@ -3,19 +3,22 @@
 ``TruncatedSeries.__mul__``, ``inverse`` and ``BiSeries.__mul__`` each wrote
 their own sum of products, and ``curvature`` its own matrix product; now a
 p-adic ``*`` and ``inverse`` are lift and reduce (``series._padic_product``,
-``series._padic_inverse``), the rational ones sum through ``series._dot``,
-and ``BiSeries.__mul__`` is a convolution of its columns' series products.
-Those loops are kept here as test-only oracles: the kernels must give the
-same ring, window, coefficient type and text, and error class, on every
-ring label, with mixed precisions, negative valuations, Laurent windows,
-empty windows, zeros of every kind, windows of up to 64 coefficients and a
-prime of 61 bits.  The two-variable loop reads coefficients through
-``coefficient(i, j)`` and builds its result from a full map, so it does
-not depend on how a ``BiSeries`` stores them.  ``TestLiftRule`` checks the
+``series._padic_inverse``), the rational ``*`` sums through ``series._dot``,
+the rational ``inverse`` and ``dlog`` are one long division on integers
+each (``series._rational_quotient``), and ``BiSeries.__mul__`` is a
+convolution of its columns' series products.  Those loops are kept here as
+test-only oracles: the kernels must give the same ring, window,
+coefficient type and text, and error class, on every ring label, with
+mixed precisions, negative valuations, Laurent windows, empty windows,
+zeros of every kind, windows of up to 64 coefficients (256 for the
+rational quotient) and a prime of 61 bits.  The two-variable loop reads
+coefficients through ``coefficient(i, j)`` and builds its result from a
+full map, so it does not depend on how a ``BiSeries`` stores them.  ``TestLiftRule`` checks the
 rule the p-adic kernels rest on against exact ``Fraction`` arithmetic.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +223,20 @@ def make_biseries(ring, p, tu, tx, raws):
     return biseries_from_map(ring, cells, tu, tx, p if ring.padic else None)
 
 
+# Rational units by coefficient of degree d: a non-integer constant term,
+# denominators 1 to 7 mixed in one window, runs of zero coefficients, a
+# window with two nonzero coefficients past the constant, and exp(t), whose
+# denominators d! each divide the next.
+RATIONAL_UNITS = {
+    "exp": lambda d: Fraction(1, factorial(d)),
+    "fraction constant": lambda d: Fraction(3, 5) if d == 0
+    else Fraction(d % 9 - 4, d % 7 + 1),
+    "zero runs": lambda d: Fraction(-2) if d == 0
+    else Fraction(d, d % 5 + 1) * (d // 8 % 3 == 0),
+    "sparse": lambda d: Fraction({0: 1, 5: 1, 37: -7}.get(d, 0)),
+}
+
+
 def drawn_ring(data, rings=RINGS):
     ring, p = data.draw(rings)
     return ring, p if ring.padic else None
@@ -262,6 +279,17 @@ class TestKernelMatchesLoops:
             (a, b)
         assert outcome(lambda: inverse(a)) == \
             outcome(lambda: loop_inverse(a)), a
+
+    @pytest.mark.parametrize("n", [0, 1, 64, 128, 256])
+    @pytest.mark.parametrize("shape", sorted(RATIONAL_UNITS))
+    def test_rational_long_windows(self, shape, n):
+        a = TruncatedSeries(RingLabel.FORMAL, 0,
+                            tuple(RATIONAL_UNITS[shape](d) for d in range(n)),
+                            n)
+        assert outcome(lambda: inverse(a)) == \
+            outcome(lambda: loop_inverse(a)), a
+        assert outcome(lambda: dlog(a)) == outcome(
+            lambda: loop_mul(derive(a).series, loop_inverse(a))), a
 
     @given(st.data())
     @settings(max_examples=150, derandomize=True, deadline=None)
