@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import nabla, parsing, scheme, series
-from .coeff import PAdic, check_prime
+from .coeff import PAdic, check_degree, check_prime
 from .errors import CalculusError, InsufficientWindowError, InvalidInputError, \
     ParseError
 from .series import DEFAULT_ABS_PREC, DifferentialForm, RingLabel
@@ -92,30 +92,38 @@ def _series_out(s, fmt: str) -> str:
     return parsing.print_series(s)
 
 
-def _matrix_out(entries, sig, fmt: str) -> str:
+def _matrix_out(entries, sig, fmt: str, text=parsing.print_series,
+                structured=parsing.structured_series, **fields) -> str:
+    """A matrix of windows as a document: entries render with structured
+    or text by fmt, and fields adds document fields."""
     if fmt == "structured":
         first = entries[0][0]
         return _compact(parsing.matrix_document(
-            sig, first.ring, first.prime, entries, parsing.structured_series))
-    return _pretty(parsing.dump_series_matrix(entries, sig))
+            sig, first.ring, first.prime, entries, structured, **fields))
+    return _pretty(parsing.dump_series_matrix(entries, sig, text, **fields))
 
 
 # -- mode handling -------------------------------------------------------------
 
 
-def _mode_precision(args, ring: RingLabel) -> int:
-    """Enforce that p-adic flags appear exactly when the ring needs them."""
-    p = getattr(args, "p", None)
-    prec = getattr(args, "abs_prec", None)
-    if ring.padic:
-        if p is None:
-            raise _Usage(f"ring {ring.value} needs --p")
-        return prec if prec is not None else DEFAULT_ABS_PREC
-    if p is not None:
+def _series_arg(args, ring: RingLabel, text=None):
+    """Read the series text (args.expr unless given) over ring at --p and
+    --abs-prec, which must appear exactly when the ring needs them."""
+    p, prec = getattr(args, "p", None), getattr(args, "abs_prec", None)
+    if ring.padic and p is None:
+        raise _Usage(f"ring {ring.value} needs --p")
+    if not ring.padic and p is not None:
         raise _Usage(f"ring {ring.value} takes no --p")
-    if prec is not None:
+    if not ring.padic and prec is not None:
         raise _Usage(f"ring {ring.value} takes no --abs-prec")
-    return DEFAULT_ABS_PREC
+    text = _read_expr(args.expr if text is None else text)
+    return parsing.parse_series(text, ring, p,
+                                DEFAULT_ABS_PREC if prec is None else prec)
+
+
+def _trunc_arg(args, default=None):
+    """--trunc, bounded like every window end, or default without it."""
+    return default if args.trunc is None else check_degree(args.trunc)
 
 
 def _clip_end(s, trunc):
@@ -132,39 +140,30 @@ def _clip_end(s, trunc):
 
 
 def _cmd_log(args) -> str:
-    s = parsing.parse_series(_read_expr(args.expr))
-    s = _clip_end(s, args.trunc)
+    s = _clip_end(_series_arg(args, RingLabel.FORMAL), _trunc_arg(args))
     return _series_out(series.formal_log(s), args.format)
 
 
 def _cmd_plog(args) -> str:
-    prec = _mode_precision(args, RingLabel.GAMMA_PLUS)
-    s = parsing.parse_series(_read_expr(args.expr), RingLabel.GAMMA_PLUS,
-                             args.p, prec)
-    s = _clip_end(s, args.trunc)
+    s = _clip_end(_series_arg(args, RingLabel.GAMMA_PLUS), _trunc_arg(args))
     return _series_out(series.padic_log_dagger(s), args.format)
 
 
 def _cmd_dlog(args) -> str:
-    ring = RingLabel(args.ring)
-    prec = _mode_precision(args, ring)
-    s = parsing.parse_series(_read_expr(args.expr), ring, args.p, prec)
+    s = _series_arg(args, RingLabel(args.ring))
     return _series_out(series.dlog(s).series, args.format)
 
 
 def _cmd_residue(args) -> str:
-    text = _read_expr(args.expr)
     if args.ring is None and args.p is None:
         if args.abs_prec is not None:
             raise _Usage("--abs-prec needs --p and a p-adic --ring")
-        value = parsing.rational_residue(text)
+        value = parsing.rational_residue(_read_expr(args.expr))
         ring_label = None
         prime = None
     else:
         ring = RingLabel(args.ring) if args.ring is not None else RingLabel.E
-        prec = _mode_precision(args, ring)
-        s = parsing.parse_series(text, ring, args.p, prec)
-        value = series.residue(DifferentialForm(s))
+        value = series.residue(DifferentialForm(_series_arg(args, ring)))
         ring_label = ring.value
         prime = args.p
     if args.format == "structured":
@@ -177,53 +176,45 @@ def _cmd_residue(args) -> str:
 
 def _cmd_fundsol(args) -> str:
     matrix, sig, trunc = parsing.load_connection_matrix(_read_doc(args.file))
-    t = args.trunc if args.trunc is not None else trunc
-    entries = nabla.fundamental_solution(matrix, t)
+    entries = nabla.fundamental_solution(matrix, _trunc_arg(args, trunc))
     return _matrix_out(entries, sig, args.format)
 
 
 def _cmd_trivialize(args) -> str:
     module, trunc = parsing.load_connection(_read_doc(args.file))
-    t = args.trunc if args.trunc is not None else trunc
-    v = nabla.trivialize(module, t)
+    v = nabla.trivialize(module, _trunc_arg(args, trunc))
     return _matrix_out(v.entries, v.signature, args.format)
 
 
 def _cmd_invariant(args) -> str:
     module, trunc = parsing.load_connection(_read_doc(args.file))
-    t = args.trunc if args.trunc is not None else trunc
-    rep = nabla.invariant(module, t)
+    rep = nabla.invariant(module, _trunc_arg(args, trunc))
     return _matrix_out(rep.matrix.entries, rep.matrix.signature, args.format)
 
 
 def _cmd_curvature(args) -> str:
     family, _, _, fiber_var = parsing.load_family(_read_doc(args.family))
     forms = scheme.curvature(family)
-    flat = all(b.is_zero for row in forms for b in row)
-    if args.format == "structured":
-        return _compact(parsing.matrix_document(
-            family.signature, family.ring, family.prime, forms,
-            lambda b: parsing.structured_biseries(b, fiber_var),
-            fiber_var=fiber_var, flat=flat))
-    return _pretty(parsing.dump_series_matrix(
-        forms, family.signature,
+    return _matrix_out(
+        forms, family.signature, args.format,
         lambda b: parsing.print_biseries(b, fiber_var),
-        fiber_var=fiber_var, flat=flat))
+        lambda b: parsing.structured_biseries(b, fiber_var),
+        fiber_var=fiber_var,
+        flat=all(b.is_zero for row in forms for b in row))
 
 
 def _cmd_integrate(args) -> str:
     doc = _read_doc(args.family)
     family, _, _, _ = parsing.load_family(doc)
-    if not family.ring.padic:
-        prec = _mode_precision(args, family.ring)
-    elif args.p is not None and args.p != family.prime:
-        raise _Usage(f"--p {args.p} disagrees with the family document "
-                     f"(p = {family.prime})")
-    else:
-        prec = args.abs_prec if args.abs_prec is not None \
-            else parsing.document_precision(doc)
-    section = parsing.parse_series(_read_expr(args.section), family.ring,
-                                   family.prime, prec)
+    if family.ring.padic:
+        # The document supplies what --p and --abs-prec leave out.
+        if args.p is not None and args.p != family.prime:
+            raise _Usage(f"--p {args.p} disagrees with the family document "
+                         f"(p = {family.prime})")
+        args.p = family.prime
+        if args.abs_prec is None:
+            args.abs_prec = parsing.document_precision(doc)
+    section = _series_arg(args, family.ring, args.section)
     rep = scheme.line_integral(family, section)
     return _matrix_out(rep.matrix.entries, rep.matrix.signature, args.format)
 
@@ -235,10 +226,8 @@ def _cmd_parse_check(args) -> str:
             "parse-check takes exactly one input: an expression, --file, "
             "or --family")
     if args.expr is not None:
-        ring = RingLabel(args.ring)
-        prec = _mode_precision(args, ring)
-        s = parsing.parse_series(_read_expr(args.expr), ring, args.p, prec)
-        return _series_out(s, args.format)
+        return _series_out(_series_arg(args, RingLabel(args.ring)),
+                           args.format)
     style = _compact if args.format == "structured" else _pretty
     if args.file is not None:
         return style(parsing.echo_connection(_read_doc(args.file)))

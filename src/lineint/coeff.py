@@ -19,9 +19,9 @@ valuation >= abs_prec".
 The arithmetic works on these integer fields directly, never through
 ``Fraction``.  A sum brings both units to the smaller valuation with one
 power of p and adds once; a product adds valuations and multiplies units; a
-quotient takes one modular inverse.  Every result then passes the shared
-strip-and-reduce step (strip factors of p with :func:`vp_int`, reduce the
-unit modulo p^(abs_prec - valuation)), so the form stays canonical.
+quotient multiplies by one modular inverse.  Every result then passes the
+shared strip-and-reduce step (strip factors of p with :func:`vp_int`, reduce
+the unit modulo p^(abs_prec - valuation)), so the form stays canonical.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the 4,300 digits Python converts between int and str for the digits a
 # negative valuation adds, so every coefficient prints.
 PREC_BITS_LIMIT = 4096
+
+# A degree or window end read from input must have absolute value at most
+# this.  A window stores every degree it spans, so this bounds what reading
+# one allocates.
+DEGREE_LIMIT = 2**16
 
 
 def check_prime(p: int) -> int:
@@ -72,6 +77,15 @@ def check_precision(p: int | None, abs_prec: int) -> int:
             f"abs_prec {abs_prec} at p = {p} exceeds the precision bound "
             f"abs_prec * log2(p) <= {PREC_BITS_LIMIT}")
     return abs_prec
+
+
+def check_degree(n: int) -> int:
+    """Validate that |n| is at most DEGREE_LIMIT; return n."""
+    if abs(n) > DEGREE_LIMIT:
+        raise InvalidInputError(
+            f"degree or window end {n} exceeds the bound "
+            f"|n| <= {DEGREE_LIMIT}")
+    return n
 
 
 def _is_prime(n: int) -> bool:
@@ -155,6 +169,11 @@ class ResidueElement:
 @dataclass(frozen=True, eq=False)
 class PAdic:
     """An element of Q_p known modulo p^abs_prec.
+
+    ``inverse`` is the primitive of division: one modular inverse of the
+    unit, at the same relative precision.  a / b is a * b.inverse(), so the
+    product rule is the only precision rule a quotient follows.  Division by
+    an exact int or Fraction scales directly.
 
     Fields
     ------
@@ -307,21 +326,7 @@ class PAdic:
     def __truediv__(self, other) -> "PAdic":
         p = self.prime
         if isinstance(other, PAdic):
-            if other.prime != p:
-                raise InvalidInputError("p-adic arithmetic needs matching primes")
-            if other.is_zero:
-                raise InvalidInputError(
-                    "division by a value indistinguishable from zero "
-                    f"(0 mod {other.prime}^{other.abs_prec})"
-                )
-            if self.valuation is None:
-                return PAdic.zero(p, self.abs_prec - other.valuation)
-            v = self.valuation - other.valuation
-            rel = min(self.abs_prec - self.valuation,
-                      other.abs_prec - other.valuation)
-            modulus = p**rel
-            unit = self.unit * pow(other.unit, -1, modulus) % modulus
-            return PAdic(p, v, unit, v + rel)
+            return self * self._coerce(other).inverse()
         if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
             return NotImplemented
         if other == 0:
@@ -333,11 +338,14 @@ class PAdic:
                        self.abs_prec - k, num)
 
     def inverse(self) -> "PAdic":
+        """1/self: one modular inverse, at the same relative precision."""
         if self.is_zero:
             raise InvalidInputError(
                 "no inverse: value indistinguishable from zero at this precision"
             )
-        return PAdic.one(self.prime, self.rel_prec) / self
+        rel = self.abs_prec - self.valuation
+        return PAdic(self.prime, -self.valuation,
+                     pow(self.unit, -1, self.prime**rel), rel - self.valuation)
 
     def truncated(self, abs_prec: int) -> "PAdic":
         """The same value known only modulo p^abs_prec (never gains precision)."""

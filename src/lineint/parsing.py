@@ -11,9 +11,11 @@ The grammar, which the scanner's regular expressions implement:
 
 Whitespace may stand between any two tokens, and a name is a whole run of
 letters, so "3 t t" reads as 3t^2 and "tx" is an unknown symbol.  A working
-precision must keep abs_prec * log2(p) within coeff.PREC_BITS_LIMIT.  A
-number literal may be as long as Python converts text to integers
-(sys.get_int_max_str_digits(), 4300 digits by default).
+precision must keep abs_prec * log2(p) within coeff.PREC_BITS_LIMIT.  Every
+degree and window end, a document's trunc and trunc_x too, must lie within
+coeff.DEGREE_LIMIT in absolute value.  A number literal may be as long as
+Python converts text to integers (sys.get_int_max_str_digits(), 4300 digits
+by default).
 
 The marker is mandatory: text with no stated window end does not describe a
 value of this library.  A bare marker is the all-zero window.  Like terms
@@ -34,7 +36,7 @@ from fractions import Fraction
 import re
 import sys
 
-from .coeff import PAdic, check_precision, check_prime
+from .coeff import PAdic, check_degree, check_precision, check_prime
 from .errors import InsufficientWindowError, InvalidInputError, ParseError
 from .nabla import ConnectionMatrix, FramedNablaModule, Signature
 from .scheme import BiForm, BiSeries, FramedFamily, biseries_from_map, \
@@ -164,10 +166,11 @@ def _scan(text: str, arity: int, arity_error: str):
 def _merge_terms(terms, marker) -> dict:
     """Like terms merged: {exponents: coefficient}, the exponents a tuple in
     marker order.  A term may use only the marker's variables, each below
-    its window end; ring semantics are the caller's.
+    its window end and within coeff.DEGREE_LIMIT; ring semantics are the
+    caller's.
     """
     names = [v for v, _, _ in marker]
-    ends = tuple(e for _, e, _ in marker)
+    ends = tuple(check_degree(e) for _, e, _ in marker)
     one = len(ends) == 1
     acc: dict = {}
     for coeff, powers, pos in terms:
@@ -176,7 +179,7 @@ def _merge_terms(terms, marker) -> dict:
                 raise ParseError(
                     f"variable {v!r} does not belong in a series in "
                     + " and ".join(map(repr, names)), pos)
-        exps = tuple(powers.get(v, 0) for v in names)
+        exps = tuple(check_degree(powers.get(v, 0)) for v in names)
         if any(d >= e for d, e in zip(exps, ends)):
             raise ParseError(
                 f"term degree {exps[0] if one else exps} is not below the "
@@ -455,6 +458,7 @@ def load_connection_matrix(doc: dict):
     ring, prime, prec = _doc_mode(doc, what)
     trunc = _field(doc, "trunc", int, what)
     _require(trunc >= 1, "field 'trunc' must be at least 1")
+    check_degree(trunc)
     rows = _string_rows(doc, "connection", what,
                         sig.total if sig is not None else None)
     entries = []
@@ -494,9 +498,11 @@ def load_family(doc: dict):
     ring, prime, prec = _doc_mode(doc, what)
     trunc = _field(doc, "trunc", int, what)
     _require(trunc >= 1, "field 'trunc' must be at least 1")
+    check_degree(trunc)
     trunc_x = _field(doc, "trunc_x", int, what, required=False,
                      default=trunc)
     _require(trunc_x >= 1, "field 'trunc_x' must be at least 1")
+    check_degree(trunc_x)
     fiber_var = _field(doc, "fiber_var", str, what, required=False,
                        default="x")
     _require(fiber_var in _VARS and fiber_var != ring.variable,

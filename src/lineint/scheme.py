@@ -6,7 +6,7 @@ coefficient of x^j, a power series in the base variable on the window
 0 <= j < trunc_x.  Its arithmetic and partial derivatives act column by
 column through the one-variable code.  One-forms gain a second component
 ``dx``; the total differential, curvature of a framed family, pullback
-along a section x := v - 1, and the resulting line integral live here.
+along a section x := v - 1 with v(0) = 1, and the line integral live here.
 """
 
 from __future__ import annotations
@@ -272,14 +272,13 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
                      powers=None) -> TruncatedSeries:
     """Evaluate a two-variable window at x := w, a one-variable series.
 
-    A w with no nonvanishing constant term (of order e >= 1, or zero)
-    gives the sum of col_j * w^j over every stored j < trunc_x, so powers
-    of w that vanish only at a finite precision still bound the result's.
-    It needs trunc_x * e >= trunc_u, otherwise unknown x-coefficients
-    could reach visible u-degrees.  powers, if given, holds w^1 ..
-    w^(trunc_x - 1) clipped to a u-window of at least trunc_u.  Any other
-    w is substituted on the stored x-support only, by Horner's rule
-    (exact when the x-dependence is polynomial of degree < trunc_x)."""
+    w must vanish at u = 0: of order e >= 1, or zero.  The result is the
+    sum of col_j * w^j over every stored j < trunc_x, so powers of w that
+    vanish only at a finite precision still bound the result's.  It needs
+    trunc_x * e >= trunc_u, otherwise unknown x-coefficients could reach
+    visible u-degrees; a w of order 0 reaches every u-degree and is
+    refused.  powers, if given, holds w^1 .. w^(trunc_x - 1) clipped to a
+    u-window of at least trunc_u."""
     if not isinstance(w, TruncatedSeries):
         raise InvalidInputError(f"expected a series, got {w!r}")
     if w.ring is not b.ring or w.prime != b.prime:
@@ -291,30 +290,25 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
     if tx == 0:
         return zero_series(b.ring, 0, 0, b.prime, b._working_prec())
     e = w.order()
-    if e != 0:
-        if e is not None and tx * e < tu:
-            raise InsufficientWindowError(
-                f"x-window {tx} with a section of order {e} only fills "
-                f"u-degrees below {tx * e}, u-window needs {tu}"
-            )
-        if powers is None:
-            powers = _fiber_powers(w, tx - 1, tu)
-        acc = cols[0]
-        for col, power in zip(cols[1:], powers):
-            acc = acc + col * power
-        return acc.clipped(trunc_order=tu)
-    acc = cols[tx - 1]
-    for j in range(tx - 2, -1, -1):
-        acc = (acc * w).clipped(trunc_order=tu) + cols[j]
+    if e is not None and tx * e < tu:
+        raise InsufficientWindowError(
+            f"x-window {tx} with a section of order {e} only fills "
+            f"u-degrees below {tx * e}, u-window needs {tu}"
+        )
+    if powers is None:
+        powers = _fiber_powers(w, tx - 1, tu)
+    acc = cols[0]
+    for col, power in zip(cols[1:], powers):
+        acc = acc + col * power
     return acc.clipped(trunc_order=tu)
 
 
 def section_pullback(family: FramedFamily,
                      v: TruncatedSeries) -> FramedNablaModule:
-    """Restrict the family to the section sending 1 + x to the unit v.
-
-    Substitutes x := v - 1 everywhere; the dx components pick up the
-    chain-rule factor dv; every entry shares one set of powers of v - 1.
+    """Restrict the family to the section sending 1 + x to the unit v,
+    which must have v(0) = 1 (substitute_fiber refuses w = v - 1 of order
+    0).  Substitutes x := w everywhere; the dx components pick up the
+    chain-rule factor dv; every entry shares one set of powers of w.
     Returns the one-variable framed module."""
     if not isinstance(v, TruncatedSeries):
         raise InvalidInputError(f"expected a series, got {v!r}")
@@ -328,8 +322,8 @@ def section_pullback(family: FramedFamily,
     w = v - one_series(v.ring, v.trunc_order, v.prime, prec)
     dv = derive(v).series
     parts = [f.du_part for row in family.entries for f in row]
-    powers = None if w.order() == 0 else _fiber_powers(
-        w, max(b.trunc_x for b in parts) - 1, max(b.trunc_u for b in parts))
+    powers = _fiber_powers(w, max(b.trunc_x for b in parts) - 1,
+                           max(b.trunc_u for b in parts))
 
     def pulled(f):
         return DifferentialForm(

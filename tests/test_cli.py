@@ -767,3 +767,83 @@ class TestRationalModeFlags:
                              stdin=FORMAL_FAMILY)
         assert (code, out) == (2, "")
         assert err == "lineint: error: ring formal takes no --p\n"
+
+
+# bench/workloads.py chain_family(2, 7): the entry dx/(1+x) at p = 3.
+CHAIN_FAMILY = json.dumps({
+    "signature": [1, 1], "ring": "gamma+", "p": 3, "abs_prec": 20,
+    "trunc": 7, "trunc_x": 7,
+    "connection": [
+        ["0", {"du": "0",
+               "dx": geometric_alternating("x", 7) + " + O(u^7, x^7)"}],
+        ["0", "0"]],
+})
+
+
+class TestSectionOutsideTheDisk:
+    """A section v with v(0) != 1 sends x to w = v - 1 of order 0, where
+    every unknown x-degree of the family reaches every u-degree: the value
+    is not determined by the O(u^7, x^7) window, so it is refused."""
+
+    @pytest.mark.parametrize("section", ["4 + u + O(u^7)",
+                                         "2 + u + O(u^7)"])
+    def test_integrate_refuses(self, cli, section):
+        code, out, err = cli(["integrate", "--family", "-", "--section",
+                              section], stdin=CHAIN_FAMILY)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "insufficient-window"
+
+
+def bounded_document(doc, **fields):
+    return json.dumps(dict(json.loads(doc), **fields))
+
+
+class TestDegreeBound:
+    """Every degree and window end read from input has absolute value at
+    most 2^16; one beyond it is invalid-input before a window is built."""
+
+    @pytest.mark.parametrize("argv,stdin", [
+        (["parse-check", "1 + O(t^65537)"], None),
+        (["parse-check", "--ring", "e", "--p", "3", "O(u^-65537)"], None),
+        (["parse-check", "1 + t^65537 + O(t^3)"], None),
+        (["parse-check", "--ring", "e", "--p", "3", "u^-65537 + O(u^1)"],
+         None),
+        (["residue", "t^-65537 + O(t^0)"], None),
+        (["parse-check", "--family", "-"], bounded_document(
+            FORMAL_FAMILY, connection=[["0", {"du": "1 + O(t^65537, x^5)"}],
+                                       ["0", "0"]])),
+        (["parse-check", "--family", "-"], bounded_document(
+            FORMAL_FAMILY, connection=[["0", {"du": "1 + O(t^5, x^65537)"}],
+                                       ["0", "0"]])),
+        (["parse-check", "--family", "-"], bounded_document(
+            FORMAL_FAMILY, connection=[["0", {"du": "x^65537 + O(t^5, x^5)"}],
+                                       ["0", "0"]])),
+        (["parse-check", "--file", "-"],
+         bounded_document(LOG_CONNECTION, trunc=65537)),
+        (["parse-check", "--family", "-"],
+         bounded_document(FORMAL_FAMILY, trunc=65537)),
+        (["parse-check", "--family", "-"],
+         bounded_document(FORMAL_FAMILY, trunc_x=65537)),
+        (["log", "--trunc", "65537", "1 - t + O(t^5)"], None),
+        (["plog", "--p", "3", "--trunc", "65537", "1 - u + O(u^5)"], None),
+        (["fundsol", "--file", "-", "--trunc", "65537"], LOG_CONNECTION),
+        (["trivialize", "--file", "-", "--trunc", "65537"], LOG_CONNECTION),
+        (["invariant", "--file", "-", "--trunc", "65537"], LOG_CONNECTION),
+    ], ids=["marker", "negative-marker", "term", "negative-term", "residue",
+            "two-variable-u-end", "two-variable-x-end", "two-variable-term",
+            "connection-trunc", "family-trunc", "family-trunc_x",
+            "log-trunc", "plog-trunc", "fundsol-trunc", "trivialize-trunc",
+            "invariant-trunc"])
+    def test_beyond_the_bound_refused(self, cli, argv, stdin):
+        code, out, err = cli(argv, stdin=stdin)
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"].endswith(
+            "65537 exceeds the bound |n| <= 65536")
+
+    def test_window_at_the_bound_answers(self, cli):
+        code, out, err = cli(["parse-check", "--ring", "e", "--p", "3",
+                              "u^-65536 + O(u^-65535)"])
+        assert (code, err) == (0, "")
+        assert out == "u^-65536 + O(u^-65535)\n"
