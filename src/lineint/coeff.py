@@ -22,6 +22,10 @@ power of p and adds once; a product adds valuations and multiplies units; a
 quotient multiplies by one modular inverse.  Every result then passes the
 shared strip-and-reduce step (strip factors of p with :func:`vp_int`, reduce
 the unit modulo p^(abs_prec - valuation)), so the form stays canonical.
+
+Validation happens at the boundary: ``PAdic(...)``, ``zero``, ``one``,
+``from_rational`` and ``padic_normalize`` check prime and form.  Results of
+arithmetic on valid operands are canonical, and ``_padic`` builds them.
 """
 
 from __future__ import annotations
@@ -267,7 +271,7 @@ class PAdic:
         va, vb = self.valuation, o.valuation
         if vb is None:
             if va is None:
-                return PAdic.zero(p, n)
+                return _padic(p, None, 0, n)
             return _reduce(p, va, self.unit, n)
         if va is None:
             return _reduce(p, vb, o.unit, n)
@@ -283,8 +287,8 @@ class PAdic:
         if self.valuation is None:
             return self
         rel = self.abs_prec - self.valuation
-        return PAdic(self.prime, self.valuation, -self.unit % self.prime**rel,
-                     self.abs_prec)
+        return _padic(self.prime, self.valuation, -self.unit % self.prime**rel,
+                      self.abs_prec)
 
     def __sub__(self, other) -> "PAdic":
         o = self._coerce(other)
@@ -305,19 +309,19 @@ class PAdic:
             n = min(self.abs_prec + o.valuation_floor,
                     o.abs_prec + self.valuation_floor)
             if self.valuation is None or o.valuation is None:
-                return PAdic.zero(p, n)
+                return _padic(p, None, 0, n)
             # A product of units is a unit known to min(rel_a, rel_b) = n - v
             # digits.
             v = self.valuation + o.valuation
-            return PAdic(p, v, self.unit * o.unit % p ** (n - v), n)
+            return _padic(p, v, self.unit * o.unit % p ** (n - v), n)
         if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
             return NotImplemented
         # Exact scalar: relative precision is preserved.
         if other == 0:
-            return PAdic.zero(p, self.abs_prec)
+            return _padic(p, None, 0, self.abs_prec)
         k, num, den = _scalar_parts(other, p)
         if self.valuation is None:
-            return PAdic.zero(p, self.abs_prec + k)
+            return _padic(p, None, 0, self.abs_prec + k)
         return _reduce(p, self.valuation + k, self.unit * num,
                        self.abs_prec + k, den)
 
@@ -333,7 +337,7 @@ class PAdic:
             raise InvalidInputError("division by zero")
         k, num, den = _scalar_parts(other, p)
         if self.valuation is None:
-            return PAdic.zero(p, self.abs_prec - k)
+            return _padic(p, None, 0, self.abs_prec - k)
         return _reduce(p, self.valuation - k, self.unit * den,
                        self.abs_prec - k, num)
 
@@ -344,14 +348,14 @@ class PAdic:
                 "no inverse: value indistinguishable from zero at this precision"
             )
         rel = self.abs_prec - self.valuation
-        return PAdic(self.prime, -self.valuation,
-                     pow(self.unit, -1, self.prime**rel), rel - self.valuation)
+        return _padic(self.prime, -self.valuation,
+                      pow(self.unit, -1, self.prime**rel), rel - self.valuation)
 
     def truncated(self, abs_prec: int) -> "PAdic":
         """The same value known only modulo p^abs_prec (never gains precision)."""
         n = min(self.abs_prec, abs_prec)
         if self.valuation is None:
-            return PAdic.zero(self.prime, n)
+            return _padic(self.prime, None, 0, n)
         return _reduce(self.prime, self.valuation, self.unit, n)
 
     # -- comparison --------------------------------------------------------
@@ -401,17 +405,25 @@ def _reduce(prime: int, valuation: int, num: int, abs_prec: int,
     strip p from num, then reduce modulo p^(abs_prec - v)."""
     if num % prime == 0:
         if num == 0:
-            return PAdic.zero(prime, abs_prec)
+            return _padic(prime, None, 0, abs_prec)
         k = vp_int(num, prime)
         num //= prime**k
         valuation += k
     rel = abs_prec - valuation
     if rel < 1:
-        return PAdic.zero(prime, abs_prec)
+        return _padic(prime, None, 0, abs_prec)
     modulus = prime**rel
     if den != 1:
         num *= pow(den, -1, modulus)
-    return PAdic(prime, valuation, num % modulus, abs_prec)
+    return _padic(prime, valuation, num % modulus, abs_prec)
+
+
+def _padic(prime, valuation, unit, abs_prec) -> PAdic:
+    """A PAdic of these fields, unchecked: only for arithmetic results."""
+    x = object.__new__(PAdic)
+    x.__dict__.update(prime=prime, valuation=valuation, unit=unit,
+                      abs_prec=abs_prec)
+    return x
 
 
 def _scalar_parts(q, prime: int) -> tuple[int, int, int]:

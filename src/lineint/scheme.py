@@ -101,9 +101,9 @@ class BiSeries(_CoeffWindow):
         return all(col.is_zero for col in self.cols)
 
     def _with(self, cols, trunc_u=None) -> "BiSeries":
-        return BiSeries(self.ring, cols,
-                        self.trunc_u if trunc_u is None else trunc_u,
-                        self.prime)
+        return BiSeries._trusted(self.ring, cols,
+                                 self.trunc_u if trunc_u is None else trunc_u,
+                                 self.prime)
 
     def clipped(self, trunc_u=None, trunc_x=None) -> "BiSeries":
         tu = self.trunc_u if trunc_u is None else max(min(trunc_u,
@@ -145,19 +145,20 @@ class BiSeries(_CoeffWindow):
 def biseries_from_map(ring: RingLabel, mapping, trunc_u: int, trunc_x: int,
                       prime: int | None = None,
                       abs_prec: int = DEFAULT_ABS_PREC) -> BiSeries:
-    """Build a window from a sparse {(i, j): value} map; absent means zero."""
+    """Build a window from a sparse {(i, j): value} map; absent means zero.
+    Every column with no mapped entry is one shared zero series."""
     _check_header(ring, prime, trunc_u, trunc_x)
-    zero = zero_series(ring, 0, trunc_u, prime, abs_prec).coeffs
-    cols = [list(zero) for _ in range(trunc_x)]
+    zero = zero_series(ring, 0, trunc_u, prime, abs_prec)
+    cols = {}
     for (i, j), v in mapping.items():
         if not (0 <= i < trunc_u and 0 <= j < trunc_x):
             raise InvalidInputError(
                 f"degree ({i}, {j}) outside window ({trunc_u}, {trunc_x})"
             )
-        cols[j][i] = v
-    return BiSeries(ring, tuple(series_from_coeffs(ring, 0, c, prime,
-                                                   abs_prec) for c in cols),
-                    trunc_u, prime)
+        cols.setdefault(j, list(zero.coeffs))[i] = v
+    return BiSeries(ring, tuple(
+        series_from_coeffs(ring, 0, cols[j], prime, abs_prec) if j in cols
+        else zero for j in range(trunc_x)), trunc_u, prime)
 
 
 def zero_biseries(ring: RingLabel, trunc_u: int, trunc_x: int,
@@ -274,11 +275,12 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
 
     w must vanish at u = 0: of order e >= 1, or zero.  The result is the
     sum of col_j * w^j over every stored j < trunc_x, so powers of w that
-    vanish only at a finite precision still bound the result's.  It needs
-    trunc_x * e >= trunc_u, otherwise unknown x-coefficients could reach
-    visible u-degrees; a w of order 0 reaches every u-degree and is
-    refused.  powers, if given, holds w^1 .. w^(trunc_x - 1) clipped to a
-    u-window of at least trunc_u."""
+    vanish only at a finite precision still bound the result's.  It ends
+    where the window of w ends, past which the unknown x^trunc_x * w^trunc_x
+    is not known to vanish.  It needs trunc_x * e >= trunc_u, otherwise
+    unknown x-coefficients could reach visible u-degrees; a w of order 0
+    reaches every u-degree and is refused.  powers, if given, holds
+    w^1 .. w^(trunc_x - 1) clipped to a u-window of at least trunc_u."""
     if not isinstance(w, TruncatedSeries):
         raise InvalidInputError(f"expected a series, got {w!r}")
     if w.ring is not b.ring or w.prime != b.prime:
@@ -300,7 +302,7 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
     acc = cols[0]
     for col, power in zip(cols[1:], powers):
         acc = acc + col * power
-    return acc.clipped(trunc_order=tu)
+    return acc.clipped(trunc_order=min(tu, w.trunc_order))
 
 
 def section_pullback(family: FramedFamily,

@@ -23,6 +23,12 @@ exact products, and ``inverse`` and ``dlog`` are one quotient each: long
 division on integers, each coefficient a numerator over its own reduced
 denominator, with one ``Fraction`` built per output coefficient.
 
+Validation happens at the boundary: ``TruncatedSeries(...)`` checks window,
+ring, prime and coefficients for the builders whose check can fail
+(``series_from_coeffs``, ``relabeled``, ``scale``, ``antiderive``, the logs).
+``+``, ``-``, ``*``, ``clipped``, ``derive``, ``inverse`` and the rational
+``dlog`` results are valid by construction and skip it through ``_trusted``.
+
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
 allowed, and whether coefficients must stay in the integer ring.
@@ -103,6 +109,18 @@ def _check_coeff(ring: RingLabel, prime, c, degree: int):
             raise InvalidInputError(
                 f"ring {ring.value} needs rational coefficients, got {c!r}"
             )
+
+
+def _check_window(ring: RingLabel, min_degree: int, trunc_order: int,
+                  prime):
+    """What a one-variable window needs before it has any coefficient."""
+    if trunc_order < min_degree:
+        raise InvalidInputError(
+            f"window [{min_degree}, {trunc_order}) is reversed")
+    _check_ring_prime(ring, prime)
+    if not ring.laurent and min_degree < 0:
+        raise InvalidInputError(
+            f"ring {ring.value} does not allow degree {min_degree}")
 
 
 def _check_ring_prime(ring: RingLabel, prime):
@@ -266,9 +284,9 @@ def _max_abs_prec(coeffs) -> int:
 
 class _CoeffWindow:
     """What one- and two-variable windows share: zeros at working
-    precision, the check that two windows may be combined, and subtraction.
-    A window has ring, prime, _flat_coeffs() (every stored coefficient),
-    + and unary -."""
+    precision, the check that two windows may be combined, subtraction and
+    the unchecked constructor.  A window is a dataclass with ring, prime,
+    _flat_coeffs() (every stored coefficient), + and unary -."""
 
     def _zero_coeff(self):
         return _materialize_zero(self.ring, self.prime, self._working_prec())
@@ -289,6 +307,13 @@ class _CoeffWindow:
     def __sub__(self, other):
         return self + (-other)
 
+    @classmethod
+    def _trusted(cls, *fields):
+        """A window of these fields in order, unchecked: see the module."""
+        window = object.__new__(cls)
+        window.__dict__.update(zip(cls.__dataclass_fields__, fields))
+        return window
+
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries(_CoeffWindow):
@@ -301,19 +326,12 @@ class TruncatedSeries(_CoeffWindow):
     prime: int | None = None
 
     def __post_init__(self):
-        if self.trunc_order < self.min_degree:
-            raise InvalidInputError(
-                f"window [{self.min_degree}, {self.trunc_order}) is reversed"
-            )
+        _check_window(self.ring, self.min_degree, self.trunc_order,
+                      self.prime)
         if len(self.coeffs) != self.trunc_order - self.min_degree:
             raise InvalidInputError(
                 f"{len(self.coeffs)} coefficients do not fill window "
                 f"[{self.min_degree}, {self.trunc_order})"
-            )
-        _check_ring_prime(self.ring, self.prime)
-        if not self.ring.laurent and self.min_degree < 0:
-            raise InvalidInputError(
-                f"ring {self.ring.value} does not allow degree {self.min_degree}"
             )
         for i, c in enumerate(self.coeffs):
             _check_coeff(self.ring, self.prime, c, self.min_degree + i)
@@ -363,7 +381,7 @@ class TruncatedSeries(_CoeffWindow):
         hi = self.trunc_order if trunc_order is None else min(trunc_order,
                                                               self.trunc_order)
         hi = max(hi, lo)
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             self.ring, lo,
             self.coeffs[lo - self.min_degree:hi - self.min_degree],
             hi, self.prime,
@@ -391,12 +409,12 @@ class TruncatedSeries(_CoeffWindow):
         coeffs = tuple(
             _add_opt(self._at(d), other._at(d)) for d in range(lo, hi)
         )
-        return TruncatedSeries(self.ring, lo, coeffs, hi, self.prime)
+        return TruncatedSeries._trusted(self.ring, lo, coeffs, hi, self.prime)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, self.min_degree,
-                               tuple(-c for c in self.coeffs),
-                               self.trunc_order, self.prime)
+        return TruncatedSeries._trusted(self.ring, self.min_degree,
+                                        tuple(-c for c in self.coeffs),
+                                        self.trunc_order, self.prime)
 
     def __mul__(self, other):
         if isinstance(other, DifferentialForm):
@@ -409,7 +427,8 @@ class TruncatedSeries(_CoeffWindow):
         else:
             out = tuple(_dot(zip(a[:k + 1], b[k::-1]))
                         for k in range(min(len(a), len(b))))
-        return TruncatedSeries(self.ring, lo, out, lo + len(out), self.prime)
+        return TruncatedSeries._trusted(self.ring, lo, out, lo + len(out),
+                                        self.prime)
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by the same scalar."""
@@ -520,9 +539,13 @@ def _materialize_zero(ring: RingLabel, prime, abs_prec):
 def zero_series(ring: RingLabel, min_degree: int, trunc_order: int,
                 prime: int | None = None,
                 abs_prec: int = DEFAULT_ABS_PREC) -> TruncatedSeries:
-    n = trunc_order - min_degree
     z = _materialize_zero(ring, prime, abs_prec)
-    return TruncatedSeries(ring, min_degree, (z,) * n, trunc_order, prime)
+    _check_window(ring, min_degree, trunc_order, prime)
+    if trunc_order > min_degree:
+        _check_coeff(ring, prime, z, min_degree)
+    return TruncatedSeries._trusted(ring, min_degree,
+                                    (z,) * (trunc_order - min_degree),
+                                    trunc_order, prime)
 
 
 def one_series(ring: RingLabel, trunc_order: int, prime: int | None = None,
@@ -569,7 +592,7 @@ def derive(s: TruncatedSeries) -> DifferentialForm:
     hi = max(s.trunc_order - 1, lo)
     coeffs = tuple(s._at(d + 1) * (d + 1) for d in range(lo, hi))
     return DifferentialForm(
-        TruncatedSeries(s.ring, lo, coeffs, hi, s.prime))
+        TruncatedSeries._trusted(s.ring, lo, coeffs, hi, s.prime))
 
 
 _ANTIDERIVE_TARGETS = {
@@ -646,7 +669,7 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
         out = _padic_inverse(a.coeffs, a.prime)
     else:
         out = _rational_quotient((1,) + (0,) * (n - 1), a.coeffs)
-    return TruncatedSeries(a.ring, -m, tuple(out), -m + n, a.prime)
+    return TruncatedSeries._trusted(a.ring, -m, tuple(out), -m + n, a.prime)
 
 
 def _check_invertible(a: TruncatedSeries):
@@ -672,7 +695,7 @@ def dlog(a: TruncatedSeries) -> DifferentialForm:
     lo = da.min_degree - a.min_degree
     out = _rational_quotient(da.coeffs, a.coeffs)
     return DifferentialForm(
-        TruncatedSeries(a.ring, lo, out, lo + len(out), a.prime))
+        TruncatedSeries._trusted(a.ring, lo, out, lo + len(out), a.prime))
 
 
 def degree_of_unit(x: TruncatedSeries) -> int:

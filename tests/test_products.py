@@ -15,6 +15,9 @@ rational quotient) and a prime of 61 bits.  The two-variable loop reads
 coefficients through ``coefficient(i, j)`` and builds its result from a
 full map, so it does not depend on how a ``BiSeries`` stores them.  ``TestLiftRule`` checks the
 rule the p-adic kernels rest on against exact ``Fraction`` arithmetic.
+The kernels build their results unchecked: ``TestTrustedResults`` rebuilds
+them through the public constructors, and ``BOUNDARY_REFUSALS`` lists what
+those constructors must still refuse.
 """
 
 from fractions import Fraction
@@ -27,6 +30,7 @@ from lineint.coeff import PAdic
 from lineint.errors import (
     CalculusError,
     InsufficientWindowError,
+    IntegralityError,
     InvalidInputError,
     NonUnitError,
 )
@@ -48,6 +52,8 @@ from lineint.series import (
     derive,
     dlog,
     inverse,
+    series_from_coeffs,
+    zero_series,
 )
 
 # 2^61 - 1 makes a lift span several machine words.
@@ -428,3 +434,90 @@ class TestLiftRule:
         a = make_series(ring, p, (m if ring.laurent else 0, raws),
                         unit_lead=True)
         self.check(inverse(a), loop_inverse(a), exact_inverse(a), p)
+
+
+# -- trusted results --------------------------------------------------------
+
+# The rings of the trusted-result test: exact rationals, an integral power
+# series ring, an integral Laurent ring and a ring with denominators.
+TRUSTED_RINGS = st.tuples(
+    st.sampled_from((RingLabel.FORMAL, RingLabel.GAMMA_PLUS, RingLabel.GAMMA,
+                     RingLabel.ROBBA_PLUS)),
+    st.sampled_from(PRIMES))
+
+
+def public(c):
+    """A coefficient rebuilt through its public, checking constructor."""
+    if isinstance(c, PAdic):
+        return PAdic(c.prime, c.valuation, c.unit, c.abs_prec)
+    return c
+
+
+def rebuilt(s):
+    """A kernel result rebuilt through the public constructors."""
+    return TruncatedSeries(s.ring, s.min_degree,
+                           tuple(map(public, s.coeffs)), s.trunc_order,
+                           s.prime)
+
+
+class TestTrustedResults:
+    """Kernels build their results with unchecked constructors.  Each such
+    result must pass every check of the public constructors, unchanged."""
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_series_operations(self, data):
+        ring, p = drawn_ring(data, TRUSTED_RINGS)
+        a = make_series(ring, p, data.draw(SERIES))
+        b = make_series(ring, p, data.draw(SERIES))
+        m, raws = data.draw(UNIT_SERIES)
+        unit = make_series(ring, p, (m if ring.laurent else 0, raws),
+                           unit_lead=True)
+        lo, hi = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 8))
+        for result in (a + b, a - b, -a, a * b, derive(a).series,
+                       a.clipped(lo, hi), a.clipped(trunc_order=hi),
+                       inverse(unit), dlog(unit).series):
+            assert rebuilt(result) == result, (a, b, unit)
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_coefficient_operations(self, data):
+        ring, p = data.draw(P_RINGS)
+        x, y = (coefficient(ring, p, data.draw(RAW)) for _ in range(2))
+        results = [x + y, x - y, -x, x * y]
+        if not y.is_zero:
+            results += [x / y, y.inverse()]
+        for result in results:
+            assert public(result) == result, (x, y)
+
+
+GP, G, RP = RingLabel.GAMMA_PLUS, RingLabel.GAMMA, RingLabel.ROBBA_PLUS
+
+# What the public constructors and the operations whose check can fail must
+# still refuse: the input and the error class.
+BOUNDARY_REFUSALS = {
+    "scale out of gamma+": (
+        lambda: series_from_coeffs(GP, 0, [1, 1], 3).scale(Fraction(1, 3)),
+        IntegralityError),
+    "relabel 3^-1 into gamma+": (
+        lambda: series_from_coeffs(RP, 0, [Fraction(1, 3)], 3).relabeled(GP),
+        IntegralityError),
+    "relabel degree -1 into gamma+": (
+        lambda: series_from_coeffs(G, -1, [1, 1], 3).relabeled(GP),
+        InvalidInputError),
+    "zero_series below precision 0 in gamma+": (
+        lambda: zero_series(GP, 0, 3, 3, -1), IntegralityError),
+    "p-adic unit divisible by p": (
+        lambda: PAdic(3, 0, 3, 5), InvalidInputError),
+    "column on the wrong window": (
+        lambda: BiSeries(GP, (zero_series(GP, 0, 2, 3),), 3, 3),
+        InvalidInputError),
+}
+
+
+@pytest.mark.parametrize("build,error", BOUNDARY_REFUSALS.values(),
+                         ids=list(BOUNDARY_REFUSALS))
+def test_boundary_refuses(build, error):
+    with pytest.raises(CalculusError) as info:
+        build()
+    assert type(info.value) is error

@@ -641,11 +641,9 @@ class TestSubstitutionSoundness:
         assert claims_hold(claimed, exact_substitution(
             [[1, 0], [0, 0], [1, 0]], [3 ** 5, 1], 2))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 4: w is known on [0, 1) only, and with one stored "
-        "x-column no product clips the result to w's window, so u^1 and "
-        "u^2 are claimed although the unknown x^1 column reaches them"))
     def test_zero_section_shorter_than_the_window(self):
+        # w is known on [0, 1) only; with one stored x-column no product
+        # clips the sum, so the result must still end at w's window.
         b = biseries_from_map(GP, {(0, 0): 1}, 3, 1, prime=3)
         w = zero_series(GP, 0, 1, 3, 20)
         claimed = substitute_fiber(b, w)
