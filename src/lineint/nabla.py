@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 from .errors import InvalidInputError, NotFramedError
 from .series import (
@@ -53,20 +54,14 @@ class Signature:
 
     @property
     def offsets(self) -> tuple:
-        out, acc = [], 0
-        for p in self.parts:
-            out.append(acc)
-            acc += p
-        return tuple(out)
+        return tuple(accumulate(self.parts[:-1], initial=0))
 
     def block_of(self, index: int) -> int:
         """Block containing the given row (or column) index."""
         if not 0 <= index < self.total:
             raise InvalidInputError(f"index {index} out of range")
-        for i, off in enumerate(self.offsets):
-            if index < off + self.parts[i]:
-                return i
-        raise AssertionError("unreachable")
+        return next(i for i, end in enumerate(accumulate(self.parts))
+                    if index < end)
 
     def block_rows(self, i: int) -> range:
         off = self.offsets[i]
@@ -111,8 +106,19 @@ def _check_framed(signature: Signature, entries, what: str):
             )
 
 
+class _SquareMatrix:
+    """What the square matrices share: entries is a tuple of rows."""
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+    def entry(self, a: int, b: int):
+        return self.entries[a][b]
+
+
 @dataclass(frozen=True, eq=False)
-class ConnectionMatrix:
+class ConnectionMatrix(_SquareMatrix):
     """Square matrix of one-forms: a connection written in a frame."""
 
     ring: RingLabel
@@ -122,13 +128,6 @@ class ConnectionMatrix:
     def __post_init__(self):
         object.__setattr__(self, "entries", _check_square(
             self.entries, None, DifferentialForm, self.ring, self.prime))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def entry(self, a: int, b: int) -> DifferentialForm:
-        return self.entries[a][b]
 
     def negated(self) -> "ConnectionMatrix":
         return ConnectionMatrix(
@@ -178,7 +177,7 @@ def _entry_is_identity(s: TruncatedSeries) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class UnipotentMatrix:
+class UnipotentMatrix(_SquareMatrix):
     """Block upper unitriangular matrix of series: identity diagonal blocks."""
 
     signature: Signature
@@ -203,13 +202,6 @@ class UnipotentMatrix:
                     f"entry ({a + 1}, {b + 1}) must vanish: diagonal "
                     "blocks are identity and lower blocks are zero"
                 )
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def entry(self, a: int, b: int) -> TruncatedSeries:
-        return self.entries[a][b]
 
     def constant_matrix(self) -> tuple:
         """The matrix of constant terms (the value at the origin)."""
@@ -329,8 +321,8 @@ def trivialize(module: FramedNablaModule, trunc_order: int) -> UnipotentMatrix:
                            tuple(tuple(row) for row in ents), prime)
 
 
-def matrix_residual(module: FramedNablaModule, v_matrix: UnipotentMatrix,
-                    trunc_order: int | None = None) -> bool:
+def matrix_residual(module: FramedNablaModule,
+                    v_matrix: UnipotentMatrix) -> bool:
     """Whether dV - V*C vanishes on the window both sides can prove."""
     conn = module.connection
     if v_matrix.size != conn.size:
@@ -341,14 +333,9 @@ def matrix_residual(module: FramedNablaModule, v_matrix: UnipotentMatrix,
     if conn.ring is not v_matrix.ring:
         conn = conn.relabeled(v_matrix.ring)
     vc = series_matrix_product(v_matrix.entries, conn.entries)
-    for a, row in enumerate(v_matrix.entries):
-        for b, v in enumerate(row):
-            s = (derive(v) - vc[a][b]).series
-            if trunc_order is not None:
-                s = s.clipped(trunc_order=trunc_order)
-            if not s.is_zero:
-                return False
-    return True
+    return all((derive(v) - f).is_zero
+               for row, vc_row in zip(v_matrix.entries, vc)
+               for v, f in zip(row, vc_row))
 
 
 _INVARIANT_SOURCES = (RingLabel.FORMAL, RingLabel.GAMMA_PLUS,

@@ -509,10 +509,11 @@ def load_family(doc: dict):
              f"field 'fiber_var' must name a variable other than "
              f"{ring.variable!r}")
     rows = _string_rows(doc, "connection", what, sig.total)
+    zero = zero_biseries(ring, trunc, trunc_x, prime, prec)
 
     def part(text) -> BiSeries:
         if text is None or (isinstance(text, str) and text.strip() == "0"):
-            return zero_biseries(ring, trunc, trunc_x, prime, prec)
+            return zero
         _require(isinstance(text, str), "family entry parts are series text")
         return parse_biseries(text, ring, prime, prec, fiber_var)
 

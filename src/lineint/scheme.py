@@ -22,6 +22,7 @@ from .nabla import (
     FramedNablaModule,
     InvariantRepresentative,
     Signature,
+    _SquareMatrix,
     _check_framed,
     _check_square,
     invariant,
@@ -33,6 +34,7 @@ from .series import (
     RingLabel,
     TruncatedSeries,
     _CoeffWindow,
+    _Form,
     _check_ring_prime,
     _unit_constant_term,
     derive,
@@ -179,7 +181,7 @@ def partial_x(s: BiSeries) -> BiSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class BiForm:
+class BiForm(_Form):
     """A one-form A du + B dx; both components on one shared window."""
 
     du_part: BiSeries
@@ -193,35 +195,6 @@ class BiForm:
         object.__setattr__(self, "du_part", a.clipped(tu, tx))
         object.__setattr__(self, "dx_part", b.clipped(tu, tx))
 
-    @property
-    def ring(self) -> RingLabel:
-        return self.du_part.ring
-
-    @property
-    def prime(self) -> int | None:
-        return self.du_part.prime
-
-    @property
-    def is_zero(self) -> bool:
-        return self.du_part.is_zero and self.dx_part.is_zero
-
-    def __add__(self, other: "BiForm") -> "BiForm":
-        return BiForm(self.du_part + other.du_part,
-                      self.dx_part + other.dx_part)
-
-    def __neg__(self) -> "BiForm":
-        return BiForm(-self.du_part, -self.dx_part)
-
-    def __sub__(self, other: "BiForm") -> "BiForm":
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiForm):
-            return NotImplemented
-        return self.du_part == other.du_part and self.dx_part == other.dx_part
-
-    __hash__ = None
-
 
 def total_d(s: BiSeries) -> BiForm:
     """The differential (d/du) du + (d/dx) dx of a two-variable window."""
@@ -229,7 +202,7 @@ def total_d(s: BiSeries) -> BiForm:
 
 
 @dataclass(frozen=True, eq=False)
-class FramedFamily:
+class FramedFamily(_SquareMatrix):
     """A family of framed connections over the two-variable window."""
 
     signature: Signature
@@ -242,10 +215,6 @@ class FramedFamily:
             self.entries, self.signature.total, BiForm, self.ring,
             self.prime))
         _check_framed(self.signature, self.entries, "family connection")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 def curvature(family: FramedFamily) -> tuple:

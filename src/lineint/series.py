@@ -25,9 +25,10 @@ denominator, with one ``Fraction`` built per output coefficient.
 
 Validation happens at the boundary: ``TruncatedSeries(...)`` checks window,
 ring, prime and coefficients for the builders whose check can fail
-(``series_from_coeffs``, ``relabeled``, ``scale``, ``antiderive``, the logs).
-``+``, ``-``, ``*``, ``clipped``, ``derive``, ``inverse`` and the rational
-``dlog`` results are valid by construction and skip it through ``_trusted``.
+(``series_from_coeffs``, ``scale``, ``antiderive``, the logs, ``relabeled``
+into a ring that may refuse a coefficient).  ``+``, ``-``, ``*``,
+``clipped``, ``derive``, ``inverse``, the rational ``dlog`` and the other
+relabels are valid by construction and skip it through ``_trusted``.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
@@ -41,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul
+from operator import add, eq, floordiv, mul, neg, sub
 
 from .coeff import PAdic, _reduce, check_prime, vp_int
 from .errors import (
@@ -231,8 +232,6 @@ def _padic_product(a, b, p):
     two p-adic coefficient windows, each the exact product of the lifts
     reduced modulo p^abs_prec."""
     n = min(len(a), len(b))
-    if n == 0:
-        return ()
     a, b = a[:n], b[:n]
     (wa, xs), (wb, ys) = _lifts(a, p), _lifts(b, p)
     return tuple(_reduce(p, wa + wb, x, prec)
@@ -388,9 +387,15 @@ class TruncatedSeries(_CoeffWindow):
         )
 
     def relabeled(self, ring: RingLabel) -> "TruncatedSeries":
-        """The same window of coefficients viewed in another ring."""
-        return TruncatedSeries(ring, self.min_degree, self.coeffs,
-                               self.trunc_order, self.prime)
+        """The same window of coefficients viewed in another ring, checked
+        only where the target may refuse one: an integral ring, another
+        coefficient kind or a negative degree in a power-series ring."""
+        make = (TruncatedSeries._trusted if ring.padic == self.ring.padic
+                and not ring.integral
+                and (ring.laurent or self.min_degree >= 0)
+                else TruncatedSeries)
+        return make(ring, self.min_degree, self.coeffs, self.trunc_order,
+                    self.prime)
 
     def without_constant_term(self) -> "TruncatedSeries":
         if 0 < self.min_degree or 0 >= self.trunc_order:
@@ -486,39 +491,52 @@ def _add_opt(a, b):
     return a + b
 
 
-@dataclass(frozen=True, eq=False)
-class DifferentialForm:
-    """A one-form (series) * d(variable) on the punctured formal disk."""
+class _Form:
+    """What one- and two-variable one-forms share.  A form is a dataclass
+    whose fields are its component windows, all over one ring and prime;
+    the first field carries them, and the algebra acts field by field."""
 
-    series: TruncatedSeries
+    def _parts(self):
+        return [getattr(self, f) for f in self.__match_args__]
+
+    def _map(self, op, *others):
+        return type(self)(*map(op, self._parts(),
+                               *(o._parts() for o in others)))
 
     @property
     def ring(self) -> RingLabel:
-        return self.series.ring
+        return getattr(self, self.__match_args__[0]).ring
 
     @property
     def prime(self) -> int | None:
-        return self.series.prime
+        return getattr(self, self.__match_args__[0]).prime
 
     @property
     def is_zero(self) -> bool:
-        return self.series.is_zero
+        return all(w.is_zero for w in self._parts())
 
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return DifferentialForm(self.series + other.series)
+    def __add__(self, other):
+        return self._map(add, other)
 
-    def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return DifferentialForm(self.series - other.series)
+    def __neg__(self):
+        return self._map(neg)
 
-    def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm(-self.series)
+    def __sub__(self, other):
+        return self._map(sub, other)
 
     def __eq__(self, other):
-        if not isinstance(other, DifferentialForm):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.series == other.series
+        return all(map(eq, self._parts(), other._parts()))
 
     __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class DifferentialForm(_Form):
+    """A one-form (series) * d(variable) on the punctured formal disk."""
+
+    series: TruncatedSeries
 
     def agrees_with(self, other: "DifferentialForm") -> bool:
         return self.series.agrees_with(other.series)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -137,6 +138,23 @@ LOG_CONNECTION_FUNDSOL = """\
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMO_DATA = ROOT / "demos" / "data"
+
+# bench/workloads.py is loaded by path, as in tests/test_bench_tracing.py;
+# it imports its oracles by name.
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+
+# sha256 of the --format structured stdout of one small job per benchmark
+# workload, the job drawn from random.Random("output-pin/<workload>").
+WORKLOAD_PINS = {
+    "integrate":
+        "935fce6c035941daa525a1b1f5196ce19f6ffac305cc2e7014f0c85eed63dc3a",
+    "invariant":
+        "713ab10dd5a229b0f7ad111fd7fb069f112c02f883652c6868a60be0373950ec",
+    "log": "420b2c7ade0106c7ed7e2c5abbd629d880f269a9278e4ca9bb73da0ae510e8e1",
+    "plog":
+        "e7aaa43c7f6c7cd28f1edbb2360af49c74c082e74c48ca4bd08dbbe00228f143",
+}
 
 
 def checkout_env(**extra):
@@ -294,6 +312,16 @@ class TestGoldenOutputs:
         assert cli(["log", "--format", "structured", expr]) == \
             (0, structured, "")
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["2*t^-1 + 3 + O(t^3)"], '{"p":null,"residue":"2","ring":null}\n'),
+        (["--ring", "robba", "--p", "3", "--abs-prec", "6",
+          "2*u^-1 + 3 + O(u^3)"],
+         '{"p":3,"residue":"3^0*2 (mod 3^6)","ring":"robba"}\n'),
+    ], ids=["rational", "p-adic"])
+    def test_residue_structured(self, cli, argv, expected):
+        code, out, err = cli(["residue", "--format", "structured"] + argv)
+        assert (code, out, err) == (0, expected, "")
+
     def test_residue(self, cli):
         code, out, err = cli(["residue", "u^-1 + O(u^2)"])
         assert (code, out) == (0, "1\n")
@@ -431,6 +459,22 @@ class TestExitCodes:
     def test_usage_bad_prime_is_2(self, cli):
         code, out, err = cli(["plog", "--p", "4", "1 + O(u^3)"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["log", "--trunc", "abc", "1 + O(t^3)"],
+         "argument --trunc: 'abc' is not an integer"),
+        (["plog", "--p", "abc", "1 + O(u^3)"],
+         "argument --p: 'abc' is not an integer"),
+        (["dlog", "--abs-prec", "5", "1 + t + O(t^3)"],
+         "ring formal takes no --abs-prec"),
+        (["residue", "--abs-prec", "5", "t^-1 + O(t^3)"],
+         "--abs-prec needs --p and a p-adic --ring"),
+    ], ids=["trunc-not-integer", "prime-not-integer", "formal-abs-prec",
+            "rational-residue-abs-prec"])
+    def test_usage_refusal_is_2(self, cli, argv, message):
+        code, out, err = cli(argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
 
     def test_large_prime_answers(self, cli):
         # 2^61 - 1: primality must not cost sqrt(p) steps.
@@ -673,6 +717,20 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+
+class TestWorkloadPins:
+    def test_every_workload_is_pinned(self):
+        assert sorted(WORKLOAD_PINS) == sorted(workloads.WORKLOADS)
+
+    @pytest.mark.parametrize("name,digest", sorted(WORKLOAD_PINS.items()))
+    def test_stdout_bytes(self, cli, name, digest):
+        job = workloads.WORKLOADS[name].make_small(
+            random.Random(f"output-pin/{name}"))
+        assert "structured" in job.argv
+        code, out, err = cli(list(job.argv), stdin=job.stdin)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPinnedDocuments:

@@ -1,0 +1,205 @@
+"""Every refusal the library raises is reached by some input, the algebra
+the composite types share runs on each of them, and so do the other paths
+no test elsewhere takes.
+
+Each entry of REFUSALS names the input, the error class and a fragment of
+the message.  The command-line refusals of the same kind are in
+tests/test_cli.py.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from lineint.coeff import (
+    PAdic,
+    ResidueElement,
+    lift_from_residue,
+    reduce_mod_p,
+    vp_int,
+)
+from lineint.errors import CalculusError, InvalidInputError, ParseError
+from lineint.nabla import (
+    ConnectionMatrix,
+    FramedNablaModule,
+    Signature,
+    UnipotentMatrix,
+    fundamental_solution,
+    is_identity_series_matrix,
+    series_matrix_product,
+    trivialize,
+)
+from lineint.parsing import parse_biseries, parse_series
+from lineint.scheme import (
+    BiForm,
+    FramedFamily,
+    biseries_from_map,
+    section_pullback,
+    substitute_fiber,
+    total_d,
+    zero_biseries,
+)
+from lineint.series import (
+    DifferentialForm,
+    RingLabel,
+    derive,
+    monomial,
+    padic_log_one_minus_py,
+    series_from_coeffs,
+    zero_series,
+)
+
+F, GP = RingLabel.FORMAL, RingLabel.GAMMA_PLUS
+
+
+def formal_chain():
+    """The framed module with one off-diagonal entry dt over the rationals."""
+    z = DifferentialForm(zero_series(F, 0, 4))
+    dt = DifferentialForm(series_from_coeffs(F, 0, [1, 0, 0, 0]))
+    return FramedNablaModule(Signature((1, 1)),
+                             ConnectionMatrix(F, ((z, dt), (z, z))))
+
+
+def padic_family():
+    """A 2 x 2 family over gamma+ with one entry x du + dx."""
+    z = BiForm(zero_biseries(GP, 3, 3, 3), zero_biseries(GP, 3, 3, 3))
+    f = BiForm(biseries_from_map(GP, {(0, 1): 1}, 3, 3, 3),
+               biseries_from_map(GP, {(0, 0): 1}, 3, 3, 3))
+    return FramedFamily(Signature((1, 1)), GP, ((z, f), (z, z)), 3)
+
+
+REFUSALS = {
+    "valuation of 0": (
+        lambda: vp_int(0, 3), InvalidInputError, "valuation of 0"),
+    "residues of two primes": (
+        lambda: ResidueElement(3, 1) + ResidueElement(5, 1),
+        InvalidInputError, "matching primes"),
+    "p-adic zero with a unit": (
+        lambda: PAdic(3, None, 1, 5), InvalidInputError, "unit 0"),
+    "p-adic known to no digit of its unit": (
+        lambda: PAdic(3, 5, 1, 5), InvalidInputError, "abs_prec > valuation"),
+    "reduce a zero known modulo p^0": (
+        lambda: reduce_mod_p(PAdic.zero(3, 0)), InvalidInputError,
+        "cannot reduce mod p"),
+    "lift to precision 0": (
+        lambda: lift_from_residue(ResidueElement(3, 1), 0),
+        InvalidInputError, "lift needs abs_prec >= 1"),
+    "layer recurrence without the constant layer": (
+        lambda: fundamental_solution(formal_chain().connection, 0),
+        InvalidInputError, "constant layer"),
+    "trivialize without the constant term": (
+        lambda: trivialize(formal_chain(), 0), InvalidInputError,
+        "constant term"),
+    "matrix product of sizes 1 and 2": (
+        lambda: series_matrix_product(((monomial(F, 1, 0, 2),),),
+                                      formal_chain().connection.entries),
+        InvalidInputError, "matrix sizes differ"),
+    "window end below the ring floor": (
+        lambda: parse_series("O(t^-1)"), ParseError, "below the floor"),
+    "fiber variable equal to the base": (
+        lambda: parse_biseries("1 + O(u^3, x^3)", GP, 3, fiber_var="u"),
+        InvalidInputError, "fiber variable must be one of"),
+    "marker with another fiber variable": (
+        lambda: parse_biseries("1 + O(u^3, x^3)", GP, 3, fiber_var="t"),
+        ParseError, "expected the fiber variable 't'"),
+    "negative two-variable window": (
+        lambda: parse_biseries("O(u^-1, x^3)", GP, 3), ParseError,
+        "must not be negative"),
+    "substitute a number for x": (
+        lambda: substitute_fiber(zero_biseries(GP, 2, 2, 3), 1),
+        InvalidInputError, "expected a series"),
+    "pull back along a number": (
+        lambda: section_pullback(padic_family(), 1), InvalidInputError,
+        "expected a series"),
+    "series plus a number": (
+        lambda: series_from_coeffs(GP, 0, [1], 3) + 1, InvalidInputError,
+        "expected a TruncatedSeries"),
+    "monomial at the window end": (
+        lambda: monomial(F, 1, 3, 3), InvalidInputError,
+        "not inside window"),
+}
+
+
+@pytest.mark.parametrize("build,error,message", REFUSALS.values(),
+                         ids=list(REFUSALS))
+def test_refused(build, error, message):
+    with pytest.raises(CalculusError) as info:
+        build()
+    assert type(info.value) is error
+    assert message in str(info.value)
+
+
+class TestFormAlgebra:
+    """+, unary -, - and == act part by part on both kinds of form."""
+
+    def test_biform(self):
+        f = total_d(biseries_from_map(GP, {(1, 1): 1, (2, 0): 2}, 3, 3, 3))
+        g = BiForm(biseries_from_map(GP, {(0, 2): 1}, 3, 3, 3),
+                   biseries_from_map(GP, {(1, 0): 5}, 3, 3, 3))
+        s = f + g
+        assert s.du_part == f.du_part + g.du_part
+        assert s.dx_part == f.dx_part + g.dx_part
+        assert s - g == f and -f + f == f - f
+        assert (f - f).is_zero and not f.is_zero
+        assert (-f).du_part == -f.du_part and (-f).dx_part == -f.dx_part
+        assert f != g and f != f.du_part
+        assert (s.ring, s.prime) == (GP, 3)
+
+    def test_biform_sum_takes_the_common_window(self):
+        f = BiForm(biseries_from_map(GP, {(0, 0): 1}, 3, 3, 3),
+                   biseries_from_map(GP, {(0, 0): 1}, 3, 3, 3))
+        g = BiForm(zero_biseries(GP, 2, 1, 3), zero_biseries(GP, 2, 1, 3))
+        s = f + g
+        assert (s.du_part.trunc_u, s.du_part.trunc_x) == (2, 1)
+        assert (s.dx_part.trunc_u, s.dx_part.trunc_x) == (2, 1)
+
+    def test_differential_form(self):
+        s = series_from_coeffs(F, 0, [1, 2, 3, 4])
+        f = derive(s)
+        assert f == DifferentialForm(series_from_coeffs(F, 0, [2, 6, 12]))
+        assert f != derive(s.scale(2)) and f != f.series
+        assert f - f == DifferentialForm(zero_series(F, 0, 3))
+        assert (-f).series == -f.series and (f + f).series == f.series.scale(2)
+
+
+def test_residue_field_arithmetic():
+    a = ResidueElement(5, 2)
+    assert (-a).value == 3 and (a - a).is_zero and not a.is_zero
+
+
+def test_padic_with_an_operand_it_does_not_know():
+    x = PAdic.one(3, 5)
+    for op in (lambda: x + "1", lambda: x - "1", lambda: "1" - x):
+        with pytest.raises(TypeError):
+            op()
+    assert x != "1"
+    assert PAdic.from_rational("1/3", 3, 5) == Fraction(1, 3)
+
+
+def test_identity_needs_the_constant_term_in_the_window():
+    late = monomial(F, 1, 1, 3)
+    assert not is_identity_series_matrix(((late,),))
+    with pytest.raises(InvalidInputError, match="not the constant 1"):
+        UnipotentMatrix(Signature((1,)), F, ((late,),))
+
+
+class TestSquareMatrices:
+    def test_entry_and_size(self):
+        module = formal_chain()
+        v = trivialize(module, 4)
+        conn = module.connection
+        family = padic_family()
+        for m in (conn, v, family):
+            assert m.size == 2
+            assert m.entry(0, 1) is m.entries[0][1]
+        assert v.entry(0, 1).coefficient(1) == 1
+
+
+def test_biseries_repr():
+    assert repr(zero_biseries(GP, 1, 1, 3)).startswith(
+        "BiSeries(gamma+, (1, 1), (TruncatedSeries(gamma+, [0, 1), ")
+
+
+def test_log_of_an_empty_window_is_itself():
+    y = zero_series(GP, 2, 2, 3)
+    assert padic_log_one_minus_py(y) is y
