@@ -15,7 +15,8 @@ precision must keep abs_prec * log2(p) within coeff.PREC_BITS_LIMIT.  Every
 degree and window end, a document's trunc and trunc_x too, must lie within
 coeff.DEGREE_LIMIT in absolute value.  A number literal may be as long as
 Python converts text to integers (sys.get_int_max_str_digits(), 4300 digits
-by default).
+by default).  A matrix document may have at most coeff.MATRIX_SIZE_LIMIT
+rows.
 
 The marker is mandatory: text with no stated window end does not describe a
 value of this library.  A bare marker is the all-zero window.  Like terms
@@ -36,7 +37,8 @@ from fractions import Fraction
 import re
 import sys
 
-from .coeff import PAdic, check_degree, check_precision, check_prime
+from .coeff import MATRIX_SIZE_LIMIT, PAdic, check_degree, \
+    check_precision, check_prime
 from .errors import InsufficientWindowError, InvalidInputError, ParseError
 from .nabla import ConnectionMatrix, FramedNablaModule, Signature
 from .scheme import BiForm, BiSeries, FramedFamily, biseries_from_map, \
@@ -438,6 +440,10 @@ def _string_rows(doc: dict, key: str, what: str, size: int | None = None):
     rows = _field(doc, key, list, what)
     _require(bool(rows) and all(isinstance(r, list) for r in rows),
              f"field {key!r} must be a matrix")
+    if len(rows) > MATRIX_SIZE_LIMIT:
+        raise InvalidInputError(
+            f"field {key!r} has {len(rows)} rows, more than the bound "
+            f"{MATRIX_SIZE_LIMIT}")
     r = size if size is not None else len(rows)
     _require(len(rows) == r and all(len(row) == r for row in rows),
              f"field {key!r} must be a {r} by {r} matrix")
@@ -490,7 +496,8 @@ def load_family(doc: dict):
 
     Entries are {"du": text, "dx": text} objects in the two-variable
     grammar; "0" stands for a zero part, and a bare "0" cell for a zero
-    entry.  trunc_x falls back to trunc, fiber_var to "x".
+    entry.  trunc_x falls back to trunc, fiber_var to "x".  Each distinct
+    part text is read once: equal texts give one shared window.
     """
     _require(isinstance(doc, dict), "a family document is a JSON object")
     what = "family document"
@@ -509,13 +516,16 @@ def load_family(doc: dict):
              f"field 'fiber_var' must name a variable other than "
              f"{ring.variable!r}")
     rows = _string_rows(doc, "connection", what, sig.total)
-    zero = zero_biseries(ring, trunc, trunc_x, prime, prec)
+    # One window per distinct part text, the zero part's "0" among them.
+    parsed = {"0": zero_biseries(ring, trunc, trunc_x, prime, prec)}
 
     def part(text) -> BiSeries:
         if text is None or (isinstance(text, str) and text.strip() == "0"):
-            return zero
+            text = "0"
         _require(isinstance(text, str), "family entry parts are series text")
-        return parse_biseries(text, ring, prime, prec, fiber_var)
+        if text not in parsed:
+            parsed[text] = parse_biseries(text, ring, prime, prec, fiber_var)
+        return parsed[text]
 
     entries = []
     for row in rows:
@@ -562,7 +572,7 @@ def dump_series_matrix(entries, signature: Signature | None = None,
     printer.  The stated abs_prec is the largest in the matrix (None over
     the rationals).  Dumping what parse_series_matrix reads back gives the
     same bytes, but the re-read claims that abs_prec for every coefficient,
-    also for those the matrix knew to fewer digits (ROADMAP item 3).
+    also for those the matrix knew to fewer digits.
     """
     first = entries[0][0]
     prec = _max_abs_prec(c for row in entries for s in row

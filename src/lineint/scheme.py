@@ -108,9 +108,13 @@ class BiSeries(_CoeffWindow):
                                  self.prime)
 
     def clipped(self, trunc_u=None, trunc_x=None) -> "BiSeries":
+        """Restrict to a narrower window; the window itself if nothing is
+        cut, so windows shared before stay shared."""
         tu = self.trunc_u if trunc_u is None else max(min(trunc_u,
                                                           self.trunc_u), 0)
         cols = self.cols if trunc_x is None else self.cols[:max(trunc_x, 0)]
+        if tu == self.trunc_u and len(cols) == self.trunc_x:
+            return self
         return self._with(tuple(c.clipped(trunc_order=tu) for c in cols), tu)
 
     def __add__(self, other) -> "BiSeries":
@@ -279,7 +283,9 @@ def section_pullback(family: FramedFamily,
     """Restrict the family to the section sending 1 + x to the unit v,
     which must have v(0) = 1 (substitute_fiber refuses w = v - 1 of order
     0).  Substitutes x := w everywhere; the dx components pick up the
-    chain-rule factor dv; every entry shares one set of powers of w.
+    chain-rule factor dv; every entry shares one set of powers of w.  Each
+    distinct part object is substituted once and each distinct pair of
+    parts pulled back once, so entries that share parts share the result.
     Returns the one-variable framed module."""
     if not isinstance(v, TruncatedSeries):
         raise InvalidInputError(f"expected a series, got {v!r}")
@@ -296,10 +302,21 @@ def section_pullback(family: FramedFamily,
     powers = _fiber_powers(w, max(b.trunc_x for b in parts) - 1,
                            max(b.trunc_u for b in parts))
 
+    # BiSeries are unhashable, so both tables are keyed by object identity;
+    # the family keeps every part alive for the whole call.
+    subs, forms = {}, {}
+
+    def sub(b):
+        if id(b) not in subs:
+            subs[id(b)] = substitute_fiber(b, w, powers=powers)
+        return subs[id(b)]
+
     def pulled(f):
-        return DifferentialForm(
-            substitute_fiber(f.du_part, w, powers=powers)
-            + substitute_fiber(f.dx_part, w, powers=powers) * dv)
+        key = id(f.du_part), id(f.dx_part)
+        if key not in forms:
+            forms[key] = DifferentialForm(sub(f.du_part)
+                                          + sub(f.dx_part) * dv)
+        return forms[key]
 
     rows = tuple(tuple(map(pulled, row)) for row in family.entries)
     conn = ConnectionMatrix(family.ring, rows, family.prime)

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from lineint.cli import main
+from lineint.coeff import MATRIX_SIZE_LIMIT
 
 GOLDEN_LOG = "-t - 1/2*t^2 - 1/3*t^3 - 1/4*t^4 + O(t^5)\n"
 
@@ -905,3 +906,36 @@ class TestDegreeBound:
                               "u^-65536 + O(u^-65535)"])
         assert (code, err) == (0, "")
         assert out == "u^-65536 + O(u^-65535)\n"
+
+
+def zero_document(doc, n):
+    """doc with an n by n connection of "0" entries and n blocks of one."""
+    return bounded_document(doc, signature=[1] * n,
+                            connection=[["0"] * n for _ in range(n)])
+
+
+class TestMatrixSizeBound:
+    """A matrix document has at most MATRIX_SIZE_LIMIT rows; one more is
+    invalid-input before any entry is read."""
+
+    @pytest.mark.parametrize("flag,doc", [("--file", LOG_CONNECTION),
+                                          ("--family", FORMAL_FAMILY)],
+                             ids=["connection", "family"])
+    def test_beyond_the_bound_refused(self, cli, flag, doc):
+        n = MATRIX_SIZE_LIMIT + 1
+        code, out, err = cli(["parse-check", flag, "-"],
+                             stdin=zero_document(doc, n))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "invalid-input",
+            "message": f"field 'connection' has {n} rows, more than the "
+                       f"bound {MATRIX_SIZE_LIMIT}"}
+
+    @pytest.mark.parametrize("flag,doc", [("--file", LOG_CONNECTION),
+                                          ("--family", FORMAL_FAMILY)],
+                             ids=["connection", "family"])
+    def test_at_the_bound_answers(self, cli, flag, doc):
+        code, out, err = cli(["parse-check", flag, "-"],
+                             stdin=zero_document(doc, MATRIX_SIZE_LIMIT))
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["connection"]) == MATRIX_SIZE_LIMIT

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lineint.coeff import PAdic
+from lineint.coeff import MATRIX_SIZE_LIMIT, PAdic
 from lineint.errors import (
     InsufficientWindowError,
     InvalidInputError,
@@ -499,6 +499,13 @@ class TestMatrixDocuments:
         with pytest.raises(ParseError, match="at least 1"):
             parse_series_matrix(doc)
 
+    def test_size_bound_comes_before_any_entry(self):
+        n = MATRIX_SIZE_LIMIT + 1
+        doc = {"ring": "formal", "entries": [["?"] * n for _ in range(n)]}
+        with pytest.raises(InvalidInputError, match=f"more than the bound "
+                                                    f"{MATRIX_SIZE_LIMIT}"):
+            parse_series_matrix(doc)
+
     def test_dump_records_the_largest_precision(self):
         a = series_from_coeffs(GP, 0, [1], prime=2, abs_prec=9)
         b = series_from_coeffs(GP, 0, [1], prime=2, abs_prec=14)
@@ -515,7 +522,8 @@ def assert_no_precision_gained(before, after):
 
 
 INFLATION = ("text states no per-coefficient precision, so a re-read "
-             "coefficient claims the document's abs_prec (ROADMAP item 3)")
+             "coefficient claims the document's abs_prec (ROADMAP 'Honest "
+             "precision end to end')")
 
 
 class TestRereadPrecision:

@@ -1,8 +1,11 @@
 """Two-variable windows, curvature, sections, and the line integral."""
 
+from collections import Counter
 from fractions import Fraction
 import operator
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,9 @@ from lineint.errors import (
     NonUnitError,
     NotFramedError,
 )
+from lineint import scheme
 from lineint.nabla import Signature, is_identity_series_matrix
+from lineint.parsing import load_family
 from lineint.scheme import (
     BiForm,
     BiSeries,
@@ -31,6 +36,7 @@ from lineint.scheme import (
     zero_biseries,
 )
 from lineint.series import (
+    DifferentialForm,
     RingLabel,
     derive,
     formal_log,
@@ -41,6 +47,11 @@ from lineint.series import (
     zero_series,
     valuation_profile,
 )
+
+# bench/workloads.py is loaded by path, as in tests/test_cli.py.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "bench"))
+import workloads  # noqa: E402
 
 F = RingLabel.FORMAL
 GP = RingLabel.GAMMA_PLUS
@@ -558,6 +569,73 @@ class TestSharedPowers:
         assert outcome(shared) == outcome(unshared)
 
 
+def part_ids(family):
+    return {id(p) for row in family.entries for f in row
+            for p in (f.du_part, f.dx_part)}
+
+
+def dense_family_document():
+    """A (1, 1, 1, 1) gamma+ family whose six upper entries have nonzero
+    du and dx parts, pairwise distinct except that two texts recur: the
+    du of (0, 1) as the du of (2, 3), and the dx of (0, 2) as the du of
+    (1, 3)."""
+    def text(k):
+        return f"{k} + {k + 1}*u*x + {2 * k}*x^3 + u^4 + O(u^5, x^5)"
+
+    upper = {(0, 1): (text(1), text(2)), (0, 2): (text(3), text(4)),
+             (0, 3): (text(5), text(6)), (1, 2): (text(7), text(8)),
+             (1, 3): (text(4), text(9)), (2, 3): (text(1), text(10))}
+    return {
+        "signature": [1, 1, 1, 1], "ring": "gamma+", "p": 3,
+        "abs_prec": 20, "trunc": 5, "trunc_x": 5,
+        "connection": [[{"du": upper[a, b][0], "dx": upper[a, b][1]}
+                        if (a, b) in upper else "0" for b in range(4)]
+                       for a in range(4)],
+    }
+
+
+class TestSharing:
+    """Windows shared when a family is read stay shared through BiForm, and
+    section_pullback does the work of each distinct part once."""
+
+    def test_clipped_that_cuts_nothing_is_the_window(self):
+        b = bmap({(0, 1): 2, (2, 0): 3}, 4, 3)
+        assert b.clipped() is b
+        assert b.clipped(4, 3) is b
+        assert b.clipped(3, 3) == bmap({(0, 1): 2, (2, 0): 3}, 3, 3)
+
+    def test_biform_keeps_parts_on_one_window(self):
+        du, dx = bmap({(1, 0): 5}, 4, 4), bmap({(0, 2): 1}, 4, 4)
+        f = BiForm(du, dx)
+        assert f.du_part is du and f.dx_part is dx
+
+    def test_load_family_reads_each_text_once(self):
+        family, _, _, _ = load_family(workloads.chain_family(3, 7))
+        assert len(part_ids(family)) == 2
+
+    def test_memoized_pullback_matches_each_entry(self, monkeypatch):
+        family, _, _, _ = load_family(dense_family_document())
+        assert len(part_ids(family)) == 11      # 10 distinct texts and "0"
+        v = series_from_coeffs(GP, 0, [1, 1, 2, 0, 7], prime=3, abs_prec=20)
+        w = v - one_series(GP, v.trunc_order, 3, v._working_prec())
+        dv = derive(v).series
+        want = [[DifferentialForm(substitute_fiber(f.du_part, w)
+                                  + substitute_fiber(f.dx_part, w) * dv)
+                 for f in row] for row in family.entries]
+        calls = Counter()
+
+        def counted(b, w, **kwargs):
+            calls[id(b)] += 1
+            return substitute_fiber(b, w, **kwargs)
+
+        monkeypatch.setattr(scheme, "substitute_fiber", counted)
+        got = section_pullback(family, v).connection.entries
+        assert calls == Counter(part_ids(family))
+        for got_row, want_row in zip(got, want):
+            for g, r in zip(got_row, want_row):
+                assert g == r and shown(g.series) == shown(r.series)
+
+
 def exact_substitution(cols, w, trunc_u):
     """sum cols[j] * w^j below u^trunc_u over the integers; cols and w are
     integer coefficient lists from degree 0."""
@@ -630,9 +708,9 @@ class TestSubstitutionSoundness:
             assert claims_hold(claimed, exact_substitution(cols, w_alt, tu))
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 4: w(0) is zero only mod 3^5, below the window's "
-        "3^20, and the unknown x^2 column adds 2*c*w(0)*u; the claim needs "
-        "a tail bound on the unknown columns"))
+        "ROADMAP 'Honest precision end to end': w(0) is zero only mod "
+        "3^5, below the window's 3^20, and the unknown x^2 column adds "
+        "2*c*w(0)*u; the claim needs a tail bound on the unknown columns"))
     def test_finite_zero_below_the_window_precision(self):
         b = biseries_from_map(GP, {(0, 0): 1}, 2, 2, prime=3)
         w = series_from_coeffs(GP, 0, [PAdic.zero(3, 5), 1], prime=3)
