@@ -23,6 +23,15 @@ value of this library.  A bare marker is the all-zero window.  Like terms
 merge, so "t + t + O(t^3)" reads as 2t.  Negative exponents need a ring with
 poles.  Two-variable windows use the two-exponent marker O(u^A, x^B).
 
+Reading goes straight to coefficients.  Like terms merge as exact integers;
+a Fraction is made only for a literal with a '/' and for the rational
+ring's coefficients.  Over the p-adics an integer n goes straight to
+p^v * unit modulo p^abs_prec, the document's precision.  The reader is the
+boundary, so it checks each condition once: the prime and the precision
+once per document, each degree and window end once, and integrality only
+where a '/' stands, since an integer is always integral.  It then builds
+the window unchecked.
+
 Printing is canonical: terms in increasing degree, vanishing coefficients
 skipped, unit coefficients elided next to a variable, rationals as "a/b".
 Coefficients known modulo a prime power print as their exact rational
@@ -34,24 +43,25 @@ digits than the literal limit, is refused with invalid-input.
 """
 
 from fractions import Fraction
+from operator import le, lt
 import re
 import sys
 
-from .coeff import MATRIX_SIZE_LIMIT, PAdic, check_degree, \
-    check_precision, check_prime
+from .coeff import DEGREE_LIMIT, MATRIX_SIZE_LIMIT, PAdic, _padic, _reduce, \
+    check_degree, check_precision, check_prime
 from .errors import InsufficientWindowError, InvalidInputError, ParseError
 from .nabla import ConnectionMatrix, FramedNablaModule, Signature
-from .scheme import BiForm, BiSeries, FramedFamily, biseries_from_map, \
+from .scheme import BiForm, BiSeries, FramedFamily, _check_header, \
     zero_biseries
 from .series import (
     DEFAULT_ABS_PREC,
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    _check_integral,
     _check_ring_prime,
     _coeff_is_zero,
     _max_abs_prec,
-    series_from_coeffs,
     valuation_profile,
     zero_series,
 )
@@ -67,7 +77,8 @@ _STRAY = re.compile(r"[^\s\dA-Za-z+\-*/^(),]")
 _FACTOR = re.compile(r"\*?\s*(?!O(?![A-Za-z]))(?P<var>[A-Za-z]+)\s*"
                      r"(?:\^\s*(?P<neg>-\s*)?(?P<exp>\d*)\s*)?")
 _TERM = re.compile(r"(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d*)\s*)?)?"
-                   rf"(?P<factors>(?:{_FACTOR.pattern})*)(?P<star>\*)?")
+                   rf"(?P<factors>(?:{_FACTOR.pattern})*)(?P<star>\*)?"
+                   r"(?:(?P<sign>[+-])\s*)?")
 _MARKER = re.compile(r"O(?![A-Za-z])\s*(?P<open>\(\s*)?")
 _ENTRY = re.compile(r"(?:(?P<var>[A-Za-z]+)\s*(?:(?P<caret>\^)\s*"
                     r"(?P<neg>-\s*)?(?:(?P<end>\d+)\s*(?P<sep>[,)]\s*)?)?)?)?")
@@ -79,18 +90,24 @@ _ENTRY_MISSING = {"var": "expected a variable in the O(...) marker",
 
 def _term(text: str, i: int, negate: bool):
     """Read the term at i, negated if negate; return the term
-    (coefficient, {var: exponent}, i) and where the next token starts."""
+    (coefficient, {var: exponent}, i), the sign after it ('+', '-' or None)
+    and where the next token starts.  The coefficient is an int, or a
+    Fraction for a literal with a '/'."""
     m = _TERM.match(text, i)
-    num, den = m.group("num", "den")
+    num, den, star, sign = m.group("num", "den", "star", "sign")
     if num is None and not text[i:i + 1].isalpha():
         raise ParseError("expected a term", i)
     if den == "":
         raise ParseError("expected a denominator", m.start("den"))
     if den and int(den) == 0:
         raise ParseError("zero denominator", m.start("den"))
-    coeff = Fraction(int(num), int(den or 1)) if num else Fraction(1)
+    coeff = 1 if num is None else int(num) if den is None \
+        else Fraction(int(num), int(den))
     powers: dict = {}
-    for f in _FACTOR.finditer(text, m.start("factors"), m.end("factors")):
+    # The factors are back to back, each matched as the term matched it.
+    j, end = m.span("factors")
+    while j < end:
+        f = _FACTOR.match(text, j)
         var, neg, exp = f.group("var", "neg", "exp")
         if var not in _VARS:
             raise ParseError(f"unknown symbol {var!r}", f.start("var"))
@@ -98,9 +115,10 @@ def _term(text: str, i: int, negate: bool):
             raise ParseError("expected an integer exponent", f.start("exp"))
         exp = 1 if exp is None else -int(exp) if neg else int(exp)
         powers[var] = powers.get(var, 0) + exp
-    if m.group("star") is not None:
+        j = f.end()
+    if star is not None:
         raise ParseError("expected a variable after '*'", m.start("star"))
-    return (-coeff if negate else coeff, powers, i), m.end()
+    return (-coeff if negate else coeff, powers, i), sign, m.end()
 
 
 def _parse_text(text: str, arity: int, arity_error: str):
@@ -133,13 +151,13 @@ def _scan(text: str, arity: int, arity_error: str):
     if negate:
         i = _SPACE.match(text, i + 1).end()
     while (m := _MARKER.match(text, i)) is None:
-        term, j = _term(text, i, negate)
+        term, sign, i = _term(text, i, negate)
         terms.append(term)
-        if j == len(text):
-            raise ParseError("missing O(...) marker", j)
-        if text[j] not in "+-":
-            raise ParseError("expected '+', '-' or the O(...) marker", j)
-        negate, i = text[j] == "-", _SPACE.match(text, j + 1).end()
+        if sign is None:
+            if i == len(text):
+                raise ParseError("missing O(...) marker", i)
+            raise ParseError("expected '+', '-' or the O(...) marker", i)
+        negate = sign == "-"
     if negate:
         raise ParseError("the O(...) marker follows '+', not '-'", i)
     if m.group("open") is None:
@@ -166,14 +184,17 @@ def _scan(text: str, arity: int, arity_error: str):
 
 
 def _merge_terms(terms, marker) -> dict:
-    """Like terms merged: {exponents: coefficient}, the exponents a tuple in
-    marker order.  A term may use only the marker's variables, each below
-    its window end and within coeff.DEGREE_LIMIT; ring semantics are the
-    caller's.
+    """Like terms merged: {exponents: coefficient}, the exponents the degree
+    for one variable and a tuple in marker order for two.  A term may use
+    only the marker's variables, each below its window end and within
+    coeff.DEGREE_LIMIT; ring semantics are the caller's.  The window ends
+    are checked against the limit first, so a degree below its end needs
+    only the lower limit.
     """
     names = [v for v, _, _ in marker]
     ends = tuple(check_degree(e) for _, e, _ in marker)
     one = len(ends) == 1
+    floors, zeros = (-DEGREE_LIMIT,) * len(ends), (0,) * len(ends)
     acc: dict = {}
     for coeff, powers, pos in terms:
         for v in powers:
@@ -181,29 +202,57 @@ def _merge_terms(terms, marker) -> dict:
                 raise ParseError(
                     f"variable {v!r} does not belong in a series in "
                     + " and ".join(map(repr, names)), pos)
-        exps = tuple(check_degree(powers.get(v, 0)) for v in names)
-        if any(d >= e for d, e in zip(exps, ends)):
+        exps = tuple(map(powers.get, names, zeros))
+        if not (all(map(le, floors, exps)) and all(map(lt, exps, ends))):
+            for d in exps:
+                check_degree(d)
             raise ParseError(
                 f"term degree {exps[0] if one else exps} is not below the "
                 f"window end {ends[0] if one else ends}", pos)
-        acc[exps] = acc[exps] + coeff if exps in acc else coeff
+        key = exps[0] if one else exps
+        acc[key] = acc[key] + coeff if key in acc else coeff
     return acc
+
+
+def _window(ring: RingLabel, prime, abs_prec: int, lo: int, hi: int,
+            values: dict) -> TruncatedSeries:
+    """The window [lo, hi) over ring of the merged values {degree: int or
+    Fraction}, unwritten degrees zero, for a ring, prime and abs_prec checked
+    already: the reader's one way from a value to a coefficient.  An int
+    goes straight to its p-adic value at abs_prec; only a Fraction, which a
+    '/' made, can leave an integral ring."""
+    padic = ring.padic
+    coeffs = [_padic(prime, None, 0, abs_prec) if padic else Fraction(0)] \
+        * (hi - lo)
+    for d, v in values.items():
+        coeffs[d - lo] = Fraction(v) if not padic \
+            else _reduce(prime, 0, v, abs_prec) if type(v) is int \
+            else PAdic.from_rational(v, prime, abs_prec)
+    if any(type(v) is Fraction for v in values.values()):
+        _check_integral(ring, lo, coeffs)
+    return TruncatedSeries._trusted(ring, lo, tuple(coeffs), hi, prime)
 
 
 # -- one-variable series -------------------------------------------------------
 
 
+def _one_variable(text: str):
+    """Scan and merge one-variable text: ({degree: value}, var, window end),
+    each value an int or, from a '/', a Fraction."""
+    terms, marker = _parse_text(
+        text, 1, "a one-variable series takes a one-variable marker")
+    (var, trunc, _), = marker
+    return _merge_terms(terms, marker), var, trunc
+
+
 def parse_rational_terms(text: str):
-    """Parse one-variable text to ({degree: coefficient}, var, window end).
+    """Parse one-variable text to ({degree: Fraction}, var, window end).
 
     Like terms are merged.  No ring semantics are applied: any degree below
     the window end is legal here.
     """
-    terms, marker = _parse_text(
-        text, 1, "a one-variable series takes a one-variable marker")
-    var, trunc, _ = marker[0]
-    acc = _merge_terms(terms, marker)
-    return {d: c for (d,), c in acc.items()}, var, trunc
+    acc, var, trunc = _one_variable(text)
+    return {d: Fraction(c) for d, c in acc.items()}, var, trunc
 
 
 def rational_residue(text: str) -> Fraction:
@@ -224,24 +273,30 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
     Unwritten degrees below the window end are zero, so the window floor is
     min(0, lowest written degree).
     """
-    acc, var, trunc = parse_rational_terms(text)
+    return _read_series(text, ring, prime, abs_prec, check_mode=True)
+
+
+def _read_series(text: str, ring: RingLabel, prime, abs_prec: int,
+                 check_mode: bool = False) -> TruncatedSeries:
+    """parse_series; a document reader, which checks the ring, prime and
+    abs_prec once for the whole document, leaves check_mode off."""
+    acc, var, trunc = _one_variable(text)
     if var != ring.variable:
         raise ParseError(
             f"ring {ring.value} uses the variable {ring.variable!r}, "
             f"not {var!r}")
-    _check_ring_prime(ring, prime)
-    check_precision(prime, abs_prec)
-    lo = min([0] + list(acc))
+    if check_mode:
+        _check_ring_prime(ring, prime)
+        check_precision(prime, abs_prec)
+    lo = min([0, *acc])
     if lo < 0 and not ring.laurent:
         raise ParseError(
             f"degree {lo} is below the window floor of ring {ring.value}")
-    if trunc <= lo:
-        if not ring.laurent and trunc < 0:
-            raise ParseError(
-                f"window end {trunc} is below the floor of ring {ring.value}")
-        return zero_series(ring, trunc, trunc, prime, abs_prec)
-    coeffs = [acc.get(d, Fraction(0)) for d in range(lo, trunc)]
-    return series_from_coeffs(ring, lo, coeffs, prime, abs_prec)
+    if trunc < 0 and not ring.laurent:
+        raise ParseError(
+            f"window end {trunc} is below the floor of ring {ring.value}")
+    # A window end at or below lo leaves nothing written: [trunc, trunc).
+    return _window(ring, prime, abs_prec, min(lo, trunc), trunc, acc)
 
 
 def _coeff_fraction(c) -> Fraction:
@@ -324,13 +379,21 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
                    abs_prec: int = DEFAULT_ABS_PREC,
                    fiber_var: str = "x") -> BiSeries:
     """Parse two-variable text; the marker is O(base^A, fiber^B)."""
-    base = ring.variable
-    if fiber_var not in _VARS or fiber_var == base:
+    if fiber_var not in _VARS or fiber_var == ring.variable:
         raise InvalidInputError(
             f"fiber variable must be one of {_VARS} and differ from "
-            f"{base!r}, got {fiber_var!r}")
+            f"{ring.variable!r}, got {fiber_var!r}")
     _check_ring_prime(ring, prime)
     check_precision(prime, abs_prec)
+    return _read_biseries(text, ring, prime, abs_prec, fiber_var)
+
+
+def _read_biseries(text: str, ring: RingLabel, prime, abs_prec: int,
+                   fiber_var: str) -> BiSeries:
+    """parse_biseries for a fiber variable, ring, prime and abs_prec checked
+    already.  Each column with a written term is read as parse_series reads
+    a window; the others are one shared zero column."""
+    base = ring.variable
     terms, marker = _parse_text(
         text, 2, f"a two-variable window takes O({base}^A, {fiber_var}^B)")
     (bv, tu, p1), (fv, tx, p2) = marker
@@ -346,7 +409,14 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
     mapping = _merge_terms(terms, marker)
     if any(min(exps) < 0 for exps in mapping):
         raise ParseError("two-variable windows take no negative degrees")
-    return biseries_from_map(ring, mapping, tu, tx, prime, abs_prec)
+    _check_header(ring, prime, tu, tx)
+    cols: dict = {}
+    for (i, j), v in mapping.items():
+        cols.setdefault(j, {})[i] = v
+    zero = zero_series(ring, 0, tu, prime, abs_prec)
+    return BiSeries._trusted(ring, tuple(
+        _window(ring, prime, abs_prec, 0, tu, cols[j]) if j in cols
+        else zero for j in range(tx)), tu, prime)
 
 
 def _rows(b: BiSeries):
@@ -467,17 +537,15 @@ def load_connection_matrix(doc: dict):
     check_degree(trunc)
     rows = _string_rows(doc, "connection", what,
                         sig.total if sig is not None else None)
+    zero = DifferentialForm(zero_series(ring, 0, trunc, prime, prec))
     entries = []
     for row in rows:
         out = []
         for cell in row:
             _require(isinstance(cell, str),
                      "connection entries are series text")
-            if cell.strip() == "0":
-                s = zero_series(ring, 0, trunc, prime, prec)
-            else:
-                s = parse_series(cell, ring, prime, prec)
-            out.append(DifferentialForm(s))
+            out.append(zero if cell.strip() == "0" else DifferentialForm(
+                _read_series(cell, ring, prime, prec)))
         entries.append(tuple(out))
     matrix = ConnectionMatrix(ring, tuple(entries), prime)
     return matrix, sig, trunc
@@ -524,7 +592,7 @@ def load_family(doc: dict):
             text = "0"
         _require(isinstance(text, str), "family entry parts are series text")
         if text not in parsed:
-            parsed[text] = parse_biseries(text, ring, prime, prec, fiber_var)
+            parsed[text] = _read_biseries(text, ring, prime, prec, fiber_var)
         return parsed[text]
 
     entries = []
@@ -593,7 +661,7 @@ def parse_series_matrix(doc: dict):
         out = []
         for cell in row:
             _require(isinstance(cell, str), "matrix entries are series text")
-            out.append(parse_series(cell, ring, prime, prec))
+            out.append(_read_series(cell, ring, prime, prec))
         entries.append(tuple(out))
     sig_val = doc.get("signature")
     sig = _signature_from(sig_val) if sig_val is not None else None

@@ -25,10 +25,13 @@ denominator, with one ``Fraction`` built per output coefficient.
 
 Validation happens at the boundary: ``TruncatedSeries(...)`` checks window,
 ring, prime and coefficients for the builders whose check can fail
-(``series_from_coeffs``, ``scale``, ``antiderive``, the logs, ``relabeled``
-into a ring that may refuse a coefficient).  ``+``, ``-``, ``*``,
-``clipped``, ``derive``, ``inverse``, the rational ``dlog`` and the other
-relabels are valid by construction and skip it through ``_trusted``.
+(``series_from_coeffs``, ``scale``, the logs, ``relabeled`` into a ring that
+may refuse a coefficient).  ``antiderive`` and the text reader in
+``parsing`` build coefficients of the right kind and prime, so they check
+only integrality (the reader only for a literal with a '/') and build
+through ``_trusted``.  ``+``, ``-``, ``*``, ``clipped``, ``derive``,
+``inverse``, the rational ``dlog`` and the other relabels are valid by
+construction and skip every check through ``_trusted``.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
@@ -100,16 +103,25 @@ def _check_coeff(ring: RingLabel, prime, c, degree: int):
                 f"coefficient at degree {degree} has prime {c.prime}, "
                 f"series has prime {prime}"
             )
-        if ring.integral and c.valuation_floor < 0:
-            raise IntegralityError(
-                f"coefficient {c} at degree {degree} is not integral, "
-                f"required by ring {ring.value}"
-            )
+        _check_integral(ring, degree, (c,))
     else:
         if not isinstance(c, Fraction):
             raise InvalidInputError(
                 f"ring {ring.value} needs rational coefficients, got {c!r}"
             )
+
+
+def _check_integral(ring: RingLabel, min_degree: int, coeffs):
+    """Raise at the lowest degree whose coefficient ring refuses, for
+    coefficients from min_degree on of the ring's kind and prime: the one
+    check on them that can fail."""
+    if ring.integral:
+        for d, c in enumerate(coeffs, min_degree):
+            if c.valuation_floor < 0:
+                raise IntegralityError(
+                    f"coefficient {c} at degree {d} is not integral, "
+                    f"required by ring {ring.value}"
+                )
 
 
 def _check_window(ring: RingLabel, min_degree: int, trunc_order: int,
@@ -654,11 +666,12 @@ def antiderive(f: DifferentialForm, target: RingLabel) -> TruncatedSeries:
         else:
             coeffs.append(s._at(d - 1) / d)
     try:
-        return TruncatedSeries(target, lo, tuple(coeffs), hi, s.prime)
+        _check_integral(target, lo, coeffs)
     except IntegralityError as exc:
         raise IntegralityError(
             f"antiderivative leaves the integer ring: {exc}"
         ) from None
+    return TruncatedSeries._trusted(target, lo, tuple(coeffs), hi, s.prime)
 
 
 def residue(f: DifferentialForm):

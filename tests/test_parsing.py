@@ -34,6 +34,7 @@ from lineint.parsing import (
 from lineint.scheme import biseries_from_map, curvature
 from lineint.series import (
     RingLabel,
+    TruncatedSeries,
     formal_log,
     padic_log_dagger,
     series_from_coeffs,
@@ -210,6 +211,18 @@ class TestGrammar:
     def test_integrality_enforced_on_materialize(self):
         with pytest.raises(IntegralityError):
             parse_series("1/2 + O(u^3)", GP, prime=2)
+
+    def test_rational_readers_keep_fractions(self):
+        # Integer literals are read as ints; the rational readers and the
+        # rational ring still hand out Fractions.
+        acc, _, _ = parse_rational_terms("3 - 2*t + 1/2*t^2 + t^2 + O(t^4)")
+        assert acc == {0: 3, 1: -2, 2: Fraction(3, 2)}
+        assert all(type(c) is Fraction for c in acc.values())
+        s = parse_series("3 - 2*t + 6/3*t^3 + O(t^5)")
+        assert s.coeffs == (3, -2, 0, 2, 0)
+        assert all(type(c) is Fraction for c in s.coeffs)
+        b = parse_biseries("3 + t*x + O(t^2, x^2)", F)
+        assert all(type(c) is Fraction for col in b.cols for c in col.coeffs)
 
 
 class TestPrinter:
@@ -388,6 +401,162 @@ class TestResidueReadOff:
     def test_merges_like_terms(self):
         acc, var, trunc = parse_rational_terms("u^-1 + 2*u^-1 + O(u^2)")
         assert acc[-1] == 3 and var == "u" and trunc == 2
+
+    def test_residue_is_a_fraction(self):
+        for text, value in [("3*t^-1 + O(t^2)", 3), ("-u^-1 + O(u^1)", -1),
+                            ("u^-1 - u^-1 + O(u^1)", 0), ("5 + O(u^3)", 0),
+                            ("1/2*u^-1 + 1/2*u^-1 + O(u^0)", 1)]:
+            r = rational_residue(text)
+            assert r == value and type(r) is Fraction
+
+
+def window_fields(s):
+    """Everything a window states: ring, prime, window, and each
+    coefficient's type with its value, or its valuation, unit and
+    abs_prec."""
+    return (s.ring, s.prime, s.min_degree, s.trunc_order,
+            [(type(c), c.valuation, c.unit, c.abs_prec)
+             if isinstance(c, PAdic) else (type(c), c) for c in s.coeffs])
+
+
+def outcome(read):
+    """read()'s window fields, or its error's type and message."""
+    try:
+        b = read()
+    except (IntegralityError, InvalidInputError) as exc:
+        return type(exc), str(exc)
+    if isinstance(b, TruncatedSeries):
+        return window_fields(b)
+    return b.trunc_u, [window_fields(col) for col in b.cols]
+
+
+def term_text(terms):
+    """Text for (coefficient text, sign, factors) terms, in order."""
+    out = ""
+    for k, (coeff, sign, factors) in enumerate(terms):
+        body = "*".join(([coeff] if coeff != "1" or not factors else [])
+                        + factors)
+        out += (f"-{body}" if sign < 0 else body) if k == 0 \
+            else f" {'-' if sign < 0 else '+'} {body}"
+    return out
+
+
+def merged(terms, key):
+    """The terms merged as exact Fractions, keyed by key(factors)."""
+    acc = {}
+    for coeff, sign, factors in terms:
+        k = key(factors)
+        acc[k] = acc.get(k, Fraction(0)) + sign * Fraction(coeff)
+    return acc
+
+
+def old_series(text, ring, prime, abs_prec, terms, trunc):
+    """The reader before integer lifts: series_from_coeffs over the merged
+    terms, on the window parse_series reads."""
+    acc = merged(terms, lambda fs: int(fs[0].split("^")[1]) if fs else 0)
+    lo = min([0, *acc])
+    if trunc <= lo:
+        return zero_series(ring, trunc, trunc, prime, abs_prec)
+    return series_from_coeffs(ring, lo,
+                              [acc.get(d, Fraction(0))
+                               for d in range(lo, trunc)], prime, abs_prec)
+
+
+# Terms per case as (coefficient text, sign, factors); {P} is the prime, {Q}
+# p^abs_prec.  abs_prec is 5 throughout.
+LIFT_CASES = {
+    "denominator divisible by p": [("1/{P}", 1, ["u^1"]), ("7", 1, [])],
+    "numerator divisible by p": [("{P}/5", 1, []), ("{P}9/7", -1, ["u^2"])],
+    "cancelling like terms": [("1", 1, ["u^1"]), ("1", -1, ["u^1"]),
+                              ("3/{P}", 1, ["u^2"]), ("3/{P}", -1, ["u^2"])],
+    "multiples of p^abs_prec": [("{Q}", 1, []), ("{Q}0", -1, ["u^1"]),
+                                ("{Q}", 1, ["u^3"]), ("{Q}", 1, ["u^3"])],
+    "literals above p^abs_prec": [("{Q}1", 1, []), ("9" * 30, -1, ["u^1"]),
+                                  ("{Q}", 1, ["u^2"]), ("1", 1, ["u^2"])],
+    "poles": [("2", 1, ["u^-2"]), ("1/{P}", -1, ["u^-1"]),
+              ("5", 1, ["u^1"])],
+}
+
+
+def lift_case(name, p):
+    return [(c.format(P=p, Q=p ** 5), sign, fs)
+            for c, sign, fs in LIFT_CASES[name]]
+
+
+class TestLiftReader:
+    """The reader against the path it replaced: every window field and
+    every refusal agree, on all eight rings at p = 2 and p = 3."""
+
+    RINGS = [(r, p) for r in RingLabel for p in ((2, 3) if r.padic else
+                                                 (None,))]
+
+    @pytest.mark.parametrize("name", LIFT_CASES)
+    @pytest.mark.parametrize("ring,p", RINGS,
+                             ids=[f"{r.value}-{p}" for r, p in RINGS])
+    def test_one_variable(self, ring, p, name):
+        terms = lift_case(name, p or 3)
+        if ring is F:
+            terms = [(c, sign, [f.replace("u", "t") for f in fs])
+                     for c, sign, fs in terms]
+        text = f"{term_text(terms)} + O({ring.variable}^4)"
+        if name == "poles" and not ring.laurent:
+            with pytest.raises(ParseError, match="below the window floor"):
+                parse_series(text, ring, p, 5)
+            return
+        new = outcome(lambda: parse_series(text, ring, p, 5))
+        assert new == outcome(lambda: old_series(text, ring, p, 5, terms, 4))
+        refused = name in ("denominator divisible by p", "poles") \
+            and ring.integral
+        assert (new[0] is IntegralityError) == refused
+
+    def test_integral_refusal_message(self):
+        with pytest.raises(IntegralityError) as exc:
+            parse_series("7 + 1/3*u^2 + 1/3*u + O(u^4)", GP, 3, 5)
+        assert str(exc.value) == ("coefficient 3^-1*1 (mod 3^5) at degree 1 "
+                                  "is not integral, required by ring gamma+")
+
+    @pytest.mark.parametrize("ring,p", RINGS,
+                             ids=[f"{r.value}-{p}" for r, p in RINGS])
+    def test_two_variable(self, ring, p):
+        q = p or 3
+        terms = [("1/" + str(q), 1, ["x^2"]), (str(q ** 5), 1, ["u^1"]),
+                 ("4", 1, ["u^1", "x^1"]), ("4", -1, ["u^1", "x^1"]),
+                 (str(q ** 5 + 2), -1, ["u^2", "x^2"]), ("1", 1, ["x^3"])]
+        base = ring.variable
+        terms = [(c, sign, [f.replace("u", base) for f in fs])
+                 for c, sign, fs in terms]
+        text = f"{term_text(terms)} + O({base}^3, x^4)"
+
+        def degree(fs, var):
+            return sum(int(f.split("^")[1]) for f in fs if f[0] == var)
+
+        cells = merged(terms, lambda fs: (degree(fs, base), degree(fs, "x")))
+        new = outcome(lambda: parse_biseries(text, ring, p, 5))
+        assert new == outcome(
+            lambda: biseries_from_map(ring, cells, 3, 4, p, 5))
+        assert (new[0] is InvalidInputError) == ring.laurent
+        assert (new[0] is IntegralityError) == (ring is GP)
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_random_terms(self, data):
+        ring, p = data.draw(st.sampled_from(self.RINGS))
+        q = p or 3
+        var = ring.variable
+        low = -3 if ring.laurent else 0
+        coeff = st.one_of(
+            st.integers(0, 3 * q ** 6).map(str),
+            st.tuples(st.integers(0, 40), st.integers(1, 20)).map(
+                lambda ab: f"{ab[0]}/{ab[1]}"))
+        terms = data.draw(st.lists(st.tuples(
+            coeff, st.sampled_from((1, -1)),
+            st.integers(low, 4).map(lambda d: [f"{var}^{d}"])), max_size=8))
+        trunc = data.draw(st.integers(low, 5))
+        terms = [t for t in terms if int(t[2][0].split("^")[1]) < trunc]
+        text = f"{term_text(terms)} + O({var}^{trunc})" if terms \
+            else f"O({var}^{trunc})"
+        assert outcome(lambda: parse_series(text, ring, p, 6)) == outcome(
+            lambda: old_series(text, ring, p, 6, terms, trunc))
 
 
 GOLDEN_CONNECTION = {

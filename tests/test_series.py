@@ -358,8 +358,12 @@ class TestAntiderive:
     def test_integral_target_rejects_denominators(self):
         f = DifferentialForm(series_from_coeffs(GP, 0, [1, 1, 0],
                                                 prime=2, abs_prec=12))
-        with pytest.raises(IntegralityError):
+        with pytest.raises(IntegralityError) as exc:
             antiderive(f, GP)
+        # The lowest refused degree is named; u^0 and u^1 stay integral.
+        assert str(exc.value) == (
+            "antiderivative leaves the integer ring: coefficient 2^-1*1 "
+            "(mod 2^11) at degree 2 is not integral, required by ring gamma+")
 
     @given(formal_series(min_len=2, max_len=8))
     @settings(max_examples=80)
