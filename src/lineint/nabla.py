@@ -23,6 +23,7 @@ from .series import (
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    _Checked,
     _coeff_is_zero,
     _dot,
     _max_abs_prec,
@@ -106,7 +107,7 @@ def _check_framed(signature: Signature, entries, what: str):
             )
 
 
-class _SquareMatrix:
+class _SquareMatrix(_Checked):
     """What the square matrices share: entries is a tuple of rows."""
 
     @property
@@ -130,14 +131,14 @@ class ConnectionMatrix(_SquareMatrix):
             self.entries, None, DifferentialForm, self.ring, self.prime))
 
     def negated(self) -> "ConnectionMatrix":
-        return ConnectionMatrix(
+        return ConnectionMatrix._trusted(
             self.ring,
             tuple(tuple(-f for f in row) for row in self.entries),
             self.prime,
         )
 
     def relabeled(self, ring: RingLabel) -> "ConnectionMatrix":
-        return ConnectionMatrix(
+        return ConnectionMatrix._trusted(
             ring,
             tuple(tuple(DifferentialForm(f.series.relabeled(ring))
                         for f in row) for row in self.entries),
@@ -150,7 +151,7 @@ class ConnectionMatrix(_SquareMatrix):
 
 
 @dataclass(frozen=True, eq=False)
-class FramedNablaModule:
+class FramedNablaModule(_Checked):
     """A connection that is strictly upper triangular in its block frame."""
 
     signature: Signature
@@ -173,7 +174,8 @@ class FramedNablaModule:
 def _entry_is_identity(s: TruncatedSeries) -> bool:
     if s.min_degree > 0 or s.trunc_order <= 0:
         return False
-    return s.constant_term() == 1 and s.without_constant_term().is_zero
+    return s.constant_term() == 1 and all(
+        _coeff_is_zero(c) for d, c in enumerate(s.coeffs, s.min_degree) if d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +212,7 @@ class UnipotentMatrix(_SquareMatrix):
 
 
 @dataclass(frozen=True, eq=False)
-class InvariantRepresentative:
+class InvariantRepresentative(_Checked):
     """Trivializing matrix normalized to the identity at the origin."""
 
     matrix: UnipotentMatrix
@@ -317,8 +319,8 @@ def trivialize(module: FramedNablaModule, trunc_order: int) -> UnipotentMatrix:
                             w = w + ents[a][c] * conn.entries[c][b]
                     ents[a][b] = antiderive(w, ring).clipped(
                         trunc_order=trunc_order)
-    return UnipotentMatrix(sig, ring,
-                           tuple(tuple(row) for row in ents), prime)
+    # One on the diagonal, zero below and antiderivatives above: unipotent.
+    return UnipotentMatrix._trusted(sig, ring, tuple(map(tuple, ents)), prime)
 
 
 def matrix_residual(module: FramedNablaModule,
@@ -357,10 +359,10 @@ def invariant(module: FramedNablaModule,
             "normalize at; expected a power-series ring"
         )
     if conn.ring.padic and conn.ring is not RingLabel.ROBBA_PLUS:
-        module = FramedNablaModule(
+        module = FramedNablaModule._trusted(
             module.signature, conn.relabeled(RingLabel.ROBBA_PLUS))
-    v = trivialize(module, trunc_order)
-    return InvariantRepresentative(v)
+    # Each antiderivative above the diagonal has zero constant term.
+    return InvariantRepresentative._trusted(trivialize(module, trunc_order))
 
 
 def series_matrix_product(a_entries, b_entries) -> tuple:

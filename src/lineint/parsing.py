@@ -26,11 +26,10 @@ poles.  Two-variable windows use the two-exponent marker O(u^A, x^B).
 Reading goes straight to coefficients.  Like terms merge as exact integers;
 a Fraction is made only for a literal with a '/' and for the rational
 ring's coefficients.  Over the p-adics an integer n goes straight to
-p^v * unit modulo p^abs_prec, the document's precision.  The reader is the
+p^v * unit modulo p^abs_prec, the working precision.  The reader is the
 boundary, so it checks each condition once: the prime and the precision
-once per document, each degree and window end once, and integrality only
-where a '/' stands, since an integer is always integral.  It then builds
-the window unchecked.
+once per text, each degree and window end once, and integrality only where
+a '/' stands or abs_prec is negative.  It then builds the window unchecked.
 
 Printing is canonical: terms in increasing degree, vanishing coefficients
 skipped, unit coefficients elided next to a variable, rationals as "a/b".
@@ -220,7 +219,7 @@ def _window(ring: RingLabel, prime, abs_prec: int, lo: int, hi: int,
     Fraction}, unwritten degrees zero, for a ring, prime and abs_prec checked
     already: the reader's one way from a value to a coefficient.  An int
     goes straight to its p-adic value at abs_prec; only a Fraction, which a
-    '/' made, can leave an integral ring."""
+    '/' made, or an abs_prec below 0 can leave an integral ring."""
     padic = ring.padic
     coeffs = [_padic(prime, None, 0, abs_prec) if padic else Fraction(0)] \
         * (hi - lo)
@@ -228,7 +227,7 @@ def _window(ring: RingLabel, prime, abs_prec: int, lo: int, hi: int,
         coeffs[d - lo] = Fraction(v) if not padic \
             else _reduce(prime, 0, v, abs_prec) if type(v) is int \
             else PAdic.from_rational(v, prime, abs_prec)
-    if any(type(v) is Fraction for v in values.values()):
+    if abs_prec < 0 or any(type(v) is Fraction for v in values.values()):
         _check_integral(ring, lo, coeffs)
     return TruncatedSeries._trusted(ring, lo, tuple(coeffs), hi, prime)
 
@@ -273,21 +272,13 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
     Unwritten degrees below the window end are zero, so the window floor is
     min(0, lowest written degree).
     """
-    return _read_series(text, ring, prime, abs_prec, check_mode=True)
-
-
-def _read_series(text: str, ring: RingLabel, prime, abs_prec: int,
-                 check_mode: bool = False) -> TruncatedSeries:
-    """parse_series; a document reader, which checks the ring, prime and
-    abs_prec once for the whole document, leaves check_mode off."""
     acc, var, trunc = _one_variable(text)
     if var != ring.variable:
         raise ParseError(
             f"ring {ring.value} uses the variable {ring.variable!r}, "
             f"not {var!r}")
-    if check_mode:
-        _check_ring_prime(ring, prime)
-        check_precision(prime, abs_prec)
+    _check_ring_prime(ring, prime)
+    check_precision(prime, abs_prec)
     lo = min([0, *acc])
     if lo < 0 and not ring.laurent:
         raise ParseError(
@@ -378,21 +369,15 @@ def structured_series(s: TruncatedSeries) -> dict:
 def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
                    abs_prec: int = DEFAULT_ABS_PREC,
                    fiber_var: str = "x") -> BiSeries:
-    """Parse two-variable text; the marker is O(base^A, fiber^B)."""
+    """Parse two-variable text; the marker is O(base^A, fiber^B).  Each
+    column with a written term is read as parse_series reads a window; the
+    others are one shared zero column."""
     if fiber_var not in _VARS or fiber_var == ring.variable:
         raise InvalidInputError(
             f"fiber variable must be one of {_VARS} and differ from "
             f"{ring.variable!r}, got {fiber_var!r}")
     _check_ring_prime(ring, prime)
     check_precision(prime, abs_prec)
-    return _read_biseries(text, ring, prime, abs_prec, fiber_var)
-
-
-def _read_biseries(text: str, ring: RingLabel, prime, abs_prec: int,
-                   fiber_var: str) -> BiSeries:
-    """parse_biseries for a fiber variable, ring, prime and abs_prec checked
-    already.  Each column with a written term is read as parse_series reads
-    a window; the others are one shared zero column."""
     base = ring.variable
     terms, marker = _parse_text(
         text, 2, f"a two-variable window takes O({base}^A, {fiber_var}^B)")
@@ -545,7 +530,7 @@ def load_connection_matrix(doc: dict):
             _require(isinstance(cell, str),
                      "connection entries are series text")
             out.append(zero if cell.strip() == "0" else DifferentialForm(
-                _read_series(cell, ring, prime, prec)))
+                parse_series(cell, ring, prime, prec)))
         entries.append(tuple(out))
     matrix = ConnectionMatrix(ring, tuple(entries), prime)
     return matrix, sig, trunc
@@ -592,7 +577,7 @@ def load_family(doc: dict):
             text = "0"
         _require(isinstance(text, str), "family entry parts are series text")
         if text not in parsed:
-            parsed[text] = _read_biseries(text, ring, prime, prec, fiber_var)
+            parsed[text] = parse_biseries(text, ring, prime, prec, fiber_var)
         return parsed[text]
 
     entries = []
@@ -661,7 +646,7 @@ def parse_series_matrix(doc: dict):
         out = []
         for cell in row:
             _require(isinstance(cell, str), "matrix entries are series text")
-            out.append(_read_series(cell, ring, prime, prec))
+            out.append(parse_series(cell, ring, prime, prec))
         entries.append(tuple(out))
     sig_val = doc.get("signature")
     sig = _signature_from(sig_val) if sig_val is not None else None

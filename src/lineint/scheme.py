@@ -318,9 +318,11 @@ def section_pullback(family: FramedFamily,
                                           + sub(f.dx_part) * dv)
         return forms[key]
 
+    # A zero part pulls back to zero, so the module is framed as the family.
     rows = tuple(tuple(map(pulled, row)) for row in family.entries)
-    conn = ConnectionMatrix(family.ring, rows, family.prime)
-    return FramedNablaModule(family.signature, conn)
+    return FramedNablaModule._trusted(
+        family.signature,
+        ConnectionMatrix._trusted(family.ring, rows, family.prime))
 
 
 def line_integral(family: FramedFamily,

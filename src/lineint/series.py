@@ -23,15 +23,18 @@ exact products, and ``inverse`` and ``dlog`` are one quotient each: long
 division on integers, each coefficient a numerator over its own reduced
 denominator, with one ``Fraction`` built per output coefficient.
 
-Validation happens at the boundary: ``TruncatedSeries(...)`` checks window,
-ring, prime and coefficients for the builders whose check can fail
-(``series_from_coeffs``, ``scale``, the logs, ``relabeled`` into a ring that
-may refuse a coefficient).  ``antiderive`` and the text reader in
-``parsing`` build coefficients of the right kind and prime, so they check
-only integrality (the reader only for a literal with a '/') and build
-through ``_trusted``.  ``+``, ``-``, ``*``, ``clipped``, ``derive``,
-``inverse``, the rational ``dlog`` and the other relabels are valid by
-construction and skip every check through ``_trusted``.
+Validation happens at the boundary.  Every dataclass that checks itself in
+``__post_init__`` (the windows here, the matrices, framed modules and
+representatives of ``nabla`` and ``scheme``) inherits ``_Checked._trusted``,
+which builds it from fields known valid and skips the check.
+``TruncatedSeries(...)`` checks window, ring, prime and coefficients for the
+builders whose check can fail (``series_from_coeffs``, ``scale``, the logs,
+``relabeled`` into a ring that may refuse a coefficient).  ``antiderive``
+and the text reader in ``parsing`` check only integrality (the reader only
+for a literal with a '/' or a negative working precision) and build through
+``_trusted``.  ``+``, ``-``, ``*``, ``clipped``, ``without_constant_term``,
+``derive``, ``inverse``, the rational ``dlog`` and the other relabels are
+valid by construction and skip every check through ``_trusted``.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
@@ -293,11 +296,22 @@ def _max_abs_prec(coeffs) -> int:
                default=DEFAULT_ABS_PREC)
 
 
-class _CoeffWindow:
+class _Checked:
+    """A dataclass that checks itself in __post_init__."""
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """An instance of these fields in order, unchecked: see the module."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+        return obj
+
+
+class _CoeffWindow(_Checked):
     """What one- and two-variable windows share: zeros at working
-    precision, the check that two windows may be combined, subtraction and
-    the unchecked constructor.  A window is a dataclass with ring, prime,
-    _flat_coeffs() (every stored coefficient), + and unary -."""
+    precision, the check that two windows may be combined and subtraction.
+    A window is a dataclass with ring, prime, _flat_coeffs() (every stored
+    coefficient), + and unary -."""
 
     def _zero_coeff(self):
         return _materialize_zero(self.ring, self.prime, self._working_prec())
@@ -317,13 +331,6 @@ class _CoeffWindow:
 
     def __sub__(self, other):
         return self + (-other)
-
-    @classmethod
-    def _trusted(cls, *fields):
-        """A window of these fields in order, unchecked: see the module."""
-        window = object.__new__(cls)
-        window.__dict__.update(zip(cls.__dataclass_fields__, fields))
-        return window
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,8 +421,9 @@ class TruncatedSeries(_CoeffWindow):
             return self
         coeffs = list(self.coeffs)
         coeffs[-self.min_degree] = self._zero_coeff()
-        return TruncatedSeries(self.ring, self.min_degree, tuple(coeffs),
-                               self.trunc_order, self.prime)
+        return TruncatedSeries._trusted(self.ring, self.min_degree,
+                                        tuple(coeffs), self.trunc_order,
+                                        self.prime)
 
     # -- ring operations -----------------------------------------------------
 

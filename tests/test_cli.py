@@ -157,6 +157,19 @@ WORKLOAD_PINS = {
         "e7aaa43c7f6c7cd28f1edbb2360af49c74c082e74c48ca4bd08dbbe00228f143",
 }
 
+# sha256 over the exit code, stdout and stderr of the timed and the small
+# job of each seed 0-39 per benchmark workload, each job drawn from
+# random.Random(seed).
+WORKLOAD_SEED_PINS = {
+    "integrate":
+        "313487d2fe2631e994a990d42cc173072b218614dd70f1b9b521f64de941fbb3",
+    "invariant":
+        "f75abd291aafa29d99a486bd07cbff3475b17953e727bf4a4441968a8ae9ce0d",
+    "log": "3f4c9cfd395f713b2d07d90213a02d0a9363149339a248aaf0334fa3b0d8e202",
+    "plog":
+        "b09c368695cb3ea4696bb2232a4b04210a541cbb2d18cc4f63d19da3e23275ac",
+}
+
 
 def checkout_env(**extra):
     """This environment with the checkout's src first on PYTHONPATH, so a
@@ -656,6 +669,12 @@ class TestPrecisionBound:
         assert code == 1
         assert json.loads(err)["error"] == "invalid-input"
 
+    def test_text_is_scanned_before_the_bound(self, cli):
+        code, out, err = cli(["plog", "--p", "3", "--abs-prec", "2585",
+                              "1 + + O(u^2)"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "parse-error"
+
 
 class TestStdin:
     def test_expression_from_stdin(self, cli):
@@ -723,6 +742,7 @@ class TestEntryPoint:
 class TestWorkloadPins:
     def test_every_workload_is_pinned(self):
         assert sorted(WORKLOAD_PINS) == sorted(workloads.WORKLOADS)
+        assert sorted(WORKLOAD_SEED_PINS) == sorted(workloads.WORKLOADS)
 
     @pytest.mark.parametrize("name,digest", sorted(WORKLOAD_PINS.items()))
     def test_stdout_bytes(self, cli, name, digest):
@@ -732,6 +752,17 @@ class TestWorkloadPins:
         code, out, err = cli(list(job.argv), stdin=job.stdin)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name,digest",
+                             sorted(WORKLOAD_SEED_PINS.items()))
+    def test_forty_seeds(self, cli, name, digest):
+        workload, h = workloads.WORKLOADS[name], hashlib.sha256()
+        for seed in range(40):
+            for make in (workload.make, workload.make_small):
+                job = make(random.Random(seed))
+                code, out, err = cli(list(job.argv), stdin=job.stdin)
+                h.update(f"{code}\0{out}\0{err}\0".encode())
+        assert h.hexdigest() == digest
 
 
 class TestPinnedDocuments:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lineint import nabla
 from lineint.errors import (
     CalculusError,
     InvalidInputError,
@@ -179,6 +180,25 @@ class TestUnipotentMatrix:
         z = zero_series(F, 0, 4)
         with pytest.raises(InvalidInputError):
             UnipotentMatrix(sig, F, ((z, z), (z, z)))
+
+    @pytest.mark.parametrize("min_degree,coeffs,identity", [
+        (0, [1, 0, 0, 0], True),
+        (0, [1, 1, 0, 0], False),
+        (0, [1, 0, 0, 3], False),
+        (-1, [0, 1, 0, 0], True),
+        (-1, [2, 1, 0, 0], False),
+        (1, [0, 0, 0], False),
+    ])
+    def test_diagonal_is_the_constant_one(self, min_degree, coeffs, identity):
+        d = series_from_coeffs(R, min_degree, coeffs, prime=2)
+        z = zero_series(R, 0, 4, prime=2)
+        rows = ((d, z), (z, d))
+        assert is_identity_series_matrix(rows) is identity
+        if identity:
+            UnipotentMatrix(Signature((1, 1)), R, rows, prime=2)
+        else:
+            with pytest.raises(InvalidInputError, match="is not the constant"):
+                UnipotentMatrix(Signature((1, 1)), R, rows, prime=2)
 
     def test_lower_entries_must_vanish(self):
         sig = Signature((1, 1))
@@ -532,6 +552,17 @@ class TestInvariant:
         m = FramedNablaModule(Signature((1, 1)), conn)
         with pytest.raises(InvalidInputError):
             invariant(m, 4)
+
+    def test_relabeled_module_is_not_framed_again(self, monkeypatch):
+        z = DifferentialForm(zero_series(GP, 0, 5, prime=3))
+        du = DifferentialForm(one_series(GP, 5, prime=3))
+        conn = ConnectionMatrix(GP, ((z, du), (z, z)), prime=3)
+        module = FramedNablaModule(Signature((1, 1)), conn)
+        calls = []
+        monkeypatch.setattr(nabla, "_check_framed",
+                            lambda *args: calls.append(args))
+        invariant(module, 6)
+        assert calls == []
 
     def test_unnormalized_representative_rejected(self):
         sig = Signature((1, 1))

@@ -463,7 +463,7 @@ def old_series(text, ring, prime, abs_prec, terms, trunc):
 
 
 # Terms per case as (coefficient text, sign, factors); {P} is the prime, {Q}
-# p^abs_prec.  abs_prec is 5 throughout.
+# p^5, p^abs_prec at the abs_prec 5 of test_one_variable.
 LIFT_CASES = {
     "denominator divisible by p": [("1/{P}", 1, ["u^1"]), ("7", 1, [])],
     "numerator divisible by p": [("{P}/5", 1, []), ("{P}9/7", -1, ["u^2"])],
@@ -485,15 +485,15 @@ def lift_case(name, p):
 
 class TestLiftReader:
     """The reader against the path it replaced: every window field and
-    every refusal agree, on all eight rings at p = 2 and p = 3."""
+    every refusal agree, on all eight rings at p = 2 and p = 3, at
+    abs_prec 5, 0 and -1."""
 
     RINGS = [(r, p) for r in RingLabel for p in ((2, 3) if r.padic else
                                                  (None,))]
 
-    @pytest.mark.parametrize("name", LIFT_CASES)
-    @pytest.mark.parametrize("ring,p", RINGS,
-                             ids=[f"{r.value}-{p}" for r, p in RINGS])
-    def test_one_variable(self, ring, p, name):
+    def one_variable(self, ring, p, name, prec):
+        """The outcome of the lift case at prec, checked against the old
+        path; None where a pole is below the window floor."""
         terms = lift_case(name, p or 3)
         if ring is F:
             terms = [(c, sign, [f.replace("u", "t") for f in fs])
@@ -501,19 +501,47 @@ class TestLiftReader:
         text = f"{term_text(terms)} + O({ring.variable}^4)"
         if name == "poles" and not ring.laurent:
             with pytest.raises(ParseError, match="below the window floor"):
-                parse_series(text, ring, p, 5)
-            return
-        new = outcome(lambda: parse_series(text, ring, p, 5))
-        assert new == outcome(lambda: old_series(text, ring, p, 5, terms, 4))
+                parse_series(text, ring, p, prec)
+            return None
+        new = outcome(lambda: parse_series(text, ring, p, prec))
+        assert new == outcome(
+            lambda: old_series(text, ring, p, prec, terms, 4))
+        return new
+
+    @pytest.mark.parametrize("name", LIFT_CASES)
+    @pytest.mark.parametrize("ring,p", RINGS,
+                             ids=[f"{r.value}-{p}" for r, p in RINGS])
+    def test_one_variable(self, ring, p, name):
+        new = self.one_variable(ring, p, name, 5)
         refused = name in ("denominator divisible by p", "poles") \
             and ring.integral
-        assert (new[0] is IntegralityError) == refused
+        assert new is None or (new[0] is IntegralityError) == refused
+
+    @pytest.mark.parametrize("prec", [0, -1])
+    @pytest.mark.parametrize("name", LIFT_CASES)
+    @pytest.mark.parametrize("ring,p", RINGS,
+                             ids=[f"{r.value}-{p}" for r, p in RINGS])
+    def test_one_variable_at_low_precision(self, ring, p, name, prec):
+        """At abs_prec -1 every coefficient, an integer too, is known
+        modulo p^-1 only, which an integral ring refuses."""
+        new = self.one_variable(ring, p, name, prec)
+        if prec < 0 and ring.integral and new is not None:
+            assert new[0] is IntegralityError
 
     def test_integral_refusal_message(self):
         with pytest.raises(IntegralityError) as exc:
             parse_series("7 + 1/3*u^2 + 1/3*u + O(u^4)", GP, 3, 5)
         assert str(exc.value) == ("coefficient 3^-1*1 (mod 3^5) at degree 1 "
                                   "is not integral, required by ring gamma+")
+
+    @pytest.mark.parametrize("prec", [0, -1])
+    @pytest.mark.parametrize("ring,p", RINGS,
+                             ids=[f"{r.value}-{p}" for r, p in RINGS])
+    def test_two_variable_at_low_precision(self, ring, p, prec):
+        text = f"3 + 1/2*x + {ring.variable}*x^2 + O({ring.variable}^3, x^4)"
+        cells = {(0, 0): 3, (0, 1): Fraction(1, 2), (1, 2): 1}
+        assert outcome(lambda: parse_biseries(text, ring, p, prec)) == \
+            outcome(lambda: biseries_from_map(ring, cells, 3, 4, p, prec))
 
     @pytest.mark.parametrize("ring,p", RINGS,
                              ids=[f"{r.value}-{p}" for r, p in RINGS])
@@ -555,8 +583,29 @@ class TestLiftReader:
         terms = [t for t in terms if int(t[2][0].split("^")[1]) < trunc]
         text = f"{term_text(terms)} + O({var}^{trunc})" if terms \
             else f"O({var}^{trunc})"
-        assert outcome(lambda: parse_series(text, ring, p, 6)) == outcome(
-            lambda: old_series(text, ring, p, 6, terms, trunc))
+        prec = data.draw(st.sampled_from((6, 0, -1)))
+        assert outcome(lambda: parse_series(text, ring, p, prec)) == outcome(
+            lambda: old_series(text, ring, p, prec, terms, trunc))
+
+
+class TestCheckOrder:
+    """The prime and precision of a text are checked after the scan in
+    parse_series and before it in parse_biseries."""
+
+    def test_series_scans_first(self):
+        with pytest.raises(ParseError) as exc:
+            parse_series("1 + + O(u^2)", GP, 3, 2585)
+        assert str(exc.value) == "expected a term (at column 5)"
+
+    def test_series_checks_the_variable_first(self):
+        with pytest.raises(ParseError) as exc:
+            parse_series("1 + O(t^2)", GP, 3, 2585)
+        assert str(exc.value) == "ring gamma+ uses the variable 'u', not 't'"
+
+    def test_biseries_checks_the_precision_first(self):
+        with pytest.raises(InvalidInputError) as exc:
+            parse_biseries("1 + + O(u^2, x^2)", GP, 3, 2585)
+        assert str(exc.value).startswith("abs_prec 2585 at p = 3 exceeds")
 
 
 GOLDEN_CONNECTION = {

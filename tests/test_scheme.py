@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+import json
 import operator
 import pathlib
 import random
@@ -19,8 +20,16 @@ from lineint.errors import (
     NotFramedError,
 )
 from lineint import scheme
-from lineint.nabla import Signature, is_identity_series_matrix
-from lineint.parsing import load_family
+from lineint.nabla import (
+    ConnectionMatrix,
+    FramedNablaModule,
+    InvariantRepresentative,
+    Signature,
+    UnipotentMatrix,
+    invariant,
+    is_identity_series_matrix,
+)
+from lineint.parsing import load_connection, load_family, parse_series
 from lineint.scheme import (
     BiForm,
     BiSeries,
@@ -48,9 +57,10 @@ from lineint.series import (
     valuation_profile,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 # bench/workloads.py is loaded by path, as in tests/test_cli.py.
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "bench"))
+sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 F = RingLabel.FORMAL
@@ -728,3 +738,127 @@ class TestSubstitutionSoundness:
         # the completion 1 + x at w = u has u^1 coefficient 1
         assert claims_hold(claimed, exact_substitution(
             [[1, 0, 0], [1, 0, 0]], [0, 1], 3))
+
+
+def recheck(sig, conn):
+    """The connection rebuilt through the checked constructors, framed."""
+    return FramedNablaModule(sig, ConnectionMatrix(conn.ring, conn.entries,
+                                                   conn.prime))
+
+
+def recheck_derived(module, trunc):
+    """Rebuild every matrix the library derives from module without
+    checking it (negated, relabeled and the invariant with its unipotent
+    trivialization) through its checked constructor."""
+    sig, conn = module.signature, module.connection
+    recheck(sig, conn.negated())
+    recheck(sig, conn.relabeled(RingLabel.ROBBA_PLUS if conn.ring.padic
+                                else conn.ring))
+    v = invariant(module, trunc).matrix
+    InvariantRepresentative(UnipotentMatrix(v.signature, v.ring, v.entries,
+                                            v.prime))
+
+
+def recheck_pullback(family, v):
+    """Rebuild the pullback of family along v and every matrix derived
+    from it, the line integral's invariant included."""
+    module = recheck(family.signature, section_pullback(family, v).connection)
+    recheck_derived(module, 1 + min(f.series.trunc_order
+                                    for row in module.connection.entries
+                                    for f in row))
+
+
+def random_value(rng, ring, p):
+    if rng.random() < 0.3:
+        return 0
+    if ring is F:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if ring is GP:
+        return rng.choice((rng.randint(-50, 50), p ** 9))
+    return Fraction(rng.randint(-50, 50), p ** rng.randint(0, 2))
+
+
+def random_module(rng, ring):
+    """A framed connection with random blocks, windows and precision."""
+    p = None if ring is F else rng.choice((2, 3))
+    prec = rng.choice((0, 1, 3, 8) if ring is GP else (-1, 0, 1, 3, 8))
+    sig = Signature(tuple(rng.randint(1, 2)
+                          for _ in range(rng.randint(1, 4))))
+    lower = set(sig.lower_positions())
+
+    def entry(a, b):
+        n = rng.randint(1, 6)
+        if (a, b) in lower:
+            return DifferentialForm(zero_series(ring, 0, n, p, prec))
+        return DifferentialForm(series_from_coeffs(
+            ring, 0, [random_value(rng, ring, p) for _ in range(n)], p,
+            prec))
+
+    r = sig.total
+    rows = tuple(tuple(entry(a, b) for b in range(r)) for a in range(r))
+    return FramedNablaModule(sig, ConnectionMatrix(ring, rows, p))
+
+
+def random_family(rng, ring):
+    """A framed family with random parts and a section v with v(0) = 1."""
+    p = None if ring is F else 3
+    sig = Signature(tuple(rng.randint(1, 2)
+                          for _ in range(rng.randint(1, 3))))
+    tu = rng.randint(1, 5)
+    tx = rng.randint(tu, 6)
+    lower = set(sig.lower_positions())
+
+    def part(zero):
+        mapping = {} if zero else {
+            (i, j): random_value(rng, ring, p)
+            for i in range(tu) for j in range(tx) if rng.random() < 0.4}
+        return biseries_from_map(ring, mapping, tu, tx, p)
+
+    r = sig.total
+    family = FramedFamily(sig, ring, tuple(
+        tuple(BiForm(part((a, b) in lower), part((a, b) in lower))
+              for b in range(r)) for a in range(r)), p)
+    v = series_from_coeffs(ring, 0, [1, 1] + [random_value(rng, ring, p)
+                                              for _ in range(tu)], p)
+    return family, v
+
+
+class TestTrustedMatrices:
+    """Every matrix the library builds from valid values without checking
+    it passes the checks its public constructor runs."""
+
+    @pytest.mark.parametrize("name", ["chain_du", "log_connection"])
+    def test_demo_connections(self, name):
+        doc = json.loads((ROOT / "demos" / "data" / f"{name}.json")
+                         .read_text())
+        recheck_derived(*load_connection(doc))
+
+    def test_demo_family(self):
+        doc = json.loads((ROOT / "demos" / "data" / "geometric_family.json")
+                         .read_text())
+        family, _, _, _ = load_family(doc)
+        recheck_pullback(family, parse_series("1 - u + O(u^9)", GP, 2, 12))
+
+    @pytest.mark.parametrize("size", range(2, 7))
+    def test_workload_connections(self, size):
+        job = workloads.invariant_job(random.Random(size), size, 8)
+        recheck_derived(*load_connection(json.loads(job.stdin)))
+
+    @pytest.mark.parametrize("size", range(2, 7))
+    def test_workload_families(self, size):
+        job = workloads.integrate_job(random.Random(size), size, 7)
+        family, _, _, _ = load_family(workloads.chain_family(size, 7))
+        recheck_pullback(family, parse_series(job.argv[4], GP, 3, 20))
+
+    @pytest.mark.parametrize("ring", [F, GP, RingLabel.ROBBA_PLUS],
+                             ids=lambda r: r.value)
+    def test_random_connections(self, ring):
+        rng = random.Random(f"trusted/{ring.value}")
+        for _ in range(40):
+            recheck_derived(random_module(rng, ring), rng.randint(1, 6))
+
+    @pytest.mark.parametrize("ring", [F, GP], ids=lambda r: r.value)
+    def test_random_families(self, ring):
+        rng = random.Random(f"trusted-family/{ring.value}")
+        for _ in range(20):
+            recheck_pullback(*random_family(rng, ring))
