@@ -12,11 +12,10 @@ line integrals of the connection.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
+from functools import cached_property, reduce
+from operator import add, mul
 
 from .errors import InvalidInputError, NotFramedError
 from .series import (
@@ -41,37 +40,33 @@ class Signature:
     parts: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise InvalidInputError("signature needs at least one part")
-        if any(p < 1 for p in self.parts):
+        if not all(type(p) is int and p >= 1 for p in self.parts):
             raise InvalidInputError(
-                f"signature parts must be positive, got {self.parts}"
+                f"signature parts must be positive integers, got {self.parts}"
             )
 
     @property
     def total(self) -> int:
         return sum(self.parts)
 
-    @property
-    def offsets(self) -> tuple:
-        return tuple(accumulate(self.parts[:-1], initial=0))
+    @cached_property
+    def blocks(self) -> tuple:
+        """The block of each row (or column) index, in index order."""
+        return tuple(i for i, p in enumerate(self.parts) for _ in range(p))
 
     def block_of(self, index: int) -> int:
         """Block containing the given row (or column) index."""
         if not 0 <= index < self.total:
             raise InvalidInputError(f"index {index} out of range")
-        return next(i for i, end in enumerate(accumulate(self.parts))
-                    if index < end)
-
-    def block_rows(self, i: int) -> range:
-        off = self.offsets[i]
-        return range(off, off + self.parts[i])
+        return self.blocks[index]
 
     def lower_positions(self):
         """Each (a, b) on or below the block diagonal, row by row: where a
         framed connection is zero and a unipotent matrix is the identity."""
-        blocks = [i for i, p in enumerate(self.parts) for _ in range(p)]
+        blocks = self.blocks
         return ((a, b) for a, i in enumerate(blocks)
                 for b, j in enumerate(blocks) if i >= j)
 
@@ -97,14 +92,20 @@ def _check_square(entries, size, kind, ring, prime) -> tuple:
 
 
 def _check_framed(signature: Signature, entries, what: str):
-    """Every entry on or below the block diagonal must vanish."""
+    """Every entry on or below the block diagonal must vanish; each
+    distinct entry object, alive in entries, is tested once."""
+    zeros = set()
     for a, b in signature.lower_positions():
-        if not entries[a][b].is_zero:
+        x = entries[a][b]
+        if id(x) in zeros:
+            continue
+        if not x.is_zero:
             raise NotFramedError(
                 f"block ({signature.block_of(a) + 1}, "
                 f"{signature.block_of(b) + 1}) of the {what} is not zero; "
                 "the frame requires strict block upper triangularity"
             )
+        zeros.add(id(x))
 
 
 class _SquareMatrix(_Checked):
@@ -260,10 +261,11 @@ def fundamental_solution(n_matrix: ConnectionMatrix, trunc_order: int) -> tuple:
                    for j in range(i + 1) for c in range(r))) * inv
              for b in range(r)]
             for a in range(r)])
+    # Every layer entry is a Fraction, so each column is a formal window.
     return tuple(
         tuple(
-            TruncatedSeries(RingLabel.FORMAL, 0,
-                            tuple(layers[i][a][b] for i in range(t)), t)
+            TruncatedSeries._trusted(RingLabel.FORMAL, 0, tuple(
+                layers[i][a][b] for i in range(t)), t, None)
             for b in range(r)
         )
         for a in range(r)
@@ -282,14 +284,15 @@ _TRIVIALIZE_RINGS = (RingLabel.FORMAL, RingLabel.ROBBA_PLUS, RingLabel.ROBBA)
 
 
 def trivialize(module: FramedNablaModule, trunc_order: int) -> UnipotentMatrix:
-    """The unipotent V with dV = V*C and V(0) = I, built by superdiagonals.
+    """The unipotent V with dV = V*C and V(0) = I, filled row by row, left
+    to right.  Where block(a) < block(b), V[a, b] is one antiderivative,
 
-    Each block at offset d is one antiderivative:
+        V[a, b] = antiderive( C[a, b] + sum_c V[a, c] C[c, b] ),
 
-        V[i, i+d] = antiderive( C[i, i+d] + sum_(0<e<d) V[i, i+e] C[i+e, i+d] )
-
-    so the entries are the iterated line integrals of the connection, each
-    normalized to vanish at the origin."""
+    summed in increasing c over block(a) < block(c) < block(b).  Each such
+    c is left of b, so V[a, c] is filled already; an obstruction is raised
+    at the first entry in this order.  The entries are the iterated line
+    integrals of the connection, each vanishing at the origin."""
     conn = module.connection
     ring = conn.ring
     if ring not in _TRIVIALIZE_RINGS:
@@ -300,27 +303,22 @@ def trivialize(module: FramedNablaModule, trunc_order: int) -> UnipotentMatrix:
         )
     if trunc_order < 1:
         raise InvalidInputError("truncation must show the constant term")
-    sig = module.signature
-    prime = conn.prime
+    sig, C = module.signature, conn.entries
+    blocks, prime = sig.blocks, conn.prime
     prec = conn.working_precision()
     one = one_series(ring, trunc_order, prime, prec)
     zero = zero_series(ring, 0, trunc_order, prime, prec)
-    r = sig.total
-    ents = [[one if a == b else zero for b in range(r)] for a in range(r)]
-    n = len(sig.parts)
-    for d in range(1, n):
-        for i_block in range(n - d):
-            j_block = i_block + d
-            for a in sig.block_rows(i_block):
-                for b in sig.block_rows(j_block):
-                    w = conn.entries[a][b]
-                    for e in range(1, d):
-                        for c in sig.block_rows(i_block + e):
-                            w = w + ents[a][c] * conn.entries[c][b]
-                    ents[a][b] = antiderive(w, ring).clipped(
-                        trunc_order=trunc_order)
+    r = len(blocks)
+    V = [[one if a == b else zero for b in range(r)] for a in range(r)]
+    for a, row in enumerate(V):
+        for b in range(a + 1, r):
+            if blocks[a] < blocks[b]:
+                row[b] = antiderive(reduce(add, (
+                    row[c] * C[c][b] for c in range(a + 1, b)
+                    if blocks[a] < blocks[c] < blocks[b]), C[a][b]),
+                    ring).clipped(trunc_order=trunc_order)
     # One on the diagonal, zero below and antiderivatives above: unipotent.
-    return UnipotentMatrix._trusted(sig, ring, tuple(map(tuple, ents)), prime)
+    return UnipotentMatrix._trusted(sig, ring, tuple(map(tuple, V)), prime)
 
 
 def matrix_residual(module: FramedNablaModule,
@@ -370,7 +368,7 @@ def series_matrix_product(a_entries, b_entries) -> tuple:
     if len(b_entries) != len(a_entries):
         raise InvalidInputError("matrix sizes differ")
     return tuple(
-        tuple(reduce(operator.add, map(operator.mul, row, col))
+        tuple(reduce(add, map(mul, row, col))
               for col in zip(*b_entries))
         for row in a_entries)
 

@@ -550,7 +550,8 @@ def load_family(doc: dict):
     Entries are {"du": text, "dx": text} objects in the two-variable
     grammar; "0" stands for a zero part, and a bare "0" cell for a zero
     entry.  trunc_x falls back to trunc, fiber_var to "x".  Each distinct
-    part text is read once: equal texts give one shared window.
+    part text is read once: equal texts give one shared window, and every
+    "0" cell is one shared zero entry.
     """
     _require(isinstance(doc, dict), "a family document is a JSON object")
     what = "family document"
@@ -571,6 +572,7 @@ def load_family(doc: dict):
     rows = _string_rows(doc, "connection", what, sig.total)
     # One window per distinct part text, the zero part's "0" among them.
     parsed = {"0": zero_biseries(ring, trunc, trunc_x, prime, prec)}
+    zero = BiForm(parsed["0"], parsed["0"])
 
     def part(text) -> BiSeries:
         if text is None or (isinstance(text, str) and text.strip() == "0"):
@@ -580,20 +582,17 @@ def load_family(doc: dict):
             parsed[text] = parse_biseries(text, ring, prime, prec, fiber_var)
         return parsed[text]
 
-    entries = []
-    for row in rows:
-        out = []
-        for cell in row:
-            if isinstance(cell, str) and cell.strip() == "0":
-                cell = {}
-            _require(isinstance(cell, dict),
-                     'family entries are {"du": ..., "dx": ...} objects '
-                     'or "0"')
-            extra = set(cell) - {"du", "dx"}
-            _require(not extra, f"unknown entry field {sorted(extra)!r}")
-            out.append(BiForm(part(cell.get("du")), part(cell.get("dx"))))
-        entries.append(tuple(out))
-    family = FramedFamily(sig, ring, tuple(entries), prime)
+    def entry(cell) -> BiForm:
+        if isinstance(cell, str) and cell.strip() == "0":
+            return zero
+        _require(isinstance(cell, dict),
+                 'family entries are {"du": ..., "dx": ...} objects or "0"')
+        extra = set(cell) - {"du", "dx"}
+        _require(not extra, f"unknown entry field {sorted(extra)!r}")
+        return BiForm(part(cell.get("du")), part(cell.get("dx")))
+
+    entries = tuple(tuple(map(entry, row)) for row in rows)
+    family = FramedFamily(sig, ring, entries, prime)
     return family, trunc, trunc_x, fiber_var
 
 

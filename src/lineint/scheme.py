@@ -11,10 +11,10 @@ along a section x := v - 1 with v(0) = 1, and the line integral live here.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
+from operator import add, mul
 
 from .errors import InsufficientWindowError, InvalidInputError
 from .nabla import (
@@ -119,7 +119,7 @@ class BiSeries(_CoeffWindow):
 
     def __add__(self, other) -> "BiSeries":
         self._binary_check(other)
-        return self._with(tuple(map(operator.add, self.cols, other.cols)),
+        return self._with(tuple(map(add, self.cols, other.cols)),
                           min(self.trunc_u, other.trunc_u))
 
     def __neg__(self) -> "BiSeries":
@@ -128,7 +128,7 @@ class BiSeries(_CoeffWindow):
     def __mul__(self, other) -> "BiSeries":
         self._binary_check(other)
         a, b = self.cols, other.cols
-        cols = (reduce(operator.add, map(operator.mul, a[:k + 1], b[k::-1]))
+        cols = (reduce(add, map(mul, a[:k + 1], b[k::-1]))
                 for k in range(min(len(a), len(b))))
         return self._with(tuple(cols), min(self.trunc_u, other.trunc_u))
 
@@ -272,10 +272,8 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
         )
     if powers is None:
         powers = _fiber_powers(w, tx - 1, tu)
-    acc = cols[0]
-    for col, power in zip(cols[1:], powers):
-        acc = acc + col * power
-    return acc.clipped(trunc_order=min(tu, w.trunc_order))
+    return reduce(add, map(mul, cols[1:], powers),
+                  cols[0]).clipped(trunc_order=min(tu, w.trunc_order))
 
 
 def section_pullback(family: FramedFamily,

@@ -28,13 +28,14 @@ Validation happens at the boundary.  Every dataclass that checks itself in
 representatives of ``nabla`` and ``scheme``) inherits ``_Checked._trusted``,
 which builds it from fields known valid and skips the check.
 ``TruncatedSeries(...)`` checks window, ring, prime and coefficients for the
-builders whose check can fail (``series_from_coeffs``, ``scale``, the logs,
+builders whose check can fail (``series_from_coeffs``, ``scale``,
 ``relabeled`` into a ring that may refuse a coefficient).  ``antiderive``
 and the text reader in ``parsing`` check only integrality (the reader only
 for a literal with a '/' or a negative working precision) and build through
 ``_trusted``.  ``+``, ``-``, ``*``, ``clipped``, ``without_constant_term``,
-``derive``, ``inverse``, the rational ``dlog`` and the other relabels are
-valid by construction and skip every check through ``_trusted``.
+``derive``, ``inverse``, the rational ``dlog``, the logs, ``unit_decompose``
+and the other relabels are valid by construction and skip every check
+through ``_trusted``.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
@@ -611,7 +612,7 @@ def series_from_coeffs(ring: RingLabel, min_degree: int, values,
     out = []
     for v in values:
         if ring.padic and not isinstance(v, PAdic):
-            v = PAdic.from_rational(Fraction(v), prime, abs_prec)
+            v = PAdic.from_rational(v, prime, abs_prec)
         elif not ring.padic:
             v = Fraction(v)
         out.append(v)
@@ -780,14 +781,11 @@ def unit_decompose(a: TruncatedSeries):
             f"{RingLabel.GAMMA_PLUS.value}, not {a.ring.value}"
         )
     c = _unit_constant_term(a)
-    scaled = a.scale(c.inverse() if a.ring.padic else 1 / c)
-    w = -scaled
-    coeffs = list(w.coeffs)
+    w = -a.scale(c.inverse() if a.ring.padic else 1 / c)
     one = PAdic.one(a.prime, c.rel_prec) if a.ring.padic else Fraction(1)
-    coeffs[0] = coeffs[0] + one
-    w = TruncatedSeries(w.ring, w.min_degree, tuple(coeffs), w.trunc_order,
-                        w.prime)
-    return c, w
+    # w starts at degree 0 as the unit does; integral terms sum integrally.
+    return c, TruncatedSeries._trusted(w.ring, 0, (w.coeffs[0] + one,)
+                                       + w.coeffs[1:], w.trunc_order, w.prime)
 
 
 def formal_log(a: TruncatedSeries) -> TruncatedSeries:
@@ -804,8 +802,8 @@ def formal_log(a: TruncatedSeries) -> TruncatedSeries:
         )
     _unit_constant_term(a)
     s = antiderive(dlog(a), RingLabel.FORMAL)
-    return TruncatedSeries(RingLabel.FORMAL, 0, (Fraction(0),) + s.coeffs,
-                           s.trunc_order)
+    return TruncatedSeries._trusted(a.ring, 0, (Fraction(0),) + s.coeffs,
+                                    s.trunc_order, None)
 
 
 def padic_log_one_minus_py(y: TruncatedSeries) -> TruncatedSeries:
@@ -844,8 +842,9 @@ def padic_log_one_minus_py(y: TruncatedSeries) -> TruncatedSeries:
                     acc[d] = acc[d] + term._at(d)
             if n < n_terms:
                 power = power * py
-    return TruncatedSeries(y.ring, lo, tuple(acc[d] for d in range(lo, t)),
-                           t, p)
+    # Each term passed the integrality check of scale, so their sums pass.
+    return TruncatedSeries._trusted(y.ring, lo,
+                                    tuple(acc[d] for d in range(lo, t)), t, p)
 
 
 def _floor_log(n: int, p: int) -> int:

@@ -1,11 +1,13 @@
 """Framed connections: recurrence solutions, trivialization, the invariant."""
 
+import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lineint import nabla
+from lineint import nabla, series
 from lineint.errors import (
     CalculusError,
     InvalidInputError,
@@ -26,10 +28,12 @@ from lineint.nabla import (
     series_matrix_product,
     trivialize,
 )
+from lineint.parsing import load_family
 from lineint.scheme import BiForm, FramedFamily, biseries_from_map
 from lineint.series import (
     DifferentialForm,
     RingLabel,
+    antiderive,
     dlog,
     one_series,
     padic_log_dagger,
@@ -64,7 +68,6 @@ class TestSignature:
     def test_total_and_offsets(self):
         sig = Signature((2, 1, 3))
         assert sig.total == 6
-        assert sig.offsets == (0, 2, 3)
 
     def test_block_of(self):
         sig = Signature((2, 1, 3))
@@ -72,10 +75,11 @@ class TestSignature:
         with pytest.raises(InvalidInputError):
             sig.block_of(6)
 
-    def test_block_rows(self):
-        sig = Signature((2, 1))
-        assert list(sig.block_rows(0)) == [0, 1]
-        assert list(sig.block_rows(1)) == [2]
+    def test_blocks(self):
+        sig = Signature([2, 1, 3])
+        assert sig.parts == (2, 1, 3)
+        assert sig.blocks == (0, 0, 1, 2, 2, 2)
+        assert sig.blocks is sig.blocks
 
     @pytest.mark.parametrize("parts", [(1,), (2, 1, 3), (1, 1, 1, 1),
                                        (3, 2)])
@@ -93,6 +97,12 @@ class TestSignature:
             Signature((1, 0))
         with pytest.raises(InvalidInputError):
             Signature((-2,))
+
+    @pytest.mark.parametrize("parts", [(1.7, 2), ("2", True), (True,),
+                                       (2.0,), (Fraction(2),), (1, None)])
+    def test_rejects_parts_that_are_not_integers(self, parts):
+        with pytest.raises(InvalidInputError):
+            Signature(parts)
 
 
 class TestConnectionMatrix:
@@ -172,6 +182,54 @@ class TestValidateFramed:
     def test_size_mismatch(self):
         with pytest.raises(InvalidInputError):
             FramedNablaModule(Signature((1, 1, 1)), upper_2x2(fform([1]), 1))
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        """Every form whose is_zero is asked, in order."""
+        tested, is_zero = [], series._Form.is_zero
+        monkeypatch.setattr(series._Form, "is_zero", property(
+            lambda f: tested.append(f) or is_zero.fget(f)))
+        return tested
+
+    def test_shared_entry_is_tested_once(self, tested):
+        z, nz = fzero(3), fform([1, 2, 3])
+        sig = Signature((1, 2, 1))
+        lower = set(sig.lower_positions())
+        rows = tuple(tuple(z if (a, b) in lower else nz for b in range(4))
+                     for a in range(4))
+        FramedNablaModule(sig, ConnectionMatrix(F, rows))
+        assert len(tested) == 1 and tested[0] is z
+
+    def test_family_zero_entry_is_shared_and_tested_once(self, tested):
+        doc = {"signature": [1, 1, 1], "ring": "gamma+", "p": 3,
+               "abs_prec": 5, "trunc": 3,
+               "connection": [["0", {"dx": "1 + O(u^3, x^3)"}, "0"],
+                              ["0", "0", {"du": "u + O(u^3, x^3)"}],
+                              ["0", "0", "0"]]}
+        family, _, _, _ = load_family(doc)
+        assert len(tested) == 1
+        zero = tested[0]
+        assert all(family.entries[a][b] is zero
+                   for a, b in family.signature.lower_positions())
+        assert family.entries[0][2] is zero
+
+    @pytest.mark.parametrize("parts,positions,pair", [
+        ((1, 1, 1), [(2, 1), (1, 0), (2, 0)], "(2, 1)"),
+        ((1, 1, 1), [(2, 2), (2, 0)], "(3, 1)"),
+        ((2, 1), [(2, 0), (1, 0)], "(1, 1)"),
+    ])
+    def test_recurring_entry_reports_the_first_block_pair(self, parts,
+                                                          positions, pair):
+        z, nz = fzero(2), fform([1, 1])
+        r = sum(parts)
+        rows = [[z] * r for _ in range(r)]
+        for a, b in positions:
+            rows[a][b] = nz
+        with pytest.raises(NotFramedError) as info:
+            FramedNablaModule(Signature(parts),
+                              ConnectionMatrix(F, tuple(map(tuple, rows))))
+        assert f"block {pair} of the connection is not zero" \
+            in str(info.value)
 
 
 class TestUnipotentMatrix:
@@ -476,6 +534,132 @@ class TestTrivialize:
         s = horizontal_basis(m, T)
         assert is_identity_series_matrix(series_matrix_product(v.entries, s))
         assert matrix_residual(m, v)
+
+
+# -- trivialize against the loop nest it replaced ------------------------------
+
+
+def trivialize_by_superdiagonals(module, trunc_order):
+    """The entries of trivialize(module, trunc_order) as the library built
+    them before: block superdiagonal by block superdiagonal, in six nested
+    loops over the rows of each block.  Kept as the oracle of
+    TestTrivializeOracle."""
+    conn = module.connection
+    ring, prime = conn.ring, conn.prime
+    prec = conn.working_precision()
+    one = one_series(ring, trunc_order, prime, prec)
+    zero = zero_series(ring, 0, trunc_order, prime, prec)
+    parts = module.signature.parts
+    offsets = tuple(accumulate(parts[:-1], initial=0))
+
+    def block_rows(i):
+        return range(offsets[i], offsets[i] + parts[i])
+
+    r, n = sum(parts), len(parts)
+    ents = [[one if a == b else zero for b in range(r)] for a in range(r)]
+    for d in range(1, n):
+        for i_block in range(n - d):
+            j_block = i_block + d
+            for a in block_rows(i_block):
+                for b in block_rows(j_block):
+                    w = conn.entries[a][b]
+                    for e in range(1, d):
+                        for c in block_rows(i_block + e):
+                            w = w + ents[a][c] * conn.entries[c][b]
+                    ents[a][b] = antiderive(w, ring).clipped(
+                        trunc_order=trunc_order)
+    return tuple(map(tuple, ents))
+
+
+def oracle_module(rng, ring):
+    """A framed connection over ring with blocks of sizes 1 to 3.  Over
+    robba the windows may start at degree -2 and a degree -1 coefficient
+    is often zero, so some modules trivialize and others obstruct."""
+    p = None if ring is F else rng.choice((2, 3))
+    prec = rng.choice((1, 3, 8))
+    sig = Signature(tuple(rng.randint(1, 3)
+                          for _ in range(rng.randint(1, 4))))
+    lower = set(sig.lower_positions())
+
+    def value(d):
+        if rng.random() < 0.3 or (d == -1 and rng.random() < 0.8):
+            return 0
+        if ring is GP:
+            return rng.randint(-50, 50)
+        return Fraction(rng.randint(-50, 50), (p or 5) ** rng.randint(0, 2))
+
+    def entry(a, b):
+        lo = rng.choice((-2, -1, 0)) if ring is R else 0
+        n = rng.randint(1, 6)
+        if (a, b) in lower:
+            return DifferentialForm(zero_series(ring, lo, lo + n, p, prec))
+        return DifferentialForm(series_from_coeffs(
+            ring, lo, [value(d) for d in range(lo, lo + n)], p, prec))
+
+    r = sig.total
+    rows = tuple(tuple(entry(a, b) for b in range(r)) for a in range(r))
+    return FramedNablaModule(sig, ConnectionMatrix(ring, rows, p))
+
+
+def assert_same_entries(got, want):
+    """Equal windows whose coefficients print alike at equal precision."""
+    assert got == want
+    for g, w in zip((s for row in got for s in row),
+                    (s for row in want for s in row)):
+        assert [(str(c), getattr(c, "abs_prec", None)) for c in g.coeffs] \
+            == [(str(c), getattr(c, "abs_prec", None)) for c in w.coeffs]
+
+
+class TestTrivializeOracle:
+    """trivialize fills V row by row; the loop nest it replaced filled it
+    by block superdiagonals.  Both add the terms of each entry in the same
+    order, so every entry is the same window with the same coefficients
+    and precisions.  When some entry obstructs, both raise the same class;
+    trivialize names the first obstruction in row order, the loop nest the
+    first by superdiagonal."""
+
+    @pytest.mark.parametrize("ring", [F, RP, R], ids=lambda r: r.value)
+    def test_random_modules(self, ring):
+        rng = random.Random(f"trivialize-oracle/{ring.value}")
+        outcomes = set()
+        for _ in range(40):
+            module, trunc = oracle_module(rng, ring), rng.randint(1, 7)
+            try:
+                want = trivialize_by_superdiagonals(module, trunc)
+            except CalculusError as exc:
+                with pytest.raises(type(exc)):
+                    trivialize(module, trunc)
+                outcomes.add(type(exc))
+                continue
+            v = trivialize(module, trunc)
+            assert_same_entries(v.entries, want)
+            outcomes.add(None)
+        assert None in outcomes
+        assert (IntegralObstructionError in outcomes) == (ring is R)
+
+    def test_random_integral_modules_through_invariant(self):
+        rng = random.Random("trivialize-oracle/gamma+")
+        for _ in range(40):
+            module, trunc = oracle_module(rng, GP), rng.randint(1, 7)
+            relabeled = FramedNablaModule(
+                module.signature, module.connection.relabeled(RP))
+            assert_same_entries(invariant(module, trunc).matrix.entries,
+                                trivialize_by_superdiagonals(relabeled,
+                                                             trunc))
+
+    def test_first_obstruction_in_row_order(self):
+        z = DifferentialForm(zero_series(R, -1, 3, prime=2, abs_prec=8))
+
+        def pole(k):
+            return DifferentialForm(series_from_coeffs(R, -1, [k, 0, 0, 0],
+                                                       prime=2, abs_prec=8))
+
+        conn = ConnectionMatrix(R, ((z, z, pole(2)), (z, z, pole(1)),
+                                    (z, z, z)), prime=2)
+        with pytest.raises(IntegralObstructionError) as info:
+            trivialize(FramedNablaModule(Signature((1, 1, 1)), conn), 4)
+        # Entry (1, 3) comes before entry (2, 3) in row order.
+        assert info.value.residue.to_fraction() == 2
 
 
 class TestMatrixResidual:

@@ -656,6 +656,8 @@ class TestConnectionDocuments:
         lambda d: d.update(connection=[["0"]]),
         lambda d: d.update(connection=[["0", 7], ["0", "0"]]),
         lambda d: d.update(signature="wide"),
+        lambda d: d.update(signature=[1.5, 1]),
+        lambda d: d.update(signature=[True, 1]),
     ])
     def test_malformed_documents(self, mangle):
         doc = json.loads(json.dumps(GOLDEN_CONNECTION))

@@ -16,10 +16,12 @@ coefficients through ``coefficient(i, j)`` and builds its result from a
 full map, so it does not depend on how a ``BiSeries`` stores them.  ``TestLiftRule`` checks the
 rule the p-adic kernels rest on against exact ``Fraction`` arithmetic.
 The kernels build their results unchecked: ``TestTrustedResults`` rebuilds
-them through the public constructors, and ``BOUNDARY_REFUSALS`` lists what
-those constructors must still refuse.
+them through the public constructors, ``TestTrustedDerivedSeries`` does the
+same for the logs, ``unit_decompose`` and ``fundamental_solution``, and
+``BOUNDARY_REFUSALS`` lists what those constructors must still refuse.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -34,7 +36,7 @@ from lineint.errors import (
     InvalidInputError,
     NonUnitError,
 )
-from lineint.nabla import Signature
+from lineint.nabla import ConnectionMatrix, Signature, fundamental_solution
 from lineint.scheme import (
     BiForm,
     BiSeries,
@@ -51,8 +53,11 @@ from lineint.series import (
     TruncatedSeries,
     derive,
     dlog,
+    formal_log,
     inverse,
+    padic_log_one_minus_py,
     series_from_coeffs,
+    unit_decompose,
     zero_series,
 )
 
@@ -489,6 +494,71 @@ class TestTrustedResults:
             results += [x / y, y.inverse()]
         for result in results:
             assert public(result) == result, (x, y)
+
+
+def random_unit_values(rng, n, p):
+    """n values whose first is a unit: of the integers mod p, or a nonzero
+    rational when p is None."""
+    first = rng.randint(1, 50) * rng.choice((-1, 1))
+    if p is None:
+        first = Fraction(first, rng.randint(1, 9))
+    elif first % p == 0:
+        first += 1
+    return [first] + [rng.randint(-50, 50) if p else
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      for _ in range(n - 1)]
+
+
+class TestTrustedDerivedSeries:
+    """formal_log, unit_decompose, padic_log_one_minus_py and
+    fundamental_solution build their windows unchecked, on seeded random
+    inputs; rebuilt through TruncatedSeries(...), each comes back
+    unchanged."""
+
+    def test_formal_log_and_unit_decompose(self):
+        rng = random.Random("trusted-series/formal")
+        for _ in range(60):
+            a = series_from_coeffs(RingLabel.FORMAL, 0, random_unit_values(
+                rng, rng.randint(1, 12), None))
+            for result in (formal_log(a), unit_decompose(a)[1]):
+                assert rebuilt(result) == result, a
+
+    def test_unit_decompose_over_gamma_plus(self):
+        rng = random.Random("trusted-series/gamma+")
+        for _ in range(60):
+            p = rng.choice(PRIMES[:4])
+            values = random_unit_values(rng, rng.randint(1, 12), p)
+            a = series_from_coeffs(RingLabel.GAMMA_PLUS, 0, values, p,
+                                   rng.randint(1, 12))
+            w = unit_decompose(a)[1]
+            assert rebuilt(w) == w, a
+
+    @pytest.mark.parametrize("ring", [RingLabel.GAMMA_PLUS, RingLabel.GAMMA],
+                             ids=lambda r: r.value)
+    def test_padic_log_one_minus_py(self, ring):
+        rng = random.Random(f"trusted-series/log/{ring.value}")
+        for _ in range(40):
+            p = rng.choice((2, 3, 5))
+            lo = rng.randint(-2, 1) if ring.laurent else rng.randint(0, 1)
+            y = series_from_coeffs(ring, lo, [
+                rng.randint(-50, 50) for _ in range(rng.randint(0, 8))], p,
+                rng.randint(1, 10))
+            result = padic_log_one_minus_py(y)
+            assert rebuilt(result) == result, y
+
+    def test_fundamental_solution(self):
+        rng = random.Random("trusted-series/fundsol")
+        for _ in range(30):
+            r, n = rng.randint(1, 3), rng.randint(1, 6)
+            rows = tuple(tuple(DifferentialForm(series_from_coeffs(
+                RingLabel.FORMAL, 0, [Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 9))
+                                      for _ in range(n)]))
+                for _ in range(r)) for _ in range(r))
+            solution = fundamental_solution(
+                ConnectionMatrix(RingLabel.FORMAL, rows), rng.randint(1, 8))
+            for s in (s for row in solution for s in row):
+                assert rebuilt(s) == s, rows
 
 
 GP, G, RP = RingLabel.GAMMA_PLUS, RingLabel.GAMMA, RingLabel.ROBBA_PLUS

@@ -117,6 +117,18 @@ class TestConstruction:
         with pytest.raises(IntegralityError):
             series_from_coeffs(GP, 0, [Fraction(1, 2)], prime=2)
 
+    @pytest.mark.parametrize("ring,prime,abs_prec", [
+        (GP, 2, 5), (GP, 3, 1), (E, 5, 0), (R, 3, -1), (RP, 2**61 - 1, 3)])
+    def test_int_values_are_read_as_their_fractions(self, ring, prime,
+                                                    abs_prec):
+        values = [0, 1, -1, 6, -12, 3**7, -(2**70) - 5, prime, prime**2]
+
+        def fields(vals):
+            s = series_from_coeffs(ring, 0, vals, prime, abs_prec)
+            return [(c.valuation, c.unit, c.abs_prec) for c in s.coeffs]
+
+        assert fields(values) == fields(list(map(Fraction, values)))
+
     def test_coefficient_kind_must_match_ring(self):
         with pytest.raises(InvalidInputError):
             TruncatedSeries(F, 0, (PAdic.one(2, 5),), 1)
