@@ -229,8 +229,10 @@ class PAdic:
 
     @classmethod
     def from_rational(cls, value, prime: int, abs_prec: int) -> "PAdic":
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+        """An int (a bool is not one) or a Fraction at abs_prec."""
+        if type(value) is not int and not isinstance(value, Fraction):
+            raise InvalidInputError(
+                f"expected an int or a Fraction, got {value!r}")
         return padic_normalize(value.numerator, value.denominator, prime,
                                abs_prec)
 
@@ -266,7 +268,8 @@ class PAdic:
                 raise InvalidInputError("p-adic arithmetic needs matching primes")
             return other
         if isinstance(other, (int, Fraction)):
-            return PAdic.from_rational(other, self.prime, self.abs_prec)
+            return padic_normalize(other.numerator, other.denominator,
+                                   self.prime, self.abs_prec)
         return None
 
     def __add__(self, other) -> "PAdic":

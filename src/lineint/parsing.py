@@ -23,13 +23,14 @@ value of this library.  A bare marker is the all-zero window.  Like terms
 merge, so "t + t + O(t^3)" reads as 2t.  Negative exponents need a ring with
 poles.  Two-variable windows use the two-exponent marker O(u^A, x^B).
 
-Reading goes straight to coefficients.  Like terms merge as exact integers;
-a Fraction is made only for a literal with a '/' and for the rational
-ring's coefficients.  Over the p-adics an integer n goes straight to
-p^v * unit modulo p^abs_prec, the working precision.  The reader is the
-boundary, so it checks each condition once: the prime and the precision
-once per text, each degree and window end once, and integrality only where
-a '/' stands or abs_prec is negative.  It then builds the window unchecked.
+Like terms merge as exact integers; a Fraction is made only for a literal
+with a '/'.  The merged values become coefficients through the library's
+one builder, series.series_from_coeffs (per column, for two variables,
+through scheme.biseries_from_map): over the p-adics an integer n goes
+straight to p^0 * n modulo p^abs_prec, the working precision, and
+integrality is checked only where a '/' stands or abs_prec is negative.
+The reader checks the grammar, the prime and the precision once per text
+and each degree and window end once.
 
 Printing is canonical: terms in increasing degree, vanishing coefficients
 skipped, unit coefficients elided next to a variable, rationals as "a/b".
@@ -46,21 +47,21 @@ from operator import le, lt
 import re
 import sys
 
-from .coeff import DEGREE_LIMIT, MATRIX_SIZE_LIMIT, PAdic, _padic, _reduce, \
-    check_degree, check_precision, check_prime
+from .coeff import DEGREE_LIMIT, MATRIX_SIZE_LIMIT, PAdic, check_degree, \
+    check_precision, check_prime
 from .errors import InsufficientWindowError, InvalidInputError, ParseError
 from .nabla import ConnectionMatrix, FramedNablaModule, Signature
-from .scheme import BiForm, BiSeries, FramedFamily, _check_header, \
+from .scheme import BiForm, BiSeries, FramedFamily, biseries_from_map, \
     zero_biseries
 from .series import (
     DEFAULT_ABS_PREC,
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
-    _check_integral,
     _check_ring_prime,
     _coeff_is_zero,
     _max_abs_prec,
+    series_from_coeffs,
     valuation_profile,
     zero_series,
 )
@@ -213,25 +214,6 @@ def _merge_terms(terms, marker) -> dict:
     return acc
 
 
-def _window(ring: RingLabel, prime, abs_prec: int, lo: int, hi: int,
-            values: dict) -> TruncatedSeries:
-    """The window [lo, hi) over ring of the merged values {degree: int or
-    Fraction}, unwritten degrees zero, for a ring, prime and abs_prec checked
-    already: the reader's one way from a value to a coefficient.  An int
-    goes straight to its p-adic value at abs_prec; only a Fraction, which a
-    '/' made, or an abs_prec below 0 can leave an integral ring."""
-    padic = ring.padic
-    coeffs = [_padic(prime, None, 0, abs_prec) if padic else Fraction(0)] \
-        * (hi - lo)
-    for d, v in values.items():
-        coeffs[d - lo] = Fraction(v) if not padic \
-            else _reduce(prime, 0, v, abs_prec) if type(v) is int \
-            else PAdic.from_rational(v, prime, abs_prec)
-    if abs_prec < 0 or any(type(v) is Fraction for v in values.values()):
-        _check_integral(ring, lo, coeffs)
-    return TruncatedSeries._trusted(ring, lo, tuple(coeffs), hi, prime)
-
-
 # -- one-variable series -------------------------------------------------------
 
 
@@ -287,7 +269,9 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
         raise ParseError(
             f"window end {trunc} is below the floor of ring {ring.value}")
     # A window end at or below lo leaves nothing written: [trunc, trunc).
-    return _window(ring, prime, abs_prec, min(lo, trunc), trunc, acc)
+    lo = min(lo, trunc)
+    values = [acc.get(d, 0) for d in range(lo, trunc)]
+    return series_from_coeffs(ring, lo, values, prime, abs_prec)
 
 
 def _coeff_fraction(c) -> Fraction:
@@ -369,9 +353,8 @@ def structured_series(s: TruncatedSeries) -> dict:
 def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
                    abs_prec: int = DEFAULT_ABS_PREC,
                    fiber_var: str = "x") -> BiSeries:
-    """Parse two-variable text; the marker is O(base^A, fiber^B).  Each
-    column with a written term is read as parse_series reads a window; the
-    others are one shared zero column."""
+    """Parse two-variable text; the marker is O(base^A, fiber^B).  The
+    merged terms become a window through biseries_from_map."""
     if fiber_var not in _VARS or fiber_var == ring.variable:
         raise InvalidInputError(
             f"fiber variable must be one of {_VARS} and differ from "
@@ -394,14 +377,7 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
     mapping = _merge_terms(terms, marker)
     if any(min(exps) < 0 for exps in mapping):
         raise ParseError("two-variable windows take no negative degrees")
-    _check_header(ring, prime, tu, tx)
-    cols: dict = {}
-    for (i, j), v in mapping.items():
-        cols.setdefault(j, {})[i] = v
-    zero = zero_series(ring, 0, tu, prime, abs_prec)
-    return BiSeries._trusted(ring, tuple(
-        _window(ring, prime, abs_prec, 0, tu, cols[j]) if j in cols
-        else zero for j in range(tx)), tu, prime)
+    return biseries_from_map(ring, mapping, tu, tx, prime, abs_prec)
 
 
 def _rows(b: BiSeries):
@@ -639,7 +615,10 @@ def parse_series_matrix(doc: dict):
     _require(isinstance(doc, dict), "a matrix document is a JSON object")
     what = "matrix document"
     ring, prime, prec = _doc_mode(doc, what)
-    rows = _string_rows(doc, "entries", what)
+    sig_val = doc.get("signature")
+    sig = _signature_from(sig_val) if sig_val is not None else None
+    rows = _string_rows(doc, "entries", what,
+                        sig.total if sig is not None else None)
     entries = []
     for row in rows:
         out = []
@@ -647,8 +626,6 @@ def parse_series_matrix(doc: dict):
             _require(isinstance(cell, str), "matrix entries are series text")
             out.append(parse_series(cell, ring, prime, prec))
         entries.append(tuple(out))
-    sig_val = doc.get("signature")
-    sig = _signature_from(sig_val) if sig_val is not None else None
     return tuple(entries), ring, prime, sig
 
 

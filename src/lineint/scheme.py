@@ -152,7 +152,7 @@ def biseries_from_map(ring: RingLabel, mapping, trunc_u: int, trunc_x: int,
                       prime: int | None = None,
                       abs_prec: int = DEFAULT_ABS_PREC) -> BiSeries:
     """Build a window from a sparse {(i, j): value} map; absent means zero.
-    Every column with no mapped entry is one shared zero series."""
+    Columns come from series_from_coeffs; unmapped ones share one zero."""
     _check_header(ring, prime, trunc_u, trunc_x)
     zero = zero_series(ring, 0, trunc_u, prime, abs_prec)
     cols = {}
@@ -161,8 +161,8 @@ def biseries_from_map(ring: RingLabel, mapping, trunc_u: int, trunc_x: int,
             raise InvalidInputError(
                 f"degree ({i}, {j}) outside window ({trunc_u}, {trunc_x})"
             )
-        cols.setdefault(j, list(zero.coeffs))[i] = v
-    return BiSeries(ring, tuple(
+        cols.setdefault(j, [0] * trunc_u)[i] = v
+    return BiSeries._trusted(ring, tuple(
         series_from_coeffs(ring, 0, cols[j], prime, abs_prec) if j in cols
         else zero for j in range(trunc_x)), trunc_u, prime)
 

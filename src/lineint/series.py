@@ -27,15 +27,15 @@ Validation happens at the boundary.  Every dataclass that checks itself in
 ``__post_init__`` (the windows here, the matrices, framed modules and
 representatives of ``nabla`` and ``scheme``) inherits ``_Checked._trusted``,
 which builds it from fields known valid and skips the check.
-``TruncatedSeries(...)`` checks window, ring, prime and coefficients for the
-builders whose check can fail (``series_from_coeffs``, ``scale``,
-``relabeled`` into a ring that may refuse a coefficient).  ``antiderive``
-and the text reader in ``parsing`` check only integrality (the reader only
-for a literal with a '/' or a negative working precision) and build through
-``_trusted``.  ``+``, ``-``, ``*``, ``clipped``, ``without_constant_term``,
-``derive``, ``inverse``, the rational ``dlog``, the logs, ``unit_decompose``
-and the other relabels are valid by construction and skip every check
-through ``_trusted``.
+``series_from_coeffs``, the one way from a value to a coefficient for
+``zero_series``, ``monomial``, ``biseries_from_map`` and the text reader,
+checks each value's kind and integrality only where it can fail;
+``antiderive`` checks only integrality.  Both build through ``_trusted``.
+``TruncatedSeries(...)`` checks the results of ``scale`` and of a
+``relabeled`` into a ring that may refuse a coefficient.  ``+``, ``-``,
+``*``, ``clipped``, ``without_constant_term``, ``derive``, ``inverse``, the
+rational ``dlog``, the logs, ``unit_decompose`` and the other relabels are
+valid by construction and skip every check through ``_trusted``.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
@@ -578,18 +578,15 @@ def _materialize_zero(ring: RingLabel, prime, abs_prec):
 def zero_series(ring: RingLabel, min_degree: int, trunc_order: int,
                 prime: int | None = None,
                 abs_prec: int = DEFAULT_ABS_PREC) -> TruncatedSeries:
-    z = _materialize_zero(ring, prime, abs_prec)
     _check_window(ring, min_degree, trunc_order, prime)
-    if trunc_order > min_degree:
-        _check_coeff(ring, prime, z, min_degree)
-    return TruncatedSeries._trusted(ring, min_degree,
-                                    (z,) * (trunc_order - min_degree),
-                                    trunc_order, prime)
+    return series_from_coeffs(ring, min_degree,
+                              [0] * (trunc_order - min_degree), prime,
+                              abs_prec)
 
 
 def one_series(ring: RingLabel, trunc_order: int, prime: int | None = None,
                abs_prec: int = DEFAULT_ABS_PREC) -> TruncatedSeries:
-    return monomial(ring, Fraction(1), 0, trunc_order, prime, abs_prec)
+    return monomial(ring, 1, 0, trunc_order, prime, abs_prec)
 
 
 def monomial(ring: RingLabel, value, degree: int, trunc_order: int,
@@ -608,16 +605,37 @@ def monomial(ring: RingLabel, value, degree: int, trunc_order: int,
 def series_from_coeffs(ring: RingLabel, min_degree: int, values,
                        prime: int | None = None,
                        abs_prec: int = DEFAULT_ABS_PREC) -> TruncatedSeries:
-    """Build a series from rational (or already p-adic) coefficient values."""
-    out = []
-    for v in values:
-        if ring.padic and not isinstance(v, PAdic):
-            v = PAdic.from_rational(v, prime, abs_prec)
-        elif not ring.padic:
-            v = Fraction(v)
-        out.append(v)
-    return TruncatedSeries(ring, min_degree, tuple(out),
-                           min_degree + len(out), prime)
+    """The window of values from min_degree on: the one way from a value to
+    a coefficient.  A value is an int (not a bool), a Fraction or, over a
+    p-adic ring, a PAdic of its prime, kept as it is.  Over the p-adics an
+    int is p^0 * n mod p^abs_prec and a Fraction goes through
+    PAdic.from_rational; each 0 is one shared zero.  Only a value that is
+    not an int, or an abs_prec below 0, can leave an integral ring."""
+    _check_window(ring, min_degree, min_degree, prime)
+    padic = ring.padic
+    zero = _materialize_zero(ring, prime, abs_prec)
+    coeffs, check = [], abs_prec < 0
+    for d, v in enumerate(values, min_degree):
+        if type(v) is int:
+            c = zero if not v else _reduce(prime, 0, v, abs_prec) if padic \
+                else Fraction(v)
+        elif isinstance(v, Fraction):
+            c = PAdic.from_rational(v, prime, abs_prec) if padic else v
+            check = True
+        elif padic and isinstance(v, PAdic) and v.prime == prime:
+            c, check = v, True
+        else:
+            # A lower degree that leaves the ring is refused first.
+            _check_integral(ring, min_degree, coeffs)
+            if padic and isinstance(v, PAdic):
+                _check_coeff(ring, prime, v, d)  # of another prime: raises
+            raise InvalidInputError(f"coefficient {v!r} at degree {d} is not "
+                                    f"a value of ring {ring.value}")
+        coeffs.append(c)
+    if check:
+        _check_integral(ring, min_degree, coeffs)
+    return TruncatedSeries._trusted(ring, min_degree, tuple(coeffs),
+                                    min_degree + len(coeffs), prime)
 
 
 # -- calculus -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Grammar, printer, and document-format tests."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,8 +32,10 @@ from lineint.parsing import (
     structured_biseries,
     structured_series,
 )
-from lineint.scheme import biseries_from_map, curvature
+from lineint.scheme import BiSeries, _check_header, biseries_from_map, \
+    curvature
 from lineint.series import (
+    DEFAULT_ABS_PREC,
     RingLabel,
     TruncatedSeries,
     formal_log,
@@ -450,16 +453,49 @@ def merged(terms, key):
     return acc
 
 
+def reference_series(ring, min_degree, values, prime=None,
+                     abs_prec=DEFAULT_ABS_PREC):
+    """series_from_coeffs before it became the one builder: each value
+    lifted by PAdic.from_rational (made a Fraction over the rationals),
+    then every coefficient checked again by TruncatedSeries(...)."""
+    out = []
+    for v in values:
+        if ring.padic and not isinstance(v, PAdic):
+            v = PAdic.from_rational(v, prime, abs_prec)
+        elif not ring.padic:
+            v = Fraction(v)
+        out.append(v)
+    return TruncatedSeries(ring, min_degree, tuple(out),
+                           min_degree + len(out), prime)
+
+
+def reference_biseries(ring, mapping, trunc_u, trunc_x, prime=None,
+                       abs_prec=DEFAULT_ABS_PREC):
+    """The column path of parse_biseries and biseries_from_map before the
+    one builder: the header checked, the values grouped by x-degree, each
+    column with a value read by reference_series, the others one shared
+    zero column, and the window checked by BiSeries(...)."""
+    _check_header(ring, prime, trunc_u, trunc_x)
+    zero = reference_series(ring, 0, [0] * trunc_u, prime, abs_prec)
+    cols = {}
+    for (i, j), v in mapping.items():
+        if not (0 <= i < trunc_u and 0 <= j < trunc_x):
+            raise InvalidInputError(
+                f"degree ({i}, {j}) outside window ({trunc_u}, {trunc_x})")
+        cols.setdefault(j, [0] * trunc_u)[i] = v
+    return BiSeries(ring, tuple(
+        reference_series(ring, 0, cols[j], prime, abs_prec) if j in cols
+        else zero for j in range(trunc_x)), trunc_u, prime)
+
+
 def old_series(text, ring, prime, abs_prec, terms, trunc):
-    """The reader before integer lifts: series_from_coeffs over the merged
+    """The reader before integer lifts: reference_series over the merged
     terms, on the window parse_series reads."""
     acc = merged(terms, lambda fs: int(fs[0].split("^")[1]) if fs else 0)
-    lo = min([0, *acc])
-    if trunc <= lo:
-        return zero_series(ring, trunc, trunc, prime, abs_prec)
-    return series_from_coeffs(ring, lo,
-                              [acc.get(d, Fraction(0))
-                               for d in range(lo, trunc)], prime, abs_prec)
+    lo = min([0, *acc, trunc])
+    return reference_series(ring, lo, [acc.get(d, Fraction(0))
+                                       for d in range(lo, trunc)],
+                            prime, abs_prec)
 
 
 # Terms per case as (coefficient text, sign, factors); {P} is the prime, {Q}
@@ -541,7 +577,7 @@ class TestLiftReader:
         text = f"3 + 1/2*x + {ring.variable}*x^2 + O({ring.variable}^3, x^4)"
         cells = {(0, 0): 3, (0, 1): Fraction(1, 2), (1, 2): 1}
         assert outcome(lambda: parse_biseries(text, ring, p, prec)) == \
-            outcome(lambda: biseries_from_map(ring, cells, 3, 4, p, prec))
+            outcome(lambda: reference_biseries(ring, cells, 3, 4, p, prec))
 
     @pytest.mark.parametrize("ring,p", RINGS,
                              ids=[f"{r.value}-{p}" for r, p in RINGS])
@@ -561,7 +597,7 @@ class TestLiftReader:
         cells = merged(terms, lambda fs: (degree(fs, base), degree(fs, "x")))
         new = outcome(lambda: parse_biseries(text, ring, p, 5))
         assert new == outcome(
-            lambda: biseries_from_map(ring, cells, 3, 4, p, 5))
+            lambda: reference_biseries(ring, cells, 3, 4, p, 5))
         assert (new[0] is InvalidInputError) == ring.laurent
         assert (new[0] is IntegralityError) == (ring is GP)
 
@@ -834,3 +870,104 @@ class TestFamilyDocuments:
                              [{"du": "1 + O(t^6, x^6)"}, "0"]]
         with pytest.raises(NotFramedError):
             load_family(doc)
+
+
+def random_value(rng, ring, p):
+    """A value for series_from_coeffs over ring at the prime p: a zero, an
+    int (at times a multiple of p^5 or larger), a Fraction (at times with
+    p in its denominator) or, over the p-adics, a PAdic (at times zero, of
+    negative valuation or of another prime)."""
+    q = p or 3
+    kind = rng.randrange(7 if ring.padic else 4)
+    if kind == 0:
+        return rng.choice([0, Fraction(0)])
+    if kind == 1:
+        return rng.randint(-q ** 6, q ** 6) * q ** rng.choice([0, 0, 5])
+    if kind in (2, 3):
+        return Fraction(rng.randint(-50, 50),
+                        rng.randint(1, 9) * q ** rng.choice([0, 0, 1, 2]))
+    prec = rng.randint(-1, 8)
+    if kind == 4:
+        return PAdic.zero(p, prec)
+    prime = p if kind == 5 or rng.random() < 0.7 else (5 if p != 5 else 7)
+    v = rng.randint(-2, prec - 1)
+    unit = rng.randrange(1, prime ** (prec - v))
+    return PAdic(prime, v, unit + (unit % prime == 0), prec)
+
+
+def fields_and_text(s):
+    """The window fields with every coefficient's text and abs_prec."""
+    cols = s.cols if isinstance(s, BiSeries) else (s,)
+    return [(col.ring, col.prime, col.min_degree, col.trunc_order,
+             [(str(c), getattr(c, "abs_prec", None)) for c in col.coeffs])
+            for col in cols]
+
+
+def agree(build, reference):
+    """build() and reference() give equal windows of the same coefficient
+    text and precision, or raise errors of one class."""
+    try:
+        want = reference()
+    except (IntegralityError, InvalidInputError) as exc:
+        with pytest.raises(type(exc)):
+            build()
+        return type(exc)
+    got = build()
+    assert got == want and fields_and_text(got) == fields_and_text(want)
+    return None
+
+
+class TestOneBuilder:
+    """series_from_coeffs and biseries_from_map against the checked path
+    they replaced, on seeded random values of every kind, every ring, and
+    abs_prec 5, 0 and -1."""
+
+    RINGS = [(r, p) for r in RingLabel for p in ((2, 3) if r.padic else
+                                                 (None,))]
+    IDS = [f"{r.value}-{p}" for r, p in RINGS]
+
+    @pytest.mark.parametrize("prec", [5, 0, -1])
+    @pytest.mark.parametrize("ring,p", RINGS, ids=IDS)
+    def test_series_from_coeffs(self, ring, p, prec):
+        rng = random.Random(f"one-builder/{ring.value}/{p}/{prec}")
+        refused = set()
+        for _ in range(60):
+            lo = rng.randint(-2 if ring.laurent else 0, 2)
+            values = [random_value(rng, ring, p)
+                      for _ in range(rng.randint(0, 7))]
+            refused.add(agree(
+                lambda: series_from_coeffs(ring, lo, values, p, prec),
+                lambda: reference_series(ring, lo, values, p, prec)))
+        assert None in refused
+
+    @pytest.mark.parametrize("prec", [5, 0, -1])
+    @pytest.mark.parametrize("ring,p", RINGS, ids=IDS)
+    def test_biseries_from_map(self, ring, p, prec):
+        rng = random.Random(f"one-builder-2/{ring.value}/{p}/{prec}")
+        for _ in range(30):
+            tu, tx = rng.randint(0, 4), rng.randint(0, 4)
+            cells = {(rng.randrange(tu), rng.randrange(tx)):
+                     random_value(rng, ring, p)
+                     for _ in range(rng.randint(0, 6)) if tu and tx}
+            agree(lambda: biseries_from_map(ring, cells, tu, tx, p, prec),
+                  lambda: reference_biseries(ring, cells, tu, tx, p, prec))
+
+    @pytest.mark.parametrize("ring,p", [(F, 3), (GP, None), (E, None)])
+    def test_wrong_header(self, ring, p):
+        assert agree(lambda: series_from_coeffs(ring, 0, [1, 2], p),
+                     lambda: reference_series(ring, 0, [1, 2], p)) \
+            is InvalidInputError
+
+
+class TestSignatureFitsTheMatrix:
+    def test_matrix_document_with_a_signature_of_another_size(self):
+        doc = {"ring": "formal", "entries": [["O(t^2)"]], "signature": [2, 3]}
+        with pytest.raises(ParseError, match="must be a 5 by 5 matrix"):
+            parse_series_matrix(doc)
+
+    def test_matrix_document_with_a_fitting_signature(self):
+        doc = {"ring": "formal", "entries": [["O(t^2)", "t + O(t^2)"],
+                                             ["O(t^2)", "O(t^2)"]],
+               "signature": [1, 1]}
+        entries, _, _, sig = parse_series_matrix(doc)
+        assert sig.parts == (1, 1) and len(entries) == 2

@@ -7,8 +7,6 @@ the message.  The command-line refusals of the same kind are in
 tests/test_cli.py.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from lineint.coeff import (
@@ -173,7 +171,9 @@ def test_padic_with_an_operand_it_does_not_know():
         with pytest.raises(TypeError):
             op()
     assert x != "1"
-    assert PAdic.from_rational("1/3", 3, 5) == Fraction(1, 3)
+    for value in ("1/3", 0.5, True, None):
+        with pytest.raises(InvalidInputError, match="an int or a Fraction"):
+            PAdic.from_rational(value, 3, 5)
 
 
 def test_identity_needs_the_constant_term_in_the_window():

@@ -19,7 +19,7 @@ from lineint.errors import (
     NonUnitError,
     NotFramedError,
 )
-from lineint import scheme
+from lineint import scheme, series
 from lineint.nabla import (
     ConnectionMatrix,
     FramedNablaModule,
@@ -28,6 +28,7 @@ from lineint.nabla import (
     UnipotentMatrix,
     invariant,
     is_identity_series_matrix,
+    trivialize,
 )
 from lineint.parsing import load_connection, load_family, parse_series
 from lineint.scheme import (
@@ -862,3 +863,51 @@ class TestTrustedMatrices:
         rng = random.Random(f"trusted-family/{ring.value}")
         for _ in range(20):
             recheck_pullback(*random_family(rng, ring))
+
+
+class TestConstantsBuiltUnchecked:
+    """The constant 1 of trivialize and section_pullback goes through no
+    Fraction lift and no per-coefficient check: the builder lifts its int
+    1 once and shares one zero."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = Counter()
+        lift, check = PAdic.from_rational.__func__, series._check_coeff
+
+        def counted_lift(cls, *args):
+            calls["from_rational"] += 1
+            return lift(cls, *args)
+
+        def counted_check(*args):
+            calls["_check_coeff"] += 1
+            return check(*args)
+
+        monkeypatch.setattr(PAdic, "from_rational",
+                            classmethod(counted_lift))
+        monkeypatch.setattr(series, "_check_coeff", counted_check)
+        return calls
+
+    def test_trivialize(self, counted):
+        job = workloads.invariant_job(random.Random(5), 6, 20)
+        module, trunc = load_connection(json.loads(job.stdin))
+        conn = module.connection.relabeled(RingLabel.ROBBA_PLUS)
+        module = FramedNablaModule(module.signature, conn)
+        counted.clear()
+        v = trivialize(module, trunc)
+        assert counted == Counter()
+        assert v.entry(0, 0).coefficient(0) == 1
+
+    def test_one_series(self, counted):
+        ones = [one_series(ring, 20, p)
+                for ring, p in [(F, None), (GP, 3), (RingLabel.ROBBA, 2)]]
+        assert counted == Counter()
+        assert all(s.coefficient(0) == 1 for s in ones)
+
+    def test_section_pullback(self, counted):
+        job = workloads.integrate_job(random.Random(5), 6, 7)
+        family, _, _, _ = load_family(workloads.chain_family(6, 7))
+        v = parse_series(job.argv[4], GP, 3, 20)
+        counted.clear()
+        section_pullback(family, v)
+        assert counted == Counter()

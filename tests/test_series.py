@@ -16,6 +16,7 @@ from lineint.errors import (
     NonUnitError,
     NotIntegralError,
 )
+from lineint.scheme import biseries_from_map
 from lineint.series import (
     DifferentialForm,
     RingLabel,
@@ -142,6 +143,35 @@ class TestConstruction:
     def test_empty_window_is_allowed(self):
         s = zero_series(F, 2, 2)
         assert s.coeffs == ()
+
+    @pytest.mark.parametrize("value", [PAdic.one(3, 5), None, 0.1, "1/3",
+                                       True, 1.0, [1]],
+                             ids=["padic", "none", "float", "str", "bool",
+                                  "integral-float", "list"])
+    @pytest.mark.parametrize("ring,prime", [(F, None), (GP, 2), (RP, 2)],
+                             ids=["formal", "gamma+", "robba+"])
+    def test_builders_refuse_values_that_are_not_rationals(self, ring, prime,
+                                                           value):
+        """An int, a Fraction or a PAdic of the ring's prime; anything else
+        is invalid-input naming its degree, in every builder."""
+        builds = [
+            lambda: series_from_coeffs(ring, 0, [1, 0, value], prime),
+            lambda: monomial(ring, value, 2, 4, prime),
+            lambda: biseries_from_map(ring, {(2, 0): value}, 3, 2, prime),
+        ]
+        for build in builds:
+            with pytest.raises(InvalidInputError, match="at degree 2"):
+                build()
+
+    def test_zero_series_over_a_padic_ring_needs_a_prime(self):
+        with pytest.raises(InvalidInputError, match="gamma needs a prime"):
+            zero_series(G, 0, 3)
+
+    def test_zeros_share_one_coefficient(self):
+        for s in (zero_series(GP, 0, 4, 3), one_series(GP, 4, 3),
+                  series_from_coeffs(E, -1, [0, 5, 0, Fraction(1, 3), 0], 3)):
+            zeros = [c for c in s.coeffs if c.is_zero]
+            assert len(zeros) >= 3 and all(c is zeros[0] for c in zeros)
 
 
 class TestViews:
