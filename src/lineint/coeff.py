@@ -57,9 +57,10 @@ PREC_BITS_LIMIT = 4096
 DEGREE_LIMIT = 2**16
 
 # A matrix read from a document may have at most this many rows.  Its
-# trivialization makes O(r^3) series products: a dense strictly upper
-# triangular 64 x 64 connection over gamma+ at p = 3, abs_prec 20, on
-# [0, 20) takes about 9 s (2-vCPU Xeon virtual machine, CPython 3.11).
+# trivialization makes O(r^3) series products: `lineint invariant` on a
+# dense strictly upper triangular 64 x 64 connection over gamma+ at p = 3,
+# abs_prec 20, on [0, 20) takes about 6 s in process (2-vCPU Xeon virtual
+# machine, CPython 3.11.7).
 MATRIX_SIZE_LIMIT = 64
 
 
@@ -267,7 +268,7 @@ class PAdic:
             if other.prime != self.prime:
                 raise InvalidInputError("p-adic arithmetic needs matching primes")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return padic_normalize(other.numerator, other.denominator,
                                    self.prime, self.abs_prec)
         return None

@@ -26,6 +26,7 @@ from .series import (
     _coeff_is_zero,
     _dot,
     _max_abs_prec,
+    _sum_of_products,
     antiderive,
     derive,
     one_series,
@@ -289,10 +290,11 @@ def trivialize(module: FramedNablaModule, trunc_order: int) -> UnipotentMatrix:
 
         V[a, b] = antiderive( C[a, b] + sum_c V[a, c] C[c, b] ),
 
-    summed in increasing c over block(a) < block(c) < block(b).  Each such
-    c is left of b, so V[a, c] is filled already; an obstruction is raised
-    at the first entry in this order.  The entries are the iterated line
-    integrals of the connection, each vanishing at the origin."""
+    summed in increasing c over block(a) < block(c) < block(b), one sum of
+    products reduced once per coefficient.  Each such c is left of b, so
+    V[a, c] is filled already; an obstruction is raised at the first entry
+    in this order.  The entries are the iterated line integrals of the
+    connection, each vanishing at the origin."""
     conn = module.connection
     ring = conn.ring
     if ring not in _TRIVIALIZE_RINGS:
@@ -313,9 +315,9 @@ def trivialize(module: FramedNablaModule, trunc_order: int) -> UnipotentMatrix:
     for a, row in enumerate(V):
         for b in range(a + 1, r):
             if blocks[a] < blocks[b]:
-                row[b] = antiderive(reduce(add, (
-                    row[c] * C[c][b] for c in range(a + 1, b)
-                    if blocks[a] < blocks[c] < blocks[b]), C[a][b]),
+                row[b] = antiderive(DifferentialForm(_sum_of_products(
+                    [(row[c], C[c][b].series) for c in range(a + 1, b)
+                     if blocks[a] < blocks[c] < blocks[b]], C[a][b].series)),
                     ring).clipped(trunc_order=trunc_order)
     # One on the diagonal, zero below and antiderivatives above: unipotent.
     return UnipotentMatrix._trusted(sig, ring, tuple(map(tuple, V)), prime)

@@ -12,9 +12,8 @@ along a section x := v - 1 with v(0) = 1, and the line integral live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add
 
 from .errors import InsufficientWindowError, InvalidInputError
 from .nabla import (
@@ -36,6 +35,7 @@ from .series import (
     _CoeffWindow,
     _Form,
     _check_ring_prime,
+    _sum_of_products,
     _unit_constant_term,
     derive,
     one_series,
@@ -128,7 +128,7 @@ class BiSeries(_CoeffWindow):
     def __mul__(self, other) -> "BiSeries":
         self._binary_check(other)
         a, b = self.cols, other.cols
-        cols = (reduce(add, map(mul, a[:k + 1], b[k::-1]))
+        cols = (_sum_of_products(list(zip(a[:k + 1], b[k::-1])))
                 for k in range(min(len(a), len(b))))
         return self._with(tuple(cols), min(self.trunc_u, other.trunc_u))
 
@@ -247,10 +247,11 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
     """Evaluate a two-variable window at x := w, a one-variable series.
 
     w must vanish at u = 0: of order e >= 1, or zero.  The result is the
-    sum of col_j * w^j over every stored j < trunc_x, so powers of w that
-    vanish only at a finite precision still bound the result's.  It ends
-    where the window of w ends, past which the unknown x^trunc_x * w^trunc_x
-    is not known to vanish.  It needs trunc_x * e >= trunc_u, otherwise
+    sum of col_j * w^j over every stored j < trunc_x, one sum of products
+    reduced once per coefficient, so powers of w that vanish only at a
+    finite precision still bound the result's.  It ends where the window
+    of w ends, past which the unknown x^trunc_x * w^trunc_x is not known to
+    vanish.  It needs trunc_x * e >= trunc_u, otherwise
     unknown x-coefficients could reach visible u-degrees; a w of order 0
     reaches every u-degree and is refused.  powers, if given, holds
     w^1 .. w^(trunc_x - 1) clipped to a u-window of at least trunc_u."""
@@ -272,8 +273,8 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
         )
     if powers is None:
         powers = _fiber_powers(w, tx - 1, tu)
-    return reduce(add, map(mul, cols[1:], powers),
-                  cols[0]).clipped(trunc_order=min(tu, w.trunc_order))
+    total = _sum_of_products(list(zip(cols[1:], powers)), cols[0])
+    return total.clipped(trunc_order=min(tu, w.trunc_order))
 
 
 def section_pullback(family: FramedFamily,

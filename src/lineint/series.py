@@ -10,18 +10,20 @@ stored coefficient is provably correct:
     mul:    [m_a + m_b,     min(T_a + m_b, T_b + m_a))
     derive: trunc drops by one
 
-A p-adic ``*`` or ``inverse`` is lift and reduce.  Every coefficient it
-returns equals the exact result on the operands' lifts ``p^v * unit``
-(``PAdic.to_fraction``), reduced modulo the power of p it can prove, so
-values and precisions are computed apart.  The values of ``*`` come from
-one multiply of the lifts packed into one integer each (Kronecker
-substitution), those of ``inverse`` from long division on integers modulo
-one power of p; the precisions come from a min-plus pass over the
-operands' ``abs_prec`` and ``valuation_floor``.  Zeros lift to 0, so a
-zero coefficient costs only its precision.  Over the rationals ``*`` sums
-exact products, and ``inverse`` and ``dlog`` are one quotient each: long
-division on integers, each coefficient a numerator over its own reduced
-denominator, with one ``Fraction`` built per output coefficient.
+A p-adic sum of products ``first + sum a * b`` (``_sum_of_products``, of
+which ``*`` is the one-pair case) or ``inverse`` is lift and reduce.  Every
+coefficient it returns is the exact result on the operands' lifts
+``p^v * unit`` (``PAdic.to_fraction``), reduced once modulo the power of p
+it can prove.  The values of a product come from one multiply of the lifts
+packed into one integer each (Kronecker substitution), those of
+``inverse`` from long division on integers modulo one power of p; the
+precisions from a min-plus pass over ``abs_prec`` and ``valuation_floor``.
+The ``trivialize`` integrand, ``substitute_fiber`` and the two-variable
+``*`` are one sum of products each.  Zeros lift to 0, so a zero
+coefficient costs only its precision.  Over the rationals ``*`` sums exact
+products, and ``inverse`` and ``dlog`` are one quotient each: long division
+on integers, each coefficient a numerator over its own reduced
+denominator, one ``Fraction`` per coefficient.
 
 Validation happens at the boundary.  Every dataclass that checks itself in
 ``__post_init__`` (the windows here, the matrices, framed modules and
@@ -47,8 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import compress, repeat
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add, eq, floordiv, mul, neg, sub
 
 from .coeff import PAdic, _reduce, check_prime, vp_int
@@ -243,16 +246,48 @@ def _kronecker(xs, ys):
             for i in range(0, n * width, width)]
 
 
-def _padic_product(a, b, p):
-    """The coefficients of degrees < min(len(a), len(b)) of the product of
-    two p-adic coefficient windows, each the exact product of the lifts
-    reduced modulo p^abs_prec."""
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    (wa, xs), (wb, ys) = _lifts(a, p), _lifts(b, p)
-    return tuple(_reduce(p, wa + wb, x, prec)
-                 for x, prec in zip(_kronecker(xs, ys),
-                                    _pair_precisions(a, b)))
+def _sum_of_products(pairs, first=None):
+    """first + the sum of a * b over pairs (a, b) of windows of one ring,
+    on the window of the chain of + (first itself if there is no pair).
+    Over the p-adics each pair's lifts multiply as in ``*``, every term is
+    shifted to one base valuation, the integers are summed and each output
+    coefficient is reduced once, to the least claim among the terms whose
+    window covers its degree: a degree below a term's window is an exact
+    zero there and caps nothing.  Over the rationals it is the chain."""
+    if not pairs:
+        return first
+    firsts = [] if first is None else [first]
+    ring, p = pairs[0][0].ring, pairs[0][0].prime
+    if not ring.padic:
+        return reduce(add, (a * b for a, b in pairs), *firsts)
+    lo = min([a.min_degree + b.min_degree for a, b in pairs]
+             + [f.min_degree for f in firsts])
+    hi = min([min(a.trunc_order + b.min_degree, b.trunc_order + a.min_degree)
+              for a, b in pairs] + [f.trunc_order for f in firsts])
+    terms = []  # (first degree, base valuation, lifts, precisions)
+    for f in firsts:
+        cs = f.coeffs[:max(hi - f.min_degree, 0)]
+        terms.append((f.min_degree, *_lifts(cs, p), [c.abs_prec for c in cs]))
+    for a, b in pairs:
+        m = a.min_degree + b.min_degree
+        n = max(min(len(a.coeffs), len(b.coeffs), hi - m), 0)
+        x, y = a.coeffs[:n], b.coeffs[:n]
+        (wa, xs), (wb, ys) = _lifts(x, p), _lifts(y, p)
+        terms.append((m, wa + wb, _kronecker(xs, ys), _pair_precisions(x, y)))
+    if len(terms) == 1:  # one product spans the window: nothing to sum
+        _, base, values, precs = terms[0]
+    else:
+        base = min(w for _, w, _, _ in terms)
+        values, precs = [0] * (hi - lo), [inf] * (hi - lo)
+        for m, w, xs, ns in terms:
+            i, j = m - lo, m - lo + len(xs)
+            if w > base:
+                xs = map(mul, xs, repeat(p ** (w - base)))
+            values[i:j] = map(add, values[i:j], xs)
+            precs[i:j] = map(min, precs[i:j], ns)
+    return TruncatedSeries._trusted(
+        ring, lo, tuple(map(_reduce, repeat(p), repeat(base), values, precs)),
+        hi, p)
 
 
 def _padic_inverse(a, p):
@@ -446,13 +481,12 @@ class TruncatedSeries(_CoeffWindow):
         if isinstance(other, DifferentialForm):
             return DifferentialForm(self * other.series)
         self._binary_check(other)
+        if self.ring.padic:
+            return _sum_of_products([(self, other)])
         lo = self.min_degree + other.min_degree
         a, b = self.coeffs, other.coeffs
-        if self.ring.padic:
-            out = _padic_product(a, b, self.prime)
-        else:
-            out = tuple(_dot(zip(a[:k + 1], b[k::-1]))
-                        for k in range(min(len(a), len(b))))
+        out = tuple(_dot(zip(a[:k + 1], b[k::-1]))
+                    for k in range(min(len(a), len(b))))
         return TruncatedSeries._trusted(self.ring, lo, out, lo + len(out),
                                         self.prime)
 

@@ -259,7 +259,7 @@ class FractionPAdic(PAdic):
             if other.prime != self.prime:
                 raise InvalidInputError("p-adic arithmetic needs matching primes")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return _normalized(Fraction(other), self.prime, self.abs_prec)
         return None
 

@@ -2,8 +2,9 @@
 
 ``TruncatedSeries.__mul__``, ``inverse`` and ``BiSeries.__mul__`` each wrote
 their own sum of products, and ``curvature`` its own matrix product; now a
-p-adic ``*`` and ``inverse`` are lift and reduce (``series._padic_product``,
-``series._padic_inverse``), the rational ``*`` sums through ``series._dot``,
+p-adic ``*`` and ``inverse`` are lift and reduce (``*`` is the one-pair case
+of ``series._sum_of_products``, ``inverse`` is ``series._padic_inverse``),
+the rational ``*`` sums through ``series._dot``,
 the rational ``inverse`` and ``dlog`` are one long division on integers
 each (``series._rational_quotient``), and ``BiSeries.__mul__`` is a
 convolution of its columns' series products.  Those loops are kept here as
@@ -19,15 +20,22 @@ The kernels build their results unchecked: ``TestTrustedResults`` rebuilds
 them through the public constructors, ``TestTrustedDerivedSeries`` does the
 same for the logs, ``unit_decompose`` and ``fundamental_solution``, and
 ``BOUNDARY_REFUSALS`` lists what those constructors must still refuse.
+``TestSumOfProducts`` checks ``series._sum_of_products`` against the chain
+of ``+`` over the loop products, and that it reduces each output
+coefficient once.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lineint.coeff
+import lineint.series
 from lineint.coeff import PAdic
 from lineint.errors import (
     CalculusError,
@@ -51,6 +59,7 @@ from lineint.series import (
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    _sum_of_products,
     derive,
     dlog,
     formal_log,
@@ -439,6 +448,67 @@ class TestLiftRule:
         a = make_series(ring, p, (m if ring.laurent else 0, raws),
                         unit_lead=True)
         self.check(inverse(a), loop_inverse(a), exact_inverse(a), p)
+
+
+# -- sums of products ------------------------------------------------------
+
+SUM_RINGS = st.tuples(
+    st.sampled_from((RingLabel.FORMAL, RingLabel.GAMMA_PLUS, RingLabel.GAMMA,
+                     RingLabel.ROBBA_PLUS, RingLabel.ROBBA)),
+    st.sampled_from((2, 3, 5)))
+
+
+def chain(pairs, first):
+    """first + the sum of a * b as the chain of + it replaced, each product
+    from the coefficient loop."""
+    products = (loop_mul(a, b) for a, b in pairs)
+    return reduce(add, products) if first is None \
+        else reduce(add, products, first)
+
+
+class TestSumOfProducts:
+    """The fused kernel gives the chain's window, values and per-coefficient
+    abs_prec, on windows with zeros, negative valuations, mixed precisions,
+    negative and offset min_degree and empty windows."""
+
+    @given(st.data())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_matches_the_chain(self, data):
+        ring, p = drawn_ring(data, SUM_RINGS)
+        pairs = [tuple(make_series(ring, p, data.draw(SERIES))
+                       for _ in range(2))
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        first = (make_series(ring, p, data.draw(SERIES))
+                 if data.draw(st.booleans()) else None)
+        got, want = _sum_of_products(pairs, first), chain(pairs, first)
+        assert shown(got) == shown(want), (pairs, first)
+        if ring.padic:
+            assert list(map(fields, got.coeffs)) == \
+                list(map(fields, want.coeffs)), (pairs, first)
+
+    @pytest.mark.parametrize("with_first", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reduces_each_output_coefficient_once(self, monkeypatch, k,
+                                                  with_first):
+        rng = random.Random(f"sum-of-products/{k}/{with_first}")
+
+        def window(lo):
+            return series_from_coeffs(
+                RingLabel.ROBBA, lo, [rng.randint(-80, 80) for _ in range(9)],
+                3, rng.randint(4, 12))
+
+        pairs = [(window(rng.randint(-2, 2)), window(rng.randint(-2, 2)))
+                 for _ in range(k)]
+        first = window(rng.randint(-3, 3)) if with_first else None
+        calls = []
+        for module in (lineint.coeff, lineint.series):
+            def counted(*args, reduce_=module._reduce):
+                calls.append(args)
+                return reduce_(*args)
+            monkeypatch.setattr(module, "_reduce", counted)
+        result = _sum_of_products(pairs, first)
+        assert len(result.coeffs) > 0
+        assert len(calls) == len(result.coeffs)
 
 
 # -- trusted results --------------------------------------------------------

@@ -167,10 +167,12 @@ def test_residue_field_arithmetic():
 
 def test_padic_with_an_operand_it_does_not_know():
     x = PAdic.one(3, 5)
-    for op in (lambda: x + "1", lambda: x - "1", lambda: "1" - x):
+    for op in (lambda: x + "1", lambda: x - "1", lambda: "1" - x,
+               lambda: x + True, lambda: True + x, lambda: x - True,
+               lambda: x * True, lambda: x / True):
         with pytest.raises(TypeError):
             op()
-    assert x != "1"
+    assert x != "1" and x != True  # noqa: E712
     for value in ("1/3", 0.5, True, None):
         with pytest.raises(InvalidInputError, match="an int or a Fraction"):
             PAdic.from_rational(value, 3, 5)
