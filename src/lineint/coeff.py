@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .errors import InvalidInputError, NotIntegralError
+from .errors import InvalidInputError
 
 Rational = Fraction
 
@@ -130,51 +130,6 @@ def vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-@dataclass(frozen=True)
-class ResidueElement:
-    """An element of the prime field F_p, stored as its representative in [0, p)."""
-
-    prime: int
-    value: int
-
-    def __post_init__(self):
-        check_prime(self.prime)
-        if not 0 <= self.value < self.prime:
-            raise InvalidInputError(
-                f"residue value {self.value} outside [0, {self.prime})"
-            )
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __add__(self, other: "ResidueElement") -> "ResidueElement":
-        self._check(other)
-        return ResidueElement(self.prime, (self.value + other.value) % self.prime)
-
-    def __neg__(self) -> "ResidueElement":
-        return ResidueElement(self.prime, -self.value % self.prime)
-
-    def __sub__(self, other: "ResidueElement") -> "ResidueElement":
-        return self + (-other)
-
-    def __mul__(self, other: "ResidueElement") -> "ResidueElement":
-        self._check(other)
-        return ResidueElement(self.prime, (self.value * other.value) % self.prime)
-
-    def inverse(self) -> "ResidueElement":
-        if self.value == 0:
-            raise InvalidInputError("0 has no inverse in F_p")
-        return ResidueElement(self.prime, pow(self.value, -1, self.prime))
-
-    def _check(self, other):
-        if not isinstance(other, ResidueElement) or other.prime != self.prime:
-            raise InvalidInputError("residue arithmetic needs matching primes")
-
-    def __str__(self):
-        return f"{self.value} (mod {self.prime})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,30 +397,3 @@ def _scalar_parts(q, prime: int) -> tuple[int, int, int]:
     a, b = q.numerator, q.denominator
     ka, kb = vp_int(a, prime), vp_int(b, prime)
     return ka - kb, a // prime**ka, b // prime**kb
-
-
-def reduce_mod_p(x: PAdic) -> ResidueElement:
-    """Image of an integral p-adic in the residue field F_p."""
-    if x.is_zero:
-        if x.abs_prec < 1:
-            raise InvalidInputError(
-                "cannot reduce mod p: value only known modulo "
-                f"{x.prime}^{x.abs_prec}"
-            )
-        return ResidueElement(x.prime, 0)
-    if x.valuation < 0:
-        raise NotIntegralError(
-            f"value has valuation {x.valuation} < 0, not in the integer ring"
-        )
-    if x.valuation >= 1:
-        return ResidueElement(x.prime, 0)
-    return ResidueElement(x.prime, x.unit % x.prime)
-
-
-def lift_from_residue(x: ResidueElement, abs_prec: int) -> PAdic:
-    """The representative in [0, p) viewed as a p-adic at the given precision."""
-    if abs_prec < 1:
-        raise InvalidInputError("lift needs abs_prec >= 1")
-    if x.value == 0:
-        return PAdic.zero(x.prime, abs_prec)
-    return PAdic(x.prime, 0, x.value, abs_prec)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add, mul
+from functools import cached_property
 
 from .errors import InvalidInputError, NotFramedError
 from .series import (
@@ -334,10 +333,11 @@ def matrix_residual(module: FramedNablaModule,
         )
     if conn.ring is not v_matrix.ring:
         conn = conn.relabeled(v_matrix.ring)
-    vc = series_matrix_product(v_matrix.entries, conn.entries)
-    return all((derive(v) - f).is_zero
+    vc = series_matrix_product(v_matrix.entries, tuple(
+        tuple(f.series for f in row) for row in conn.entries))
+    return all((derive(v).series - s).is_zero
                for row, vc_row in zip(v_matrix.entries, vc)
-               for v, f in zip(row, vc_row))
+               for v, s in zip(row, vc_row))
 
 
 _INVARIANT_SOURCES = (RingLabel.FORMAL, RingLabel.GAMMA_PLUS,
@@ -366,11 +366,17 @@ def invariant(module: FramedNablaModule,
 
 
 def series_matrix_product(a_entries, b_entries) -> tuple:
-    """Matrix product of two square series matrices of the same size."""
+    """Matrix product of two square series matrices of one size, ring and
+    prime; each entry is one sum of products."""
     if len(b_entries) != len(a_entries):
         raise InvalidInputError("matrix sizes differ")
+    head = a_entries[0][0] if a_entries and a_entries[0] else None
+    a_entries, b_entries = (
+        _check_square(m, None, TruncatedSeries, getattr(head, "ring", None),
+                      getattr(head, "prime", None))
+        for m in (a_entries, b_entries))
     return tuple(
-        tuple(reduce(add, map(mul, row, col))
+        tuple(_sum_of_products(list(zip(row, col)))
               for col in zip(*b_entries))
         for row in a_entries)
 

@@ -4,9 +4,11 @@ A :class:`BiSeries` is a tuple of one-variable columns: column j is the
 coefficient of x^j, a power series in the base variable on the window
 [0, trunc_u), so the window holds u^i x^j for 0 <= i < trunc_u and
 0 <= j < trunc_x.  Its arithmetic and partial derivatives act column by
-column through the one-variable code.  One-forms gain a second component
-``dx``; the total differential, curvature of a framed family, pullback
-along a section x := v - 1 with v(0) = 1, and the line integral live here.
+column through the one-variable code: a sum of products, of which ``*``
+and each ``curvature`` entry are one call, is one sum of products per
+output column.  One-forms gain a second component ``dx``; the total
+differential, curvature of a framed family, pullback along a section
+x := v - 1 with v(0) = 1, and the line integral live here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .nabla import (
     _check_framed,
     _check_square,
     invariant,
-    series_matrix_product,
 )
 from .series import (
     DEFAULT_ABS_PREC,
@@ -38,7 +39,6 @@ from .series import (
     _sum_of_products,
     _unit_constant_term,
     derive,
-    one_series,
     series_from_coeffs,
     zero_series,
 )
@@ -127,10 +127,7 @@ class BiSeries(_CoeffWindow):
 
     def __mul__(self, other) -> "BiSeries":
         self._binary_check(other)
-        a, b = self.cols, other.cols
-        cols = (_sum_of_products(list(zip(a[:k + 1], b[k::-1])))
-                for k in range(min(len(a), len(b))))
-        return self._with(tuple(cols), min(self.trunc_u, other.trunc_u))
+        return _bi_sum_of_products([(self, other)])
 
     def scale(self, c) -> "BiSeries":
         return self._with(tuple(col.scale(c) for col in self.cols))
@@ -146,6 +143,19 @@ class BiSeries(_CoeffWindow):
     def __repr__(self):
         return (f"BiSeries({self.ring.value}, "
                 f"({self.trunc_u}, {self.trunc_x}), {self.cols!r})")
+
+
+def _bi_sum_of_products(pairs, first=None) -> BiSeries:
+    """first + the sum of a * b over pairs of two-variable windows of one
+    ring, on the window of the chain of +: column k is one sum of products
+    over the column pairs (i, k - i) of every pair, plus column k of first."""
+    firsts = [] if first is None else [first]
+    windows = [w for pair in pairs for w in pair] + firsts
+    tx = min(w.trunc_x for w in windows)
+    cols = (_sum_of_products(
+        [q for a, b in pairs for q in zip(a.cols[:k + 1], b.cols[k::-1])],
+        *(f.cols[k] for f in firsts)) for k in range(tx))
+    return pairs[0][0]._with(tuple(cols), min(w.trunc_u for w in windows))
 
 
 def biseries_from_map(ring: RingLabel, mapping, trunc_u: int, trunc_x: int,
@@ -225,15 +235,18 @@ def curvature(family: FramedFamily) -> tuple:
     """The du^dx coefficient of d(C) + C^C, entrywise; zero iff integrable.
 
     With C = C_u du + C_x dx this is
-    partial_u(C_x) - partial_x(C_u) + C_u C_x - C_x C_u."""
+    partial_u(C_x) - partial_x(C_u) + C_u C_x - C_x C_u, one sum of
+    products per entry."""
     cu = [[f.du_part for f in row] for row in family.entries]
     cx = [[f.dx_part for f in row] for row in family.entries]
-    uv = series_matrix_product(cu, cx)
-    vu = series_matrix_product(cx, cu)
+    minus_cx = [[-x for x in row] for row in cx]
+    r = range(family.size)
     return tuple(
-        tuple(partial_u(cx[a][b]) - partial_x(cu[a][b]) + uv[a][b] - vu[a][b]
-              for b in range(family.size))
-        for a in range(family.size))
+        tuple(_bi_sum_of_products(
+            [(cu[a][c], cx[c][b]) for c in r]
+            + [(minus_cx[a][c], cu[c][b]) for c in r],
+            partial_u(cx[a][b]) - partial_x(cu[a][b])) for b in r)
+        for a in r)
 
 
 def _fiber_powers(w: TruncatedSeries, count: int, trunc_u: int) -> list:
@@ -282,7 +295,8 @@ def section_pullback(family: FramedFamily,
     """Restrict the family to the section sending 1 + x to the unit v,
     which must have v(0) = 1 (substitute_fiber refuses w = v - 1 of order
     0).  Substitutes x := w everywhere; the dx components pick up the
-    chain-rule factor dv; every entry shares one set of powers of w.  Each
+    chain-rule factor dv, one sum of products per pulled form; every entry
+    shares one set of powers of w.  Each
     distinct part object is substituted once and each distinct pair of
     parts pulled back once, so entries that share parts share the result.
     Returns the one-variable framed module."""
@@ -293,9 +307,10 @@ def section_pullback(family: FramedFamily,
             f"section over {v.ring.value} does not match family over "
             f"{family.ring.value}"
         )
-    _unit_constant_term(v)
-    prec = v._working_prec()
-    w = v - one_series(v.ring, v.trunc_order, v.prime, prec)
+    v0 = _unit_constant_term(v)
+    # v is a power series with v(0) a unit, so its window starts at 0.
+    w = TruncatedSeries._trusted(v.ring, 0, (v0 - 1,) + v.coeffs[1:],
+                                 v.trunc_order, v.prime)
     dv = derive(v).series
     parts = [f.du_part for row in family.entries for f in row]
     powers = _fiber_powers(w, max(b.trunc_x for b in parts) - 1,
@@ -313,8 +328,8 @@ def section_pullback(family: FramedFamily,
     def pulled(f):
         key = id(f.du_part), id(f.dx_part)
         if key not in forms:
-            forms[key] = DifferentialForm(sub(f.du_part)
-                                          + sub(f.dx_part) * dv)
+            forms[key] = DifferentialForm(_sum_of_products(
+                [(sub(f.dx_part), dv)], sub(f.du_part)))
         return forms[key]
 
     # A zero part pulls back to zero, so the module is framed as the family.

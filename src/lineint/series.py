@@ -18,12 +18,13 @@ it can prove.  The values of a product come from one multiply of the lifts
 packed into one integer each (Kronecker substitution), those of
 ``inverse`` from long division on integers modulo one power of p; the
 precisions from a min-plus pass over ``abs_prec`` and ``valuation_floor``.
-The ``trivialize`` integrand, ``substitute_fiber`` and the two-variable
-``*`` are one sum of products each.  Zeros lift to 0, so a zero
-coefficient costs only its precision.  Over the rationals ``*`` sums exact
-products, and ``inverse`` and ``dlog`` are one quotient each: long division
-on integers, each coefficient a numerator over its own reduced
-denominator, one ``Fraction`` per coefficient.
+The ``trivialize`` integrand, ``substitute_fiber``, each entry of
+``series_matrix_product``, each pulled form of ``section_pullback`` and each
+column of a two-variable sum of products are one sum of products each.
+Zeros lift to 0, so a zero coefficient costs only its precision.  Over the
+rationals ``*`` sums exact products, and ``inverse`` and ``dlog`` are one
+quotient each: long division on integers, each coefficient a numerator over
+its own reduced denominator, one ``Fraction`` per coefficient.
 
 Validation happens at the boundary.  Every dataclass that checks itself in
 ``__post_init__`` (the windows here, the matrices, framed modules and

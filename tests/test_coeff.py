@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from lineint.coeff import (
     PRIME_LIMIT,
     PAdic,
-    ResidueElement,
     check_prime,
-    lift_from_residue,
     padic_normalize,
-    reduce_mod_p,
     vp_int,
 )
-from lineint.errors import CalculusError, InvalidInputError, NotIntegralError
+from lineint.errors import CalculusError, InvalidInputError
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -150,36 +147,6 @@ class TestArithmetic:
     def test_mixed_prime_arithmetic_rejected(self):
         with pytest.raises(InvalidInputError):
             padic_normalize(1, 1, 2, 4) + padic_normalize(1, 1, 3, 4)
-
-
-class TestResidue:
-    def test_reduce_examples(self):
-        assert reduce_mod_p(padic_normalize(1, 2, 3, 6)).value == 2
-        assert reduce_mod_p(padic_normalize(12, 1, 2, 6)).value == 0
-        assert reduce_mod_p(PAdic.zero(7, 3)).value == 0
-
-    def test_reduce_rejects_negative_valuation(self):
-        with pytest.raises(NotIntegralError):
-            reduce_mod_p(padic_normalize(1, 2, 2, 6))
-
-    def test_lift_round_trip(self):
-        for p in (2, 3, 5):
-            for v in range(p):
-                r = ResidueElement(p, v)
-                assert reduce_mod_p(lift_from_residue(r, 8)) == r
-
-    def test_field_ops(self):
-        a, b = ResidueElement(5, 3), ResidueElement(5, 4)
-        assert (a + b).value == 2
-        assert (a * b).value == 2
-        assert (a * a.inverse()).value == 1
-        with pytest.raises(InvalidInputError):
-            ResidueElement(5, 0).inverse()
-        with pytest.raises(InvalidInputError):
-            ResidueElement(5, 7)
-
-    def test_str(self):
-        assert str(ResidueElement(3, 2)) == "2 (mod 3)"
 
 
 class TestText:

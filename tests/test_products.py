@@ -22,7 +22,8 @@ same for the logs, ``unit_decompose`` and ``fundamental_solution``, and
 ``BOUNDARY_REFUSALS`` lists what those constructors must still refuse.
 ``TestSumOfProducts`` checks ``series._sum_of_products`` against the chain
 of ``+`` over the loop products, and that it reduces each output
-coefficient once.
+coefficient once; ``TestTwoVariableSumOfProducts`` does the same for
+``scheme._bi_sum_of_products``.
 """
 
 import random
@@ -49,10 +50,12 @@ from lineint.scheme import (
     BiForm,
     BiSeries,
     FramedFamily,
+    _bi_sum_of_products,
     biseries_from_map,
     curvature,
     partial_u,
     partial_x,
+    section_pullback,
     zero_biseries,
 )
 from lineint.series import (
@@ -509,6 +512,94 @@ class TestSumOfProducts:
         result = _sum_of_products(pairs, first)
         assert len(result.coeffs) > 0
         assert len(calls) == len(result.coeffs)
+
+
+# -- two-variable sums of products ------------------------------------------
+
+BI_SUM_RINGS = st.tuples(
+    st.sampled_from((RingLabel.FORMAL, RingLabel.GAMMA_PLUS,
+                     RingLabel.ROBBA_PLUS)),
+    st.sampled_from((2, 3, 5)))
+
+
+class TestTwoVariableSumOfProducts:
+    """``scheme._bi_sum_of_products``, through which ``BiSeries.__mul__``,
+    ``curvature`` and so every product of two-variable windows go, gives
+    the window, values and per-coefficient abs_prec of the chain of + over
+    the loop products, and reduces each output coefficient once."""
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_the_chain(self, data):
+        ring, p = drawn_ring(data, BI_SUM_RINGS)
+
+        def drawn():
+            x = make_biseries(ring, p, data.draw(WINDOW), data.draw(WINDOW),
+                              data.draw(st.lists(RAW, min_size=16,
+                                                 max_size=16)))
+            return -x if data.draw(st.booleans()) else x
+
+        pairs = [(drawn(), drawn())
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        first = drawn() if data.draw(st.booleans()) else None
+        products = (loop_bimul(a, b) for a, b in pairs)
+        want = reduce(add, products, *([] if first is None else [first]))
+        got = _bi_sum_of_products(pairs, first)
+        assert shown(got) == shown(want), (pairs, first)
+        if ring.padic:
+            assert list(map(fields, got._flat_coeffs())) == \
+                list(map(fields, want._flat_coeffs())), (pairs, first)
+
+    @pytest.mark.parametrize("with_first", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reduces_each_output_coefficient_once(self, monkeypatch, k,
+                                                  with_first):
+        rng = random.Random(f"two-variable-sum/{k}/{with_first}")
+
+        def window():
+            tu, tx = rng.randint(2, 4), rng.randint(2, 4)
+            return biseries_from_map(
+                RingLabel.ROBBA_PLUS, {(i, j): rng.randint(-80, 80)
+                                       for i in range(tu) for j in range(tx)},
+                tu, tx, 3, rng.randint(4, 12))
+
+        pairs = [(window(), window()) for _ in range(k)]
+        first = window() if with_first else None
+        calls = []
+        for module in (lineint.coeff, lineint.series):
+            def counted(*args, reduce_=module._reduce):
+                calls.append(args)
+                return reduce_(*args)
+            monkeypatch.setattr(module, "_reduce", counted)
+        result = _bi_sum_of_products(pairs, first)
+        assert result.trunc_u * result.trunc_x > 0
+        assert len(calls) == result.trunc_u * result.trunc_x
+
+
+def test_section_pullback_adds_no_series(monkeypatch):
+    """Each pulled form is one sum of products and w = v - 1 changes only
+    the constant coefficient, so a p-adic pullback makes no series +."""
+    gp = RingLabel.GAMMA_PLUS
+    raws = list(range(10**6, 10**6 + 6 * 16 * 97, 97))
+    parts = [make_biseries(gp, 3, 4, 4, raws[16 * k:]) for k in range(6)]
+    zero = zero_biseries(gp, 4, 4, 3, 7)
+    family = FramedFamily(Signature((1, 1, 1)), gp, (
+        (BiForm(zero, zero), BiForm(parts[0], parts[1]),
+         BiForm(parts[2], parts[3])),
+        (BiForm(zero, zero), BiForm(zero, zero), BiForm(parts[4], parts[5])),
+        (BiForm(zero, zero),) * 3), 3)
+    v = series_from_coeffs(gp, 0, [1, 3, -2, 5, 1], 3, 9)
+    calls = []
+    add_ = TruncatedSeries.__add__
+
+    def counted(self, other):
+        calls.append(other)
+        return add_(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__add__", counted)
+    module = section_pullback(family, v)
+    assert not module.connection.entries[0][1].is_zero
+    assert calls == []
 
 
 # -- trusted results --------------------------------------------------------

@@ -9,13 +9,7 @@ tests/test_cli.py.
 
 import pytest
 
-from lineint.coeff import (
-    PAdic,
-    ResidueElement,
-    lift_from_residue,
-    reduce_mod_p,
-    vp_int,
-)
+from lineint.coeff import PAdic, vp_int
 from lineint.errors import CalculusError, InvalidInputError, ParseError
 from lineint.nabla import (
     ConnectionMatrix,
@@ -69,19 +63,10 @@ def padic_family():
 REFUSALS = {
     "valuation of 0": (
         lambda: vp_int(0, 3), InvalidInputError, "valuation of 0"),
-    "residues of two primes": (
-        lambda: ResidueElement(3, 1) + ResidueElement(5, 1),
-        InvalidInputError, "matching primes"),
     "p-adic zero with a unit": (
         lambda: PAdic(3, None, 1, 5), InvalidInputError, "unit 0"),
     "p-adic known to no digit of its unit": (
         lambda: PAdic(3, 5, 1, 5), InvalidInputError, "abs_prec > valuation"),
-    "reduce a zero known modulo p^0": (
-        lambda: reduce_mod_p(PAdic.zero(3, 0)), InvalidInputError,
-        "cannot reduce mod p"),
-    "lift to precision 0": (
-        lambda: lift_from_residue(ResidueElement(3, 1), 0),
-        InvalidInputError, "lift needs abs_prec >= 1"),
     "layer recurrence without the constant layer": (
         lambda: fundamental_solution(formal_chain().connection, 0),
         InvalidInputError, "constant layer"),
@@ -92,6 +77,23 @@ REFUSALS = {
         lambda: series_matrix_product(((monomial(F, 1, 0, 2),),),
                                       formal_chain().connection.entries),
         InvalidInputError, "matrix sizes differ"),
+    "matrix product of one-forms": (
+        lambda: series_matrix_product(formal_chain().connection.entries,
+                                      formal_chain().connection.entries),
+        InvalidInputError, "expected a TruncatedSeries"),
+    "matrix product across rings": (
+        lambda: series_matrix_product(((monomial(F, 1, 0, 2),),),
+                                      ((monomial(GP, 1, 0, 2, 3),),)),
+        InvalidInputError, "share the matrix ring and prime"),
+    "matrix product across primes": (
+        lambda: series_matrix_product(((monomial(GP, 1, 0, 2, 5),),),
+                                      ((monomial(GP, 1, 0, 2, 3),),)),
+        InvalidInputError, "share the matrix ring and prime"),
+    "matrix product of a ragged matrix": (
+        lambda: series_matrix_product(
+            ((monomial(F, 1, 0, 2),) * 2, (monomial(F, 1, 0, 2),)),
+            ((monomial(F, 1, 0, 2),) * 2,) * 2),
+        InvalidInputError, "do not form a nonempty"),
     "window end below the ring floor": (
         lambda: parse_series("O(t^-1)"), ParseError, "below the floor"),
     "fiber variable equal to the base": (
@@ -158,11 +160,6 @@ class TestFormAlgebra:
         assert f != derive(s.scale(2)) and f != f.series
         assert f - f == DifferentialForm(zero_series(F, 0, 3))
         assert (-f).series == -f.series and (f + f).series == f.series.scale(2)
-
-
-def test_residue_field_arithmetic():
-    a = ResidueElement(5, 2)
-    assert (-a).value == 3 and (a - a).is_zero and not a.is_zero
 
 
 def test_padic_with_an_operand_it_does_not_know():
