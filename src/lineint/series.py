@@ -21,10 +21,12 @@ precisions from a min-plus pass over ``abs_prec`` and ``valuation_floor``.
 The ``trivialize`` integrand, ``substitute_fiber``, each entry of
 ``series_matrix_product``, each pulled form of ``section_pullback`` and each
 column of a two-variable sum of products are one sum of products each.
-Zeros lift to 0, so a zero coefficient costs only its precision.  Over the
-rationals ``*`` sums exact products, and ``inverse`` and ``dlog`` are one
-quotient each: long division on integers, each coefficient a numerator over
-its own reduced denominator, one ``Fraction`` per coefficient.
+A p-adic ``dlog`` is derive(a) * inverse(a) on integers, building neither
+window: da's lifts read off a's, the inverse's unreduced, one Kronecker
+product.  Zeros lift to 0, so a zero coefficient costs only its precision.
+Over the rationals ``*`` sums exact products, and ``inverse`` and ``dlog``
+are one quotient each: long division on integers, each coefficient a
+numerator over its own reduced denominator, one ``Fraction`` each.
 
 Validation happens at the boundary.  Every dataclass that checks itself in
 ``__post_init__`` (the windows here, the matrices, framed modules and
@@ -36,9 +38,9 @@ checks each value's kind and integrality only where it can fail;
 ``antiderive`` checks only integrality.  Both build through ``_trusted``.
 ``TruncatedSeries(...)`` checks the results of ``scale`` and of a
 ``relabeled`` into a ring that may refuse a coefficient.  ``+``, ``-``,
-``*``, ``clipped``, ``without_constant_term``, ``derive``, ``inverse``, the
-rational ``dlog``, the logs, ``unit_decompose`` and the other relabels are
-valid by construction and skip every check through ``_trusted``.
+``*``, ``clipped``, ``without_constant_term``, ``derive``, ``inverse``,
+``dlog``, the logs, ``unit_decompose`` and the other relabels are valid by
+construction and skip every check through ``_trusted``.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
@@ -200,30 +202,31 @@ def _rational_quotient(num, den):
     return tuple(map(Fraction, q, d))
 
 
-def _pair_precisions(a, b):
-    """For every k below len(a) == len(b), the abs_prec
-    min_(i<=k) min(N_a[i] + vf_b[k-i], N_b[k-i] + vf_a[i]) that the sum of
-    the products a_i * b_(k-i) proves, N the abs_prec and vf the
-    valuation_floor: the min-plus pass behind every p-adic ``*``."""
-    na, va = [x.abs_prec for x in a], [x.valuation_floor for x in a]
-    nb, vb = ([y.abs_prec for y in b[::-1]],
-              [y.valuation_floor for y in b[::-1]])
-    top = len(a) - 1
+def _pair_precisions(na, va, nb, vb):
+    """For every k below len(na), the abs_prec
+    min_(i<=k) min(na[i] + vb[k-i], nb[k-i] + va[i]) that the sum of the
+    products a_i * b_(k-i) proves, from the abs_prec (n) and
+    valuation_floor (v) lists of two windows of that length: the min-plus
+    pass behind every p-adic product."""
+    nb, vb = nb[::-1], vb[::-1]
+    top = len(na) - 1
     # map stops at the shorter list: na[i] meets vb[top - k + i], the
     # valuation_floor of b[k - i], for i <= k.
     return [min(min(map(add, na, vb[top - k:])),
                 min(map(add, nb[top - k:], va)))
-            for k in range(len(a))]
+            for k in range(len(na))]
 
 
 def _lifts(coeffs, p):
-    """(w, lifts): each lift p^v * unit of the p-adic coefficients as the
-    integer unit * p^(v - w), w their least valuation (0 if all vanish);
-    a zero lifts to 0."""
+    """(w, lifts, precisions, floors): each lift p^v * unit of the p-adic
+    coefficients as the integer unit * p^(v - w), w their least valuation
+    (0 if all vanish), a zero lifting to 0; and their abs_prec and
+    valuation_floor."""
     w = min((c.valuation for c in coeffs if c.valuation is not None),
             default=0)
-    return w, [0 if c.valuation is None else c.unit * p ** (c.valuation - w)
-               for c in coeffs]
+    return (w, [0 if c.valuation is None else c.unit * p ** (c.valuation - w)
+                for c in coeffs],
+            [c.abs_prec for c in coeffs], [c.valuation_floor for c in coeffs])
 
 
 def _kronecker(xs, ys):
@@ -267,14 +270,15 @@ def _sum_of_products(pairs, first=None):
               for a, b in pairs] + [f.trunc_order for f in firsts])
     terms = []  # (first degree, base valuation, lifts, precisions)
     for f in firsts:
-        cs = f.coeffs[:max(hi - f.min_degree, 0)]
-        terms.append((f.min_degree, *_lifts(cs, p), [c.abs_prec for c in cs]))
+        w, xs, ns, _ = _lifts(f.coeffs[:max(hi - f.min_degree, 0)], p)
+        terms.append((f.min_degree, w, xs, ns))
     for a, b in pairs:
         m = a.min_degree + b.min_degree
         n = max(min(len(a.coeffs), len(b.coeffs), hi - m), 0)
-        x, y = a.coeffs[:n], b.coeffs[:n]
-        (wa, xs), (wb, ys) = _lifts(x, p), _lifts(y, p)
-        terms.append((m, wa + wb, _kronecker(xs, ys), _pair_precisions(x, y)))
+        wa, xs, na, va = _lifts(a.coeffs[:n], p)
+        wb, ys, nb, vb = _lifts(b.coeffs[:n], p)
+        terms.append((m, wa + wb, _kronecker(xs, ys),
+                      _pair_precisions(na, va, nb, vb)))
     if len(terms) == 1:  # one product spans the window: nothing to sum
         _, base, values, precs = terms[0]
     else:
@@ -292,8 +296,11 @@ def _sum_of_products(pairs, first=None):
 
 
 def _padic_inverse(a, p):
-    """The coefficients of 1/a for a p-adic window a whose first coefficient
-    is nonzero, each the exact inverse of the lifts reduced modulo
+    """1/a for the coefficients a of a p-adic window whose first is nonzero,
+    unreduced: (bases, values, precisions, floors), out_k being
+    p^bases[k] * values[k], a nonnegative integer, known modulo
+    p^precisions[k], with floors[k] its valuation_floor once reduced.
+    Reduced, each out_k is the exact inverse of the lifts modulo
     p^abs_prec.
 
     The precision is that of long division,
@@ -307,7 +314,9 @@ def _padic_inverse(a, p):
     The values come from long division modulo one power of p after the
     substitution u -> p^c u, with c the least shift that leaves every
     a_i * p^(c*i - v_0) integral: out_k is p^(-v_0 - c*k) times the k-th
-    coefficient b_k of that inverse."""
+    coefficient b_k of that inverse.  Degree 0 is the unit of
+    a_0.inverse(), known to more digits than the modulus covers when a
+    has one coefficient."""
     v0 = a[0].valuation
     c = max([0] + [(v0 - x.valuation + i - 1) // i
                    for i, x in enumerate(a) if i and x.valuation is not None])
@@ -318,13 +327,16 @@ def _padic_inverse(a, p):
               for i, x in enumerate(a)]
     vf = [x.valuation_floor for x in a]
     inv0 = a[0].inverse()
-    out, b, ns = [inv0], [pow(scaled[0], -1, q)], [inv0.abs_prec]
+    b, ns = [pow(scaled[0], -1, q)], [inv0.abs_prec]
     for k in range(1, len(a)):
         b.append(sum(map(mul, scaled[1:k + 1], b[k - 1::-1])) * -b[0] % q)
         ns.append(min(a[k].abs_prec - v0,
                       min(map(add, ns[k - 1::-1], vf[1:k + 1]))) - v0)
-        out.append(_reduce(p, -v0 - c * k, b[k], ns[k]))
-    return out
+    b[0] = inv0.unit
+    bases = [-v0 - c * k for k in range(len(a))]
+    floors = [min(e + vp_int(x, p), n) if x else n
+              for e, x, n in zip(bases, b, ns)]
+    return bases, b, ns, floors
 
 
 def _max_abs_prec(coeffs) -> int:
@@ -759,7 +771,8 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
     _check_invertible(a)
     m, n = a.min_degree, len(a.coeffs)
     if a.ring.padic:
-        out = _padic_inverse(a.coeffs, a.prime)
+        bases, values, ns, _ = _padic_inverse(a.coeffs, a.prime)
+        out = map(_reduce, repeat(a.prime), bases, values, ns)
     else:
         out = _rational_quotient((1,) + (0,) * (n - 1), a.coeffs)
     return TruncatedSeries._trusted(a.ring, -m, tuple(out), -m + n, a.prime)
@@ -779,16 +792,41 @@ def _check_invertible(a: TruncatedSeries):
 
 
 def dlog(a: TruncatedSeries) -> DifferentialForm:
-    """The logarithmic derivative da/a as a one-form: over the rationals
-    one quotient, over the p-adics derive(a) * inverse(a)."""
-    da = derive(a).series
-    if a.ring.padic:
-        return DifferentialForm(da * inverse(a))
+    """The logarithmic derivative da/a as a one-form.  Over the rationals it
+    is one quotient.  Over the p-adics it is derive(a) * inverse(a) made on
+    integers, with one ``_reduce`` per output coefficient: the lifts of da
+    are d * lift(a_d), known modulo p^(N + v_p(d)) (an exact zero at N for
+    d = 0), the inverse's are the unreduced values of ``_padic_inverse``,
+    and one Kronecker product and one min-plus pass give the rest.  A lift
+    congruent to the reduced one moves each term by at least N_x + vf_y,
+    at or above the claim, so every coefficient is that product's."""
     _check_invertible(a)
-    lo = da.min_degree - a.min_degree
-    out = _rational_quotient(da.coeffs, a.coeffs)
+    if not a.ring.padic:
+        da = derive(a).series
+        lo = da.min_degree - a.min_degree
+        out = _rational_quotient(da.coeffs, a.coeffs)
+        return DifferentialForm(
+            TruncatedSeries._trusted(a.ring, lo, out, lo + len(out), a.prime))
+    p, n = a.prime, len(a.coeffs)
+    s = 0 if a.ring.laurent else 1  # a power series' constant term drops
+    w, lifts, na, va = _lifts(a.coeffs, p)
+    bases, ys, nb, vb = _padic_inverse(a.coeffs, p)
+    xs, nx, vx = [], [], []
+    for d, x, n_d, v_d in zip(range(a.min_degree + s, a.trunc_order),
+                              lifts[s:], na[s:], va[s:]):
+        k = vp_int(d, p) if d else 0
+        x *= d
+        # A Kronecker slot takes a nonnegative representative.
+        xs.append(x % p ** (n_d + k - w) if x < 0 else x)
+        nx.append(n_d + k)
+        vx.append(v_d + k if d else n_d)
+    if bases[0] != bases[-1]:  # u -> p^c u: put da on the inverse's bases
+        xs = [x * p ** (bases[0] - e) for x, e in zip(xs, bases)]
+    m = n - s
+    out = map(_reduce, repeat(p), [w + e for e in bases[:m]],
+              _kronecker(xs, ys[:m]), _pair_precisions(nx, vx, nb[:m], vb[:m]))
     return DifferentialForm(
-        TruncatedSeries._trusted(a.ring, lo, out, lo + len(out), a.prime))
+        TruncatedSeries._trusted(a.ring, s - 1, tuple(out), n - 1, p))
 
 
 def degree_of_unit(x: TruncatedSeries) -> int:

@@ -765,6 +765,23 @@ class TestWorkloadPins:
         assert h.hexdigest() == digest
 
 
+# p-adic dlog windows, printed structured: (ring, p, abs_prec, series,
+# sha256 of stdout).  A gamma window from u^-2 whose derivative has the
+# exact zero at degree -1 and two negative multipliers, a robba window with
+# 1/3 and 1/9, a robba+ window with the non-unit constant term 3 and an e+
+# window at p = 2.  The digests were taken from derive(a) * inverse(a).
+PINNED_DLOG = [
+    ("gamma", 3, 9, "u^-2 + 2*u^-1 - 5 + 7*u + 4*u^3 - u^4 + O(u^6)",
+     "e374be581e2eb39d0dacff7a07537f9ddd9d0127f8c08320c9995831fcaa3270"),
+    ("robba", 3, 8, "u^-1 + 1/3 + 2*u - 1/9*u^2 + 5*u^4 + O(u^6)",
+     "4f13a9f2d53212a2fe02b2db6a4e4df113d4bdf20878b2c61eb9689fa287f973"),
+    ("robba+", 3, 10, "3 + u - 4*u^2 + 9*u^3 + u^5 + O(u^7)",
+     "dafed1d9510504e211adffc420df3ec59b0a51e3cdf6538de38e66cefb63d212"),
+    ("e+", 2, 12, "1 + 1/2*u + 3*u^2 - 1/4*u^3 + 6*u^5 + O(u^8)",
+     "d4572fd7f87f06ee333b4af5ae5835a46bc177d32082c339334e1bf6cc841dc3"),
+]
+
+
 class TestPinnedDocuments:
     @pytest.mark.parametrize("command,flag,doc,fmt,status,error,digest",
                              PINNED_DOCUMENTS)
@@ -779,6 +796,14 @@ class TestPinnedDocuments:
         code, out, err = cli(argv, stdin=stdin)
         assert code == status
         assert (json.loads(err)["error"] if err else None) == error
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("ring,p,prec,series,digest", PINNED_DLOG)
+    def test_padic_dlog_bytes(self, cli, ring, p, prec, series, digest):
+        code, out, err = cli(["dlog", "--ring", ring, "--p", str(p),
+                              "--abs-prec", str(prec), "--format",
+                              "structured", series])
+        assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])

@@ -3,7 +3,8 @@
 ``TruncatedSeries.__mul__``, ``inverse`` and ``BiSeries.__mul__`` each wrote
 their own sum of products, and ``curvature`` its own matrix product; now a
 p-adic ``*`` and ``inverse`` are lift and reduce (``*`` is the one-pair case
-of ``series._sum_of_products``, ``inverse`` is ``series._padic_inverse``),
+of ``series._sum_of_products``, ``inverse`` reduces the integers of
+``series._padic_inverse``),
 the rational ``*`` sums through ``series._dot``,
 the rational ``inverse`` and ``dlog`` are one long division on integers
 each (``series._rational_quotient``), and ``BiSeries.__mul__`` is a
@@ -15,7 +16,8 @@ zeros of every kind, windows of up to 64 coefficients (256 for the
 rational quotient) and a prime of 61 bits.  The two-variable loop reads
 coefficients through ``coefficient(i, j)`` and builds its result from a
 full map, so it does not depend on how a ``BiSeries`` stores them.  ``TestLiftRule`` checks the
-rule the p-adic kernels rest on against exact ``Fraction`` arithmetic.
+rule the p-adic kernels (``*``, ``inverse``, ``dlog``) rest on against
+exact ``Fraction`` arithmetic.
 The kernels build their results unchecked: ``TestTrustedResults`` rebuilds
 them through the public constructors, ``TestTrustedDerivedSeries`` does the
 same for the logs, ``unit_decompose`` and ``fundamental_solution``, and
@@ -23,7 +25,15 @@ same for the logs, ``unit_decompose`` and ``fundamental_solution``, and
 ``TestSumOfProducts`` checks ``series._sum_of_products`` against the chain
 of ``+`` over the loop products, and that it reduces each output
 coefficient once; ``TestTwoVariableSumOfProducts`` does the same for
-``scheme._bi_sum_of_products``.
+``scheme._bi_sum_of_products``.  A p-adic ``dlog`` multiplies the lifts of
+da by the unreduced integers of ``_padic_inverse`` without building either
+window; the chain ``derive(a) * inverse(a)`` through the loops stays here
+as its oracle, and a count checks it reduces each output coefficient once
+and calls no ``derive``, ``inverse`` or series ``*``.
+``TestPerturbationSoundness`` moves every operand coefficient within its
+claimed precision and checks that no result coefficient moves within its
+own: a slice, for ``inverse``, ``dlog`` and ``padic_log_dagger``, of the
+soundness oracle every claim is to get.
 """
 
 import random
@@ -67,6 +77,7 @@ from lineint.series import (
     dlog,
     formal_log,
     inverse,
+    padic_log_dagger,
     padic_log_one_minus_py,
     series_from_coeffs,
     unit_decompose,
@@ -418,14 +429,27 @@ def exact_inverse(a):
     return out
 
 
+def exact_dlog(a):
+    """The coefficients of da/a on the lifts, as far as dlog shows: from
+    degree -1 on a Laurent window, from degree 0 on a power series."""
+    x = lifts(a)
+    dx = [d * y for d, y in enumerate(x, a.min_degree)][not a.ring.laurent:]
+    out = []
+    for k in range(len(dx)):
+        out.append((dx[k] - sum(x[j] * out[k - j]
+                                for j in range(1, k + 1))) / x[0])
+    return out
+
+
 def fields(c):
     return c.valuation, c.unit, c.abs_prec
 
 
 class TestLiftRule:
-    """Each coefficient of a p-adic * and inverse is the exact result on
-    the operands' lifts (to_fraction) reduced modulo p^abs_prec, at the
-    abs_prec the coefficient loops prove."""
+    """Each coefficient of a p-adic *, inverse and dlog is the exact
+    result on the operands' lifts (to_fraction) reduced modulo p^abs_prec,
+    at the abs_prec the coefficient loops prove; for dlog the exact
+    quotient da/a of the lifts, against derive(a) * inverse(a)."""
 
     def check(self, got, loop, exact, p):
         assert [c.abs_prec for c in got.coeffs] == \
@@ -451,6 +475,124 @@ class TestLiftRule:
         a = make_series(ring, p, (m if ring.laurent else 0, raws),
                         unit_lead=True)
         self.check(inverse(a), loop_inverse(a), exact_inverse(a), p)
+
+    @given(st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_dlog(self, data):
+        ring, p = data.draw(P_RINGS)
+        m, raws = data.draw(st.one_of(UNIT_SERIES, LONG_SERIES))
+        a = make_series(ring, p, (m if ring.laurent else 0, raws),
+                        unit_lead=True)
+        self.check(dlog(a).series,
+                   loop_mul(derive(a).series, loop_inverse(a)),
+                   exact_dlog(a), p)
+
+
+# The windows of the pinned p-adic dlog documents of tests/test_cli.py:
+# (ring, min_degree, values, p, abs_prec).
+DLOG_WINDOWS = {
+    "gamma from u^-2": (RingLabel.GAMMA, -2, [1, 2, -5, 7, 0, 4, -1, 0], 3,
+                        9),
+    "robba with 1/3 and 1/9": (RingLabel.ROBBA, -1, [
+        1, Fraction(1, 3), 2, Fraction(-1, 9), 0, 5, 0], 3, 8),
+    "robba+ with constant 3": (RingLabel.ROBBA_PLUS, 0,
+                               [3, 1, -4, 9, 0, 1, 0], 3, 10),
+    "e+ at p = 2": (RingLabel.E_PLUS, 0, [
+        1, Fraction(1, 2), 3, Fraction(-1, 4), 0, 6, 0, 0], 2, 12),
+}
+
+
+@pytest.mark.parametrize("ring,lo,values,p,prec", DLOG_WINDOWS.values(),
+                         ids=list(DLOG_WINDOWS))
+def test_dlog_reduces_each_output_coefficient_once(monkeypatch, ring, lo,
+                                                   values, p, prec):
+    """A p-adic dlog builds no derivative or inverse window and makes no
+    series product: it calls _reduce once per output coefficient."""
+    a = series_from_coeffs(ring, lo, values, p, prec)
+    calls = []
+    for module in (lineint.coeff, lineint.series):
+        def counted(*args, reduce_=module._reduce):
+            calls.append(args)
+            return reduce_(*args)
+        monkeypatch.setattr(module, "_reduce", counted)
+
+    def refused(*args):
+        raise AssertionError("dlog built a window only to multiply it")
+
+    monkeypatch.setattr(lineint.series, "derive", refused)
+    monkeypatch.setattr(lineint.series, "inverse", refused)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", refused)
+    result = dlog(a).series
+    assert len(result.coeffs) > 0
+    assert len(calls) == len(result.coeffs)
+
+
+# -- soundness under perturbation -------------------------------------------
+
+SOUND_RINGS = st.tuples(st.sampled_from(PADIC_RINGS),
+                        st.sampled_from((2, 3, 5)))
+SOUND_SERIES = st.tuples(st.integers(-3, 3),
+                         st.lists(RAW, min_size=1, max_size=12))
+
+
+def perturbed(a, rs):
+    """a with each coefficient c moved by p^N * r, N its abs_prec and r the
+    next of rs, and known modulo p^(N + 4): an input a's claims allow."""
+    p = a.prime
+    return TruncatedSeries(a.ring, a.min_degree, tuple(
+        PAdic.from_rational(c.to_fraction() + Fraction(p) ** c.abs_prec * r,
+                            p, c.abs_prec + 4)
+        for c, r in zip(a.coeffs, rs)), a.trunc_order, p)
+
+
+def assert_sound(op, a, b):
+    """op(b) for b perturbed from a: the same refusal as op(a), or op(a)'s
+    window with each coefficient claimed at least as precisely and agreeing
+    with op(a)'s modulo op(a)'s abs_prec."""
+    try:
+        want = op(a)
+    except CalculusError as e:
+        with pytest.raises(CalculusError) as info:
+            op(b)
+        assert type(info.value) is type(e), (a, b)
+        return
+    want, got = (r.series if isinstance(r, DifferentialForm) else r
+                 for r in (want, op(b)))
+    assert (got.min_degree, got.trunc_order) == \
+        (want.min_degree, want.trunc_order), (a, b)
+    for x, y in zip(want.coeffs, got.coeffs):
+        assert y.abs_prec >= x.abs_prec and (y - x).is_zero, (a, b)
+
+
+def drawn_perturbation(data, a):
+    p = a.prime
+    rs = data.draw(st.lists(st.integers(-p ** 6, p ** 6),
+                            min_size=len(a.coeffs), max_size=len(a.coeffs)))
+    return perturbed(a, rs)
+
+
+class TestPerturbationSoundness:
+    """No claim of inverse, dlog or padic_log_dagger is stronger than its
+    operands allow: moving each operand coefficient within its abs_prec
+    moves no result coefficient within its own."""
+
+    @pytest.mark.parametrize("op", [inverse, dlog], ids=["inverse", "dlog"])
+    @given(data=st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_unit_windows(self, op, data):
+        ring, p = data.draw(SOUND_RINGS)
+        m, raws = data.draw(SOUND_SERIES)
+        a = make_series(ring, p, (m if ring.laurent else 0, raws),
+                        unit_lead=True)
+        assert_sound(op, a, drawn_perturbation(data, a))
+
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_padic_log_dagger(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        a = make_series(RingLabel.GAMMA_PLUS, p, (0, data.draw(
+            SOUND_SERIES)[1]), unit_lead=True)
+        assert_sound(padic_log_dagger, a, drawn_perturbation(data, a))
 
 
 # -- sums of products ------------------------------------------------------
