@@ -145,17 +145,17 @@ class BiSeries(_CoeffWindow):
                 f"({self.trunc_u}, {self.trunc_x}), {self.cols!r})")
 
 
-def _bi_sum_of_products(pairs, first=None) -> BiSeries:
-    """first + the sum of a * b over pairs of two-variable windows of one
-    ring, on the window of the chain of +: column k is one sum of products
-    over the column pairs (i, k - i) of every pair, plus column k of first."""
-    firsts = [] if first is None else [first]
-    windows = [w for pair in pairs for w in pair] + firsts
+def _bi_sum_of_products(pairs, *firsts) -> BiSeries:
+    """The sum of the windows firsts and of a * b over pairs of two-variable
+    windows of one ring, on the window of the chain of +: column k is one
+    sum of products over the column pairs (i, k - i) of every pair and
+    column k of every first."""
+    windows = [w for pair in pairs for w in pair] + list(firsts)
     tx = min(w.trunc_x for w in windows)
     cols = (_sum_of_products(
         [q for a, b in pairs for q in zip(a.cols[:k + 1], b.cols[k::-1])],
         *(f.cols[k] for f in firsts)) for k in range(tx))
-    return pairs[0][0]._with(tuple(cols), min(w.trunc_u for w in windows))
+    return windows[0]._with(tuple(cols), min(w.trunc_u for w in windows))
 
 
 def biseries_from_map(ring: RingLabel, mapping, trunc_u: int, trunc_x: int,
@@ -236,7 +236,7 @@ def curvature(family: FramedFamily) -> tuple:
 
     With C = C_u du + C_x dx this is
     partial_u(C_x) - partial_x(C_u) + C_u C_x - C_x C_u, one sum of
-    products per entry."""
+    products per entry with its two partials as first terms."""
     cu = [[f.du_part for f in row] for row in family.entries]
     cx = [[f.dx_part for f in row] for row in family.entries]
     minus_cx = [[-x for x in row] for row in cx]
@@ -245,7 +245,7 @@ def curvature(family: FramedFamily) -> tuple:
         tuple(_bi_sum_of_products(
             [(cu[a][c], cx[c][b]) for c in r]
             + [(minus_cx[a][c], cu[c][b]) for c in r],
-            partial_u(cx[a][b]) - partial_x(cu[a][b])) for b in r)
+            partial_u(cx[a][b]), -partial_x(cu[a][b])) for b in r)
         for a in r)
 
 

@@ -10,23 +10,24 @@ stored coefficient is provably correct:
     mul:    [m_a + m_b,     min(T_a + m_b, T_b + m_a))
     derive: trunc drops by one
 
-A p-adic sum of products ``first + sum a * b`` (``_sum_of_products``, of
-which ``*`` is the one-pair case) or ``inverse`` is lift and reduce.  Every
-coefficient it returns is the exact result on the operands' lifts
+Every sum of windows is one kernel, ``_sum_of_products``: windows plus
+products of pairs, of which ``+`` (two windows), ``*`` (one pair),
+``padic_log_one_minus_py``, the ``trivialize`` integrand,
+``substitute_fiber``, each entry of ``series_matrix_product``, each pulled
+form of ``section_pullback`` and each column of a two-variable sum of
+products are one call each.  Over the p-adics it and ``inverse`` are lift
+and reduce: every coefficient is the exact result on the operands' lifts
 ``p^v * unit`` (``PAdic.to_fraction``), reduced once modulo the power of p
 it can prove.  The values of a product come from one multiply of the lifts
 packed into one integer each (Kronecker substitution), those of
 ``inverse`` from long division on integers modulo one power of p; the
 precisions from a min-plus pass over ``abs_prec`` and ``valuation_floor``.
-The ``trivialize`` integrand, ``substitute_fiber``, each entry of
-``series_matrix_product``, each pulled form of ``section_pullback`` and each
-column of a two-variable sum of products are one sum of products each.
 A p-adic ``dlog`` is derive(a) * inverse(a) on integers, building neither
 window: da's lifts read off a's, the inverse's unreduced, one Kronecker
 product.  Zeros lift to 0, so a zero coefficient costs only its precision.
-Over the rationals ``*`` sums exact products, and ``inverse`` and ``dlog``
-are one quotient each: long division on integers, each coefficient a
-numerator over its own reduced denominator, one ``Fraction`` each.
+Over the rationals the kernel adds exact ``_dot`` sums in the same loop,
+and ``inverse`` and ``dlog`` are one quotient each: long division on
+integers, each coefficient a numerator over its own reduced denominator.
 
 Validation happens at the boundary.  Every dataclass that checks itself in
 ``__post_init__`` (the windows here, the matrices, framed modules and
@@ -52,8 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from math import gcd, inf, lcm
 from operator import add, eq, floordiv, mul, neg, sub
 
@@ -250,33 +250,40 @@ def _kronecker(xs, ys):
             for i in range(0, n * width, width)]
 
 
-def _sum_of_products(pairs, first=None):
-    """first + the sum of a * b over pairs (a, b) of windows of one ring,
-    on the window of the chain of + (first itself if there is no pair).
-    Over the p-adics each pair's lifts multiply as in ``*``, every term is
-    shifted to one base valuation, the integers are summed and each output
-    coefficient is reduced once, to the least claim among the terms whose
-    window covers its degree: a degree below a term's window is an exact
-    zero there and caps nothing.  Over the rationals it is the chain."""
-    if not pairs:
-        return first
-    firsts = [] if first is None else [first]
-    ring, p = pairs[0][0].ring, pairs[0][0].prime
-    if not ring.padic:
-        return reduce(add, (a * b for a, b in pairs), *firsts)
+def _sum_of_products(pairs, *firsts):
+    """The sum of the windows firsts and of a * b over the pairs (a, b), all
+    of one ring, on the window a chain of + gives.  Each term is a run of
+    values from its first degree: a first's coefficients or a pair's
+    products summed by degree, over the p-adics integers at a base
+    valuation (lifts, or the Kronecker product of the lifts), over the
+    rationals exact ``_dot`` sums.  The runs are summed at the least base
+    and each p-adic output coefficient is reduced once, to the least claim
+    among the terms whose window covers its degree: a degree below a
+    term's window is an exact zero there and caps nothing."""
+    head = pairs[0][0] if pairs else firsts[0]
+    if not pairs and len(firsts) == 1:
+        return head
+    ring, p = head.ring, head.prime
     lo = min([a.min_degree + b.min_degree for a, b in pairs]
              + [f.min_degree for f in firsts])
     hi = min([min(a.trunc_order + b.min_degree, b.trunc_order + a.min_degree)
               for a, b in pairs] + [f.trunc_order for f in firsts])
-    terms = []  # (first degree, base valuation, lifts, precisions)
+    exact = repeat(inf)  # the claim of a rational value
+    terms = []  # (first degree, base valuation, values, precisions)
     for f in firsts:
-        w, xs, ns, _ = _lifts(f.coeffs[:max(hi - f.min_degree, 0)], p)
+        cs = f.coeffs[:max(hi - f.min_degree, 0)]
+        w, xs, ns, _ = _lifts(cs, p) if ring.padic else (0, cs, exact, None)
         terms.append((f.min_degree, w, xs, ns))
     for a, b in pairs:
         m = a.min_degree + b.min_degree
         n = max(min(len(a.coeffs), len(b.coeffs), hi - m), 0)
-        wa, xs, na, va = _lifts(a.coeffs[:n], p)
-        wb, ys, nb, vb = _lifts(b.coeffs[:n], p)
+        x, y = a.coeffs[:n], b.coeffs[:n]
+        if not ring.padic:
+            terms.append((m, 0, [_dot(zip(x[:k + 1], y[k::-1]))
+                                 for k in range(n)], exact))
+            continue
+        wa, xs, na, va = _lifts(x, p)
+        wb, ys, nb, vb = _lifts(y, p)
         terms.append((m, wa + wb, _kronecker(xs, ys),
                       _pair_precisions(na, va, nb, vb)))
     if len(terms) == 1:  # one product spans the window: nothing to sum
@@ -290,9 +297,9 @@ def _sum_of_products(pairs, first=None):
                 xs = map(mul, xs, repeat(p ** (w - base)))
             values[i:j] = map(add, values[i:j], xs)
             precs[i:j] = map(min, precs[i:j], ns)
-    return TruncatedSeries._trusted(
-        ring, lo, tuple(map(_reduce, repeat(p), repeat(base), values, precs)),
-        hi, p)
+    if ring.padic:
+        values = map(_reduce, repeat(p), repeat(base), values, precs)
+    return TruncatedSeries._trusted(ring, lo, tuple(values), hi, p)
 
 
 def _padic_inverse(a, p):
@@ -478,12 +485,7 @@ class TruncatedSeries(_CoeffWindow):
 
     def __add__(self, other) -> "TruncatedSeries":
         self._binary_check(other)
-        lo = min(self.min_degree, other.min_degree)
-        hi = max(min(self.trunc_order, other.trunc_order), lo)
-        coeffs = tuple(
-            _add_opt(self._at(d), other._at(d)) for d in range(lo, hi)
-        )
-        return TruncatedSeries._trusted(self.ring, lo, coeffs, hi, self.prime)
+        return _sum_of_products([], self, other)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._trusted(self.ring, self.min_degree,
@@ -494,14 +496,7 @@ class TruncatedSeries(_CoeffWindow):
         if isinstance(other, DifferentialForm):
             return DifferentialForm(self * other.series)
         self._binary_check(other)
-        if self.ring.padic:
-            return _sum_of_products([(self, other)])
-        lo = self.min_degree + other.min_degree
-        a, b = self.coeffs, other.coeffs
-        out = tuple(_dot(zip(a[:k + 1], b[k::-1]))
-                    for k in range(min(len(a), len(b))))
-        return TruncatedSeries._trusted(self.ring, lo, out, lo + len(out),
-                                        self.prime)
+        return _sum_of_products([(self, other)])
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by the same scalar."""
@@ -547,16 +542,6 @@ class TruncatedSeries(_CoeffWindow):
 
 def _coeff_is_zero(c) -> bool:
     return c.is_zero if isinstance(c, PAdic) else c == 0
-
-
-def _add_opt(a, b):
-    # None stands for the exact zero below a window: it is absorbing for
-    # precision, so the other operand passes through untouched.
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
 
 
 class _Form:
@@ -810,7 +795,8 @@ def dlog(a: TruncatedSeries) -> DifferentialForm:
     p, n = a.prime, len(a.coeffs)
     s = 0 if a.ring.laurent else 1  # a power series' constant term drops
     w, lifts, na, va = _lifts(a.coeffs, p)
-    bases, ys, nb, vb = _padic_inverse(a.coeffs, p)
+    # The inverse's first k coefficients need only a's first k.
+    bases, ys, nb, vb = _padic_inverse(a.coeffs[:max(n - s, 1)], p)
     xs, nx, vx = [], [], []
     for d, x, n_d, v_d in zip(range(a.min_degree + s, a.trunc_order),
                               lifts[s:], na[s:], va[s:]):
@@ -901,8 +887,11 @@ def padic_log_one_minus_py(y: TruncatedSeries) -> TruncatedSeries:
     """The p-adic logarithm of 1 - p*y for integral y, as -sum((p*y)^n / n).
 
     The sum is truncated at the first n with n - floor(log_p(n)) at or above
-    the working precision; beyond it every term vanishes modulo p^prec.  The
-    output is integral."""
+    the working precision; beyond it every term vanishes modulo p^prec.  It
+    is one ``_sum_of_products`` of the terms and the zero window at that
+    precision, each term padded to the end of y's window with zeros at
+    n - v_p(n), the valuation it is known to have where its own window
+    ends.  The output is integral."""
     if y.ring not in (RingLabel.GAMMA, RingLabel.GAMMA_PLUS):
         raise InvalidInputError(
             f"padic_log_one_minus_py needs an integral ring, got {y.ring.value}"
@@ -911,31 +900,20 @@ def padic_log_one_minus_py(y: TruncatedSeries) -> TruncatedSeries:
     if len(y.coeffs) == 0:
         return y
     n_work = max(c.abs_prec for c in y.coeffs)
-    n_max = 1
-    while n_max - _floor_log(n_max, p) < n_work:
-        n_max += 1
-    n_terms = n_max - 1
+    n_terms = next(n for n in count(1) if n - _floor_log(n, p) >= n_work) - 1
     m, t = y.min_degree, y.trunc_order
-    lo = min(m, n_terms * m)
-    acc = {d: PAdic.zero(p, n_work) for d in range(lo, t)}
-    if n_terms >= 1:
-        py = y.scale(p)
-        power = py
-        for n in range(1, n_terms + 1):
-            term = power.scale(Fraction(-1, n))
-            bound = n - (vp_int(n, p) if n % p == 0 else 0)
-            for d in range(lo, t):
-                if d < term.min_degree:
-                    continue
-                if d >= term.trunc_order:
-                    acc[d] = acc[d].truncated(bound)
-                else:
-                    acc[d] = acc[d] + term._at(d)
-            if n < n_terms:
-                power = power * py
-    # Each term passed the integrality check of scale, so their sums pass.
-    return TruncatedSeries._trusted(y.ring, lo,
-                                    tuple(acc[d] for d in range(lo, t)), t, p)
+    terms = [zero_series(y.ring, min(m, n_terms * m), t, p, n_work)]
+    py = power = y.scale(p)
+    for n in range(1, n_terms + 1):
+        term = power.scale(Fraction(-1, n))
+        tail = (PAdic.zero(p, n - vp_int(n, p)),) * (t - term.trunc_order)
+        # scale checked the term's integrality, and a zero tail is integral.
+        terms.append(TruncatedSeries._trusted(
+            y.ring, term.min_degree, term.coeffs + tail,
+            max(term.trunc_order, t), p))
+        if n < n_terms:
+            power = power * py
+    return _sum_of_products([], *terms)
 
 
 def _floor_log(n: int, p: int) -> int:

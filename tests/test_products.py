@@ -1,21 +1,25 @@
-"""The product kernels against the coefficient loops they replaced.
+"""The sum-of-products kernel against the coefficient loops it replaced.
 
-``TruncatedSeries.__mul__``, ``inverse`` and ``BiSeries.__mul__`` each wrote
-their own sum of products, and ``curvature`` its own matrix product; now a
-p-adic ``*`` and ``inverse`` are lift and reduce (``*`` is the one-pair case
-of ``series._sum_of_products``, ``inverse`` reduces the integers of
-``series._padic_inverse``),
-the rational ``*`` sums through ``series._dot``,
-the rational ``inverse`` and ``dlog`` are one long division on integers
-each (``series._rational_quotient``), and ``BiSeries.__mul__`` is a
-convolution of its columns' series products.  Those loops are kept here as
-test-only oracles: the kernels must give the same ring, window,
-coefficient type and text, and error class, on every ring label, with
-mixed precisions, negative valuations, Laurent windows, empty windows,
-zeros of every kind, windows of up to 64 coefficients (256 for the
-rational quotient) and a prime of 61 bits.  The two-variable loop reads
-coefficients through ``coefficient(i, j)`` and builds its result from a
-full map, so it does not depend on how a ``BiSeries`` stores them.  ``TestLiftRule`` checks the
+``TruncatedSeries.__mul__``, ``__add__``, ``inverse`` and
+``BiSeries.__mul__`` each wrote their own loop, ``curvature`` its own
+matrix product and ``padic_log_one_minus_py`` its own accumulator of
+``PAdic`` sums; now every sum of windows is one call of
+``series._sum_of_products(pairs, *firsts)``: ``+`` is its case of two
+first terms, ``*`` of one pair, the log one call over its terms.  Over the
+p-adics it and ``inverse`` are lift and reduce (``inverse`` reduces the
+integers of ``series._padic_inverse``); over the rationals it adds exact
+``series._dot`` sums in the same loop, the rational ``inverse`` and
+``dlog`` are one long division on integers each
+(``series._rational_quotient``), and ``BiSeries.__mul__`` is a convolution
+of its columns' series products.  Those loops are kept here as test-only
+oracles, ``loop_add`` for every sum, so no oracle runs the kernel: the
+kernels must give the same ring, window, coefficient type and text, and
+error class, on every ring label, with mixed precisions, negative
+valuations, Laurent windows, empty windows, zeros of every kind, windows
+of up to 64 coefficients (256 for the rational quotient) and a prime of
+61 bits.  The two-variable loop reads coefficients through
+``coefficient(i, j)`` and builds its result from a full map, so it does
+not depend on how a ``BiSeries`` stores them.  ``TestLiftRule`` checks the
 rule the p-adic kernels (``*``, ``inverse``, ``dlog``) rest on against
 exact ``Fraction`` arithmetic.
 The kernels build their results unchecked: ``TestTrustedResults`` rebuilds
@@ -23,31 +27,35 @@ them through the public constructors, ``TestTrustedDerivedSeries`` does the
 same for the logs, ``unit_decompose`` and ``fundamental_solution``, and
 ``BOUNDARY_REFUSALS`` lists what those constructors must still refuse.
 ``TestSumOfProducts`` checks ``series._sum_of_products`` against the chain
-of ``+`` over the loop products, and that it reduces each output
+of ``loop_add`` over the loop products, and that it reduces each output
 coefficient once; ``TestTwoVariableSumOfProducts`` does the same for
-``scheme._bi_sum_of_products``.  A p-adic ``dlog`` multiplies the lifts of
+``scheme._bi_sum_of_products``.  ``TestOneSumOfWindows`` checks that no
+p-adic sum of windows adds two ``PAdic``, that a rational sum of products
+makes no series ``*`` or ``+`` and that a p-adic ``+`` reduces each output
+coefficient once.  A p-adic ``dlog`` multiplies the lifts of
 da by the unreduced integers of ``_padic_inverse`` without building either
 window; the chain ``derive(a) * inverse(a)`` through the loops stays here
 as its oracle, and a count checks it reduces each output coefficient once
 and calls no ``derive``, ``inverse`` or series ``*``.
 ``TestPerturbationSoundness`` moves every operand coefficient within its
 claimed precision and checks that no result coefficient moves within its
-own: a slice, for ``inverse``, ``dlog`` and ``padic_log_dagger``, of the
-soundness oracle every claim is to get.
+own: a slice, for ``inverse``, ``dlog``, ``padic_log_dagger``, ``+``,
+``-``, ``*``, a sum of products with two first terms and
+``padic_log_one_minus_py``, of the soundness oracle every claim is to get.
 """
 
 import random
 from fractions import Fraction
 from functools import reduce
 from math import factorial
-from operator import add
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lineint.coeff
 import lineint.series
-from lineint.coeff import PAdic
+from lineint.coeff import PAdic, vp_int
 from lineint.errors import (
     CalculusError,
     InsufficientWindowError,
@@ -72,6 +80,7 @@ from lineint.series import (
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    _floor_log,
     _sum_of_products,
     derive,
     dlog,
@@ -112,6 +121,55 @@ def loop_mul(a, b):
             acc = x * y if acc is None else acc + x * y
         out.append(a._zero_coeff() if acc is None else acc)
     return TruncatedSeries(a.ring, lo, tuple(out), hi, a.prime)
+
+
+def loop_add(a, b):
+    """a + b of one- or two-variable windows, one coefficient + per degree;
+    the exact zero below a window passes the other operand through."""
+    if isinstance(a, BiSeries):
+        return BiSeries(a.ring, tuple(map(loop_add, a.cols, b.cols)),
+                        min(a.trunc_u, b.trunc_u), a.prime)
+    lo = min(a.min_degree, b.min_degree)
+    hi = max(min(a.trunc_order, b.trunc_order), lo)
+    out = []
+    for d in range(lo, hi):
+        x, y = a._at(d), b._at(d)
+        out.append(y if x is None else x if y is None else x + y)
+    return TruncatedSeries(a.ring, lo, tuple(out), hi, a.prime)
+
+
+def loop_log_one_minus_py(y):
+    """-sum((p*y)^n / n) in a dict of coefficients by degree: each term is
+    added where its window is known and caps the precision at n - v_p(n),
+    its valuation, where its window has ended."""
+    p = y.prime
+    if len(y.coeffs) == 0:
+        return y
+    n_work = max(c.abs_prec for c in y.coeffs)
+    n_max = 1
+    while n_max - _floor_log(n_max, p) < n_work:
+        n_max += 1
+    n_terms = n_max - 1
+    m, t = y.min_degree, y.trunc_order
+    lo = min(m, n_terms * m)
+    acc = {d: PAdic.zero(p, n_work) for d in range(lo, t)}
+    if n_terms >= 1:
+        py = y.scale(p)
+        power = py
+        for n in range(1, n_terms + 1):
+            term = power.scale(Fraction(-1, n))
+            bound = n - (vp_int(n, p) if n % p == 0 else 0)
+            for d in range(lo, t):
+                if d < term.min_degree:
+                    continue
+                if d >= term.trunc_order:
+                    acc[d] = acc[d].truncated(bound)
+                else:
+                    acc[d] = acc[d] + term._at(d)
+            if n < n_terms:
+                power = loop_mul(power, py)
+    return TruncatedSeries(y.ring, lo, tuple(acc[d] for d in range(lo, t)),
+                           t, p)
 
 
 def loop_inverse(s):
@@ -172,10 +230,10 @@ def loop_curvature(family):
     for a in range(r):
         row = []
         for b in range(r):
-            acc = partial_u(cx[a][b]) - partial_x(cu[a][b])
+            acc = loop_add(partial_u(cx[a][b]), -partial_x(cu[a][b]))
             for c in range(r):
-                acc = (acc + loop_bimul(cu[a][c], cx[c][b])
-                       - loop_bimul(cx[a][c], cu[c][b]))
+                acc = loop_add(acc, loop_bimul(cu[a][c], cx[c][b]))
+                acc = loop_add(acc, -loop_bimul(cx[a][c], cu[c][b]))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -288,6 +346,30 @@ class TestKernelMatchesLoops:
         b = make_series(ring, p, data.draw(SERIES))
         assert outcome(lambda: a * b) == outcome(lambda: loop_mul(a, b)), \
             (a, b)
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_series_sum(self, data):
+        ring, p = drawn_ring(data)
+        a = make_series(ring, p, data.draw(SERIES))
+        b = make_series(ring, p, data.draw(SERIES))
+        assert outcome(lambda: a + b) == outcome(lambda: loop_add(a, b)), \
+            (a, b)
+        assert outcome(lambda: a - b) == outcome(lambda: loop_add(a, -b)), \
+            (a, b)
+
+    # Over gamma a term's window ends before y's, where the tail bound
+    # binds; over gamma+ it never does.
+    @pytest.mark.parametrize("ring,degrees", [
+        (RingLabel.GAMMA, st.integers(-3, -1)),
+        (RingLabel.GAMMA_PLUS, st.integers(0, 3))], ids=["gamma", "gamma+"])
+    @given(data=st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_log_one_minus_py(self, ring, degrees, data):
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        y = make_series(ring, p, (data.draw(degrees), data.draw(SERIES)[1]))
+        assert outcome(lambda: padic_log_one_minus_py(y)) == \
+            outcome(lambda: loop_log_one_minus_py(y)), y
 
     @given(st.data())
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -546,35 +628,51 @@ def perturbed(a, rs):
 
 
 def assert_sound(op, a, b):
-    """op(b) for b perturbed from a: the same refusal as op(a), or op(a)'s
-    window with each coefficient claimed at least as precisely and agreeing
-    with op(a)'s modulo op(a)'s abs_prec."""
+    """op(*b) for the operands b perturbed from a: the same refusal as
+    op(*a), or op(*a)'s window with each coefficient claimed at least as
+    precisely and agreeing with op(*a)'s modulo op(*a)'s abs_prec."""
     try:
-        want = op(a)
+        want = op(*a)
     except CalculusError as e:
         with pytest.raises(CalculusError) as info:
-            op(b)
+            op(*b)
         assert type(info.value) is type(e), (a, b)
         return
     want, got = (r.series if isinstance(r, DifferentialForm) else r
-                 for r in (want, op(b)))
+                 for r in (want, op(*b)))
     assert (got.min_degree, got.trunc_order) == \
         (want.min_degree, want.trunc_order), (a, b)
     for x, y in zip(want.coeffs, got.coeffs):
         assert y.abs_prec >= x.abs_prec and (y - x).is_zero, (a, b)
 
 
-def drawn_perturbation(data, a):
-    p = a.prime
-    rs = data.draw(st.lists(st.integers(-p ** 6, p ** 6),
-                            min_size=len(a.coeffs), max_size=len(a.coeffs)))
-    return perturbed(a, rs)
+def drawn_perturbation(data, *operands):
+    """Each operand perturbed by drawn integers, as a tuple."""
+    out = []
+    for a in operands:
+        p = a.prime
+        rs = data.draw(st.lists(st.integers(-p ** 6, p ** 6),
+                                min_size=len(a.coeffs),
+                                max_size=len(a.coeffs)))
+        out.append(perturbed(a, rs))
+    return tuple(out)
+
+
+# Operations on several windows of one ring, by name: (op, arity).
+SOUND_OPERATIONS = {
+    "+": (add, 2),
+    "-": (sub, 2),
+    "*": (mul, 2),
+    "two pairs and two firsts": (
+        lambda a, b, c, d, e, f: _sum_of_products([(a, b), (c, d)], e, f), 6),
+}
 
 
 class TestPerturbationSoundness:
-    """No claim of inverse, dlog or padic_log_dagger is stronger than its
-    operands allow: moving each operand coefficient within its abs_prec
-    moves no result coefficient within its own."""
+    """No claim of inverse, dlog, padic_log_dagger, the sums and products
+    of windows or padic_log_one_minus_py is stronger than its operands
+    allow: moving each operand coefficient within its abs_prec moves no
+    result coefficient within its own."""
 
     @pytest.mark.parametrize("op", [inverse, dlog], ids=["inverse", "dlog"])
     @given(data=st.data())
@@ -584,7 +682,7 @@ class TestPerturbationSoundness:
         m, raws = data.draw(SOUND_SERIES)
         a = make_series(ring, p, (m if ring.laurent else 0, raws),
                         unit_lead=True)
-        assert_sound(op, a, drawn_perturbation(data, a))
+        assert_sound(op, (a,), drawn_perturbation(data, a))
 
     @given(data=st.data())
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -592,7 +690,29 @@ class TestPerturbationSoundness:
         p = data.draw(st.sampled_from((2, 3, 5)))
         a = make_series(RingLabel.GAMMA_PLUS, p, (0, data.draw(
             SOUND_SERIES)[1]), unit_lead=True)
-        assert_sound(padic_log_dagger, a, drawn_perturbation(data, a))
+        assert_sound(padic_log_dagger, (a,), drawn_perturbation(data, a))
+
+    @pytest.mark.parametrize("op,arity", SOUND_OPERATIONS.values(),
+                             ids=list(SOUND_OPERATIONS))
+    @given(data=st.data())
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_sums_and_products(self, op, arity, data):
+        ring, p = data.draw(SOUND_RINGS)
+        operands = tuple(make_series(ring, p, data.draw(SOUND_SERIES))
+                         for _ in range(arity))
+        assert_sound(op, operands, drawn_perturbation(data, *operands))
+
+    # The window of a log starts at n_terms * min_degree, or at 0 when no
+    # term is summed, and n_terms grows with the precision a perturbation
+    # re-reads: a window from degree 0 on stays where it is.
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_padic_log_one_minus_py(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        y = make_series(RingLabel.GAMMA_PLUS, p, (0, data.draw(
+            SOUND_SERIES)[1]))
+        assert_sound(padic_log_one_minus_py, (y,),
+                     drawn_perturbation(data, y))
 
 
 # -- sums of products ------------------------------------------------------
@@ -603,12 +723,12 @@ SUM_RINGS = st.tuples(
     st.sampled_from((2, 3, 5)))
 
 
-def chain(pairs, first):
-    """first + the sum of a * b as the chain of + it replaced, each product
-    from the coefficient loop."""
-    products = (loop_mul(a, b) for a, b in pairs)
-    return reduce(add, products) if first is None \
-        else reduce(add, products, first)
+def chain(pairs, *firsts):
+    """The sum of firsts and of a * b over pairs as the chain of + it
+    replaced, each product from a coefficient loop and each sum from
+    ``loop_add``; one- or two-variable windows."""
+    return reduce(loop_add, [*firsts, *(loop_bimul(a, b) if isinstance(
+        a, BiSeries) else loop_mul(a, b) for a, b in pairs)])
 
 
 class TestSumOfProducts:
@@ -625,7 +745,8 @@ class TestSumOfProducts:
                  for _ in range(data.draw(st.integers(1, 4)))]
         first = (make_series(ring, p, data.draw(SERIES))
                  if data.draw(st.booleans()) else None)
-        got, want = _sum_of_products(pairs, first), chain(pairs, first)
+        firsts = [] if first is None else [first]
+        got, want = _sum_of_products(pairs, *firsts), chain(pairs, *firsts)
         assert shown(got) == shown(want), (pairs, first)
         if ring.padic:
             assert list(map(fields, got.coeffs)) == \
@@ -651,7 +772,7 @@ class TestSumOfProducts:
                 calls.append(args)
                 return reduce_(*args)
             monkeypatch.setattr(module, "_reduce", counted)
-        result = _sum_of_products(pairs, first)
+        result = _sum_of_products(pairs, *([] if first is None else [first]))
         assert len(result.coeffs) > 0
         assert len(calls) == len(result.coeffs)
 
@@ -667,8 +788,9 @@ BI_SUM_RINGS = st.tuples(
 class TestTwoVariableSumOfProducts:
     """``scheme._bi_sum_of_products``, through which ``BiSeries.__mul__``,
     ``curvature`` and so every product of two-variable windows go, gives
-    the window, values and per-coefficient abs_prec of the chain of + over
-    the loop products, and reduces each output coefficient once."""
+    the window, values and per-coefficient abs_prec of the chain of
+    ``loop_add`` over the loop products, and reduces each output
+    coefficient once."""
 
     @given(st.data())
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -684,9 +806,9 @@ class TestTwoVariableSumOfProducts:
         pairs = [(drawn(), drawn())
                  for _ in range(data.draw(st.integers(1, 4)))]
         first = drawn() if data.draw(st.booleans()) else None
-        products = (loop_bimul(a, b) for a, b in pairs)
-        want = reduce(add, products, *([] if first is None else [first]))
-        got = _bi_sum_of_products(pairs, first)
+        firsts = [] if first is None else [first]
+        want = chain(pairs, *firsts)
+        got = _bi_sum_of_products(pairs, *firsts)
         assert shown(got) == shown(want), (pairs, first)
         if ring.padic:
             assert list(map(fields, got._flat_coeffs())) == \
@@ -713,7 +835,8 @@ class TestTwoVariableSumOfProducts:
                 calls.append(args)
                 return reduce_(*args)
             monkeypatch.setattr(module, "_reduce", counted)
-        result = _bi_sum_of_products(pairs, first)
+        result = _bi_sum_of_products(pairs,
+                                     *([] if first is None else [first]))
         assert result.trunc_u * result.trunc_x > 0
         assert len(calls) == result.trunc_u * result.trunc_x
 
@@ -742,6 +865,80 @@ def test_section_pullback_adds_no_series(monkeypatch):
     module = section_pullback(family, v)
     assert not module.connection.entries[0][1].is_zero
     assert calls == []
+
+
+def left_the_kernel(*args):
+    raise AssertionError("a sum of windows left _sum_of_products")
+
+
+class TestOneSumOfWindows:
+    """Every sum of windows is one ``_sum_of_products``: no p-adic sum adds
+    two ``PAdic``, a rational sum of products makes no series * or +, and
+    a p-adic + reduces each output coefficient once."""
+
+    def test_padic_sums_add_no_coefficients(self, monkeypatch):
+        rng = random.Random("one-sum/padic")
+
+        def values(n):
+            return [rng.randint(-80, 80) for _ in range(n)]
+
+        a = series_from_coeffs(RingLabel.ROBBA, -2, values(8), 3, 9)
+        b = series_from_coeffs(RingLabel.ROBBA, 0, values(5), 3, 6)
+        # From degree -1 on, a term's window ends before y's.
+        y = series_from_coeffs(RingLabel.GAMMA, -1, values(6), 3, 7)
+        rp = RingLabel.ROBBA_PLUS
+        parts = [biseries_from_map(rp, {(i, j): v for (i, j), v in zip(
+            [(i, j) for i in range(3) for j in range(3)], values(9))},
+            3, 3, 3, 8) for _ in range(4)]
+        zero = zero_biseries(rp, 3, 3, 3, 8)
+        family = FramedFamily(Signature((1, 1, 1)), rp, (
+            (BiForm(zero, zero), BiForm(parts[0], parts[1]),
+             BiForm(zero, zero)),
+            (BiForm(zero, zero), BiForm(zero, zero),
+             BiForm(parts[2], parts[3])),
+            (BiForm(zero, zero),) * 3), 3)
+
+        def results():
+            return [shown(a + b), shown(a - b),
+                    shown(padic_log_one_minus_py(y)),
+                    [[shown(f) for f in row] for row in curvature(family)]]
+
+        want = results()
+        monkeypatch.setattr(PAdic, "__add__", left_the_kernel)
+        monkeypatch.setattr(PAdic, "__radd__", left_the_kernel)
+        assert results() == want
+
+    def test_rational_sum_of_products_makes_no_series_operation(
+            self, monkeypatch):
+        rng = random.Random("one-sum/rational")
+
+        def window(lo):
+            return series_from_coeffs(RingLabel.FORMAL, lo, [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(6)])
+
+        pairs = [(window(0), window(1)), (window(2), window(0))]
+        first = window(1)
+        want = chain(pairs, first)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", left_the_kernel)
+        monkeypatch.setattr(TruncatedSeries, "__add__", left_the_kernel)
+        assert shown(_sum_of_products(pairs, first)) == shown(want)
+
+    def test_padic_sum_reduces_each_output_coefficient_once(self,
+                                                            monkeypatch):
+        # Degrees -2 and -1 lie below b's window; a + b reduces them too.
+        a = series_from_coeffs(RingLabel.ROBBA, -2,
+                               [5, -7, 11, 2, 0, 9, -4, 3], 3, 9)
+        b = series_from_coeffs(RingLabel.ROBBA, 0, [8, 1, 0, -6, 13], 3, 6)
+        calls = []
+        for module in (lineint.coeff, lineint.series):
+            def counted(*args, reduce_=module._reduce):
+                calls.append(args)
+                return reduce_(*args)
+            monkeypatch.setattr(module, "_reduce", counted)
+        result = a + b
+        assert len(result.coeffs) == 7
+        assert len(calls) == len(result.coeffs)
 
 
 # -- trusted results --------------------------------------------------------
