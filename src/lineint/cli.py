@@ -92,15 +92,18 @@ def _series_out(s, fmt: str) -> str:
     return parsing.print_series(s)
 
 
-def _matrix_out(entries, sig, fmt: str, text=parsing.print_series,
-                structured=parsing.structured_series, **fields) -> str:
+def _matrix_out(entries, sig, fmt: str, text=None, structured=None,
+                **fields) -> str:
     """A matrix of windows as a document: entries render with structured
-    or text by fmt, and fields adds document fields."""
+    or text by fmt, by default the one-variable writers of parsing as they
+    are when called, and fields adds document fields."""
     if fmt == "structured":
         first = entries[0][0]
         return _compact(parsing.matrix_document(
-            sig, first.ring, first.prime, entries, structured, **fields))
-    return _pretty(parsing.dump_series_matrix(entries, sig, text, **fields))
+            sig, first.ring, first.prime, entries,
+            structured or parsing.structured_series, **fields))
+    return _pretty(parsing.dump_series_matrix(
+        entries, sig, text or parsing.print_series, **fields))
 
 
 # -- mode handling -------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Text grammar for series windows, and every JSON document format.
 
-The grammar, which the scanner's regular expressions implement:
+The grammar:
 
     series ::= marker | ['-'] term (('+' | '-') term)* '+' marker
     term   ::= (coeff | factor) (['*'] factor)*
@@ -23,6 +23,15 @@ value of this library.  A bare marker is the all-zero window.  Like terms
 merge, so "t + t + O(t^3)" reads as 2t.  Negative exponents need a ring with
 poles.  Two-variable windows use the two-exponent marker O(u^A, x^B).
 
+Text is read in one of two ways.  The bulk reader, _read, reads the marker
+with one match and every term before it with one findall, whose patterns
+spell out the grammar, and merges the terms as it goes.  Text it declines,
+because the grammar or a later check refuses it, goes to the per-term
+reader, _parse_text then _merge_terms, whose patterns match as far as the
+text fits so that a ParseError names the first token that does not.  That
+reader serves refusals only: its messages, columns and their order against
+the prime and precision checks are the grammar's documented refusals.
+
 Like terms merge as exact integers; a Fraction is made only for a literal
 with a '/'.  The merged values become coefficients through the library's
 one builder, series.series_from_coeffs (per column, for two variables,
@@ -43,7 +52,6 @@ digits than the literal limit, is refused with invalid-input.
 """
 
 from fractions import Fraction
-from operator import le, lt
 import re
 import sys
 
@@ -86,6 +94,90 @@ _ENTRY_MISSING = {"var": "expected a variable in the O(...) marker",
                   "caret": "expected '^'",
                   "end": "expected an integer window end",
                   "sep": "expected ')'"}
+
+# The bulk reader's patterns spell out the grammar.  _MARKER_TEXT is the
+# marker, which the text ends with; _READ_TERM reads one term of the text
+# before it: the sign before the term (at the start of the text, only
+# whitespace and an optional '-'), its literal and denominator, its first
+# factor (name, minus, exponent) and the text of its other factors, which
+# _READ_FACTOR reads.  Where no term starts, the last group takes the rest
+# of the text, so findall's matches cover the text before the marker, which
+# is accepted exactly when the last match is a term.  Each match holds one
+# term, so a long text keeps no backtracking state from term to term.
+_NAME = r"[tux](?![A-Za-z])"
+_POWER = r"(?:\^\s*(-\s*)?(\d+)\s*)?"
+_ENTRY_TEXT = rf"(?P<var{{0}}>{_NAME})\s*\^\s*(?P<neg{{0}}>-\s*)?" \
+              r"(?P<end{0}>\d+)\s*"
+_MARKER_TEXT = re.compile(
+    rf"O\s*\(\s*{_ENTRY_TEXT.format(1)}(?:,\s*{_ENTRY_TEXT.format(2)})?"
+    r"\)\s*")
+_FACTORS = rf"(?:(?:\*\s*)?{_NAME}\s*(?:\^\s*(?:-\s*)?\d+\s*)?)*"
+_READ_TERM = re.compile(
+    rf"(\A\s*(?:-\s*)?|[+-]\s*)(?=\d|{_NAME})"
+    rf"(?:(\d+)\s*(?:/\s*(\d+)\s*)?(?:\*\s*(?={_NAME}))?)?"
+    rf"(?:({_NAME})\s*{_POWER})?({_FACTORS})|([\s\S])[\s\S]*")
+_READ_FACTOR = re.compile(rf"(?:\*\s*)?([tux])\s*{_POWER}")
+
+
+def _read(text: str, arity: int):
+    """The merged terms and the marker of text the grammar accepts, with a
+    marker of arity variables, as _merge_terms and _parse_text give them;
+    None for any other text, which the per-term reader then refuses.
+
+    One match reads the marker and one findall reads every term.  Text that
+    fits the grammar but fails a later check is declined too: a window end
+    or degree out of bounds, a variable not in the marker, a zero
+    denominator, a literal too long for int().
+    """
+    at = text.rfind("O")
+    m = _MARKER_TEXT.fullmatch(text, at) if at >= 0 else None
+    if m is None or (m["var2"] is None) != (arity == 1):
+        return None
+    # The terms end at the '+' before the marker; with no '+', only
+    # whitespace stands before it.
+    plus = text.rfind("+", 0, at)
+    if _SPACE.fullmatch(text, plus + 1, at) is None:
+        return None
+    terms = ()
+    if plus >= 0:
+        # At least one term, no '+' before the first, no stray text.
+        terms = _READ_TERM.findall(text, 0, plus)
+        if not terms or "+" in terms[0][0] or terms[-1][-1]:
+            return None
+    acc: dict = {}
+    try:
+        marker = []
+        for k in range(1, arity + 1):
+            var, neg, end = m.group(f"var{k}", f"neg{k}", f"end{k}")
+            marker.append((var, -int(end) if neg else int(end),
+                           m.start(f"var{k}")))
+        # exps[slot[v]] sums the exponents of v in a term.  Like
+        # _merge_terms, a marker naming one variable twice reads that sum
+        # for both entries.
+        slot = {var: k for k, (var, _, _) in enumerate(marker)}
+        first, last = slot[marker[0][0]], slot[marker[-1][0]]
+        for sign, num, den, var, neg, exp, more, _ in terms:
+            coeff = (int(num) if num else 1) if not den \
+                else Fraction(int(num), int(den))
+            if "-" in sign:
+                coeff = -coeff
+            exps = [0] * arity
+            if var:
+                e = int(exp) if exp else 1
+                exps[slot[var]] = -e if neg else e
+                for v, n, e in _READ_FACTOR.findall(more) if more else ():
+                    e = int(e) if e else 1
+                    exps[slot[v]] += -e if n else e
+            key = exps[first] if arity == 1 else (exps[first], exps[last])
+            acc[key] = acc[key] + coeff if key in acc else coeff
+    except (KeyError, ValueError, ZeroDivisionError):
+        return None
+    for k, (_, end, _) in enumerate(marker):
+        degrees = acc if arity == 1 else [key[k] for key in acc]
+        if abs(end) > DEGREE_LIMIT or degrees and not (
+                -DEGREE_LIMIT <= min(degrees) and max(degrees) < end):
+            return None
+    return acc, marker
 
 
 def _term(text: str, i: int, negate: bool):
@@ -194,7 +286,6 @@ def _merge_terms(terms, marker) -> dict:
     names = [v for v, _, _ in marker]
     ends = tuple(check_degree(e) for _, e, _ in marker)
     one = len(ends) == 1
-    floors, zeros = (-DEGREE_LIMIT,) * len(ends), (0,) * len(ends)
     acc: dict = {}
     for coeff, powers, pos in terms:
         for v in powers:
@@ -202,8 +293,8 @@ def _merge_terms(terms, marker) -> dict:
                 raise ParseError(
                     f"variable {v!r} does not belong in a series in "
                     + " and ".join(map(repr, names)), pos)
-        exps = tuple(map(powers.get, names, zeros))
-        if not (all(map(le, floors, exps)) and all(map(lt, exps, ends))):
+        exps = tuple(powers.get(v, 0) for v in names)
+        if not all(-DEGREE_LIMIT <= d < e for d, e in zip(exps, ends)):
             for d in exps:
                 check_degree(d)
             raise ParseError(
@@ -220,10 +311,13 @@ def _merge_terms(terms, marker) -> dict:
 def _one_variable(text: str):
     """Scan and merge one-variable text: ({degree: value}, var, window end),
     each value an int or, from a '/', a Fraction."""
-    terms, marker = _parse_text(
-        text, 1, "a one-variable series takes a one-variable marker")
-    (var, trunc, _), = marker
-    return _merge_terms(terms, marker), var, trunc
+    read = _read(text, 1)
+    if read is None:
+        terms, marker = _parse_text(
+            text, 1, "a one-variable series takes a one-variable marker")
+        read = _merge_terms(terms, marker), marker
+    acc, ((var, trunc, _),) = read
+    return acc, var, trunc
 
 
 def parse_rational_terms(text: str):
@@ -362,7 +456,10 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
     _check_ring_prime(ring, prime)
     check_precision(prime, abs_prec)
     base = ring.variable
-    terms, marker = _parse_text(
+    # Text _read declines is scanned, its marker checked, and only then are
+    # its terms merged.
+    read = _read(text, 2)
+    terms, marker = read or _parse_text(
         text, 2, f"a two-variable window takes O({base}^A, {fiber_var}^B)")
     (bv, tu, p1), (fv, tx, p2) = marker
     if bv != base:
@@ -374,7 +471,7 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
             f"expected the fiber variable {fiber_var!r}, not {fv!r}", p2)
     if tu < 0 or tx < 0:
         raise ParseError("two-variable window ends must not be negative", p1)
-    mapping = _merge_terms(terms, marker)
+    mapping = terms if read else _merge_terms(terms, marker)
     if any(min(exps) < 0 for exps in mapping):
         raise ParseError("two-variable windows take no negative degrees")
     return biseries_from_map(ring, mapping, tu, tx, prime, abs_prec)

@@ -56,3 +56,5 @@ def test_traced_small_job(name):
         pytest.fail(f"{name}: the oracle rejects the traced output: {e}")
     assert (tracer.calls["scheme.substitute_fiber"] > 0) == \
         (name == "integrate")
+    # Every workload writes its result through a traced writer.
+    assert tracer.calls["parsing.write"] > 0

@@ -2,11 +2,14 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lineint import parsing
 from lineint.coeff import MATRIX_SIZE_LIMIT, PAdic
 from lineint.errors import (
     InsufficientWindowError,
@@ -43,6 +46,10 @@ from lineint.series import (
     series_from_coeffs,
     zero_series,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402
 
 F = RingLabel.FORMAL
 E = RingLabel.E
@@ -642,6 +649,119 @@ class TestCheckOrder:
         with pytest.raises(InvalidInputError) as exc:
             parse_biseries("1 + + O(u^2, x^2)", GP, 3, 2585)
         assert str(exc.value).startswith("abs_prec 2585 at p = 3 exceeds")
+
+
+# Tokens of series text: literals (one longer than the 640 digits
+# TestBulkReader lets int() convert), names, operators, whitespace, markers
+# and stray characters.
+TOKENS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 9)).map(
+        lambda ab: f"{ab[0]}/{ab[1]}"),
+    st.integers(641, 660).map(lambda n: "7" * n),
+    st.sampled_from(["t", "u", "x", "q", "tx", "O", "Ox", "^", "^-", "*",
+                     "+", "-", " ", "O(t^3)", "O(u^2, x^3)", "O(x^-1)",
+                     "O(u^-1,u^2)", "O(", "(", ")", ",", "#", ".", "\t"]))
+
+
+@st.composite
+def series_texts(draw):
+    """Text the grammar accepts, then up to two token edits, each a
+    deletion, an insertion or a replacement, joined with drawn spacing:
+    one space most often, else none or two."""
+    names = draw(st.sampled_from([["t"], ["u"], ["u", "x"], ["x", "u"]]))
+    tokens = []
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from("+-"),
+        st.one_of(st.none(), st.integers(0, 99).map(str),
+                  st.sampled_from(["3/4", "1/6", "12/1"])),
+        st.lists(st.tuples(st.sampled_from(names), st.booleans(),
+                           st.one_of(st.none(), st.integers(-3, 6))),
+                 max_size=3)), max_size=5))
+    for k, (sign, literal, factors) in enumerate(terms):
+        if k or sign == "-":
+            tokens.append(sign)
+        if literal is not None or not factors:
+            tokens.append(literal or "1")
+        for j, (name, star, exp) in enumerate(factors):
+            if star and (j or literal is not None):
+                tokens.append("*")
+            tokens.append(name)
+            if exp is not None:
+                tokens += ["^", str(exp)]
+    if terms:
+        tokens.append("+")
+    ends = draw(st.lists(st.integers(-2, 20), min_size=len(names),
+                         max_size=len(names)))
+    tokens += ["O", "(", ", ".join(f"{v}^{e}" for v, e in zip(names, ends)),
+               ")"]
+    edits = st.tuples(st.sampled_from("dir"), st.integers(0, 40), TOKENS)
+    for kind, at, token in draw(st.one_of(
+            st.just(()), st.lists(edits, min_size=1, max_size=2))):
+        at %= len(tokens) + (kind == "i")
+        if kind == "i":
+            tokens.insert(at, token)
+        elif kind == "r":
+            tokens[at] = token
+        else:
+            del tokens[at]
+    gaps = draw(st.lists(st.sampled_from([" ", "", " ", "  "]),
+                         min_size=len(tokens) + 1,
+                         max_size=len(tokens) + 1))
+    return gaps[0] + "".join(map(str.__add__, tokens, gaps[1:]))
+
+
+def per_term(text, arity):
+    """The per-term reader's merged terms and marker, None if it refuses."""
+    try:
+        terms, marker = parsing._parse_text(text, arity, "arity")
+        return parsing._merge_terms(terms, marker), marker
+    except (InvalidInputError, ParseError):
+        return None
+
+
+def typed(read):
+    """A reading with each coefficient's type beside it, in merge order."""
+    if read is None:
+        return None
+    acc, marker = read
+    return [(k, type(c), c) for k, c in acc.items()], marker
+
+
+class TestBulkReader:
+    """The bulk reader accepts exactly the text the per-term reader does,
+    and reads the same terms and marker from it."""
+
+    @given(series_texts())
+    @example("u^2 - 3u + O(u^3,u^4)")
+    @example("+ O(t^2)")
+    @example("3tx + O(t^2)")
+    @example("3*tx + O(t^2)")
+    @example("t + O(t^65537)")
+    @example("t^-65537 + O(t^2)")
+    @example("t^70000 t^-70000 + O(t^1)")
+    @example("  -3 t*t^-2 x + 7/4 + O(t^2, x^1)  ")
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_agrees_with_the_per_term_reader(self, text):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for arity in (1, 2):
+                assert typed(parsing._read(text, arity)) == \
+                    typed(per_term(text, arity)), (text, arity)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_workload_text_takes_the_bulk_path(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the per-term reader read workload text")
+
+        monkeypatch.setattr(parsing, "_term", refused)
+        rng = random.Random("bulk-reader")
+        invariant = workloads.WORKLOADS["invariant"].make(rng)
+        load_connection(json.loads(invariant.stdin))
+        plog = workloads.WORKLOADS["plog"].make(rng)
+        parse_series(plog.argv[-1], GP, workloads.P, workloads.ABS_PREC)
 
 
 GOLDEN_CONNECTION = {

@@ -64,6 +64,7 @@ from lineint.errors import (
     NonUnitError,
 )
 from lineint.nabla import ConnectionMatrix, Signature, fundamental_solution
+from lineint.parsing import load_connection_matrix, parse_series
 from lineint.scheme import (
     BiForm,
     BiSeries,
@@ -713,6 +714,72 @@ class TestPerturbationSoundness:
             SOUND_SERIES)[1]))
         assert_sound(padic_log_one_minus_py, (y,),
                      drawn_perturbation(data, y))
+
+
+# Read at abs_prec N, text claims every coefficient modulo p^N.  A literal
+# moved by p^N * r is what those claims allow: read at N + 4, every
+# coefficient must agree with the first reading modulo its claim.
+READ_TERMS = st.lists(st.tuples(st.integers(0, 4), st.integers(-60, 60),
+                                st.integers(1, 6)), min_size=1, max_size=6)
+
+
+def literal_text(var, terms, trunc):
+    """Series text with one literal per (degree, value) term, in order."""
+    chunks = []
+    for k, (d, c) in enumerate(terms):
+        body = f"{abs(c)}*{var}^{d}"
+        chunks.append(("-" if c < 0 else "") + body if k == 0
+                      else (" - " if c < 0 else " + ") + body)
+    return "".join(chunks) + f" + O({var}^{trunc})"
+
+
+def drawn_texts(data, ring, p, n):
+    """Series text over ring, and the same text with one literal moved by
+    p^n * r."""
+    low = -2 if ring.laurent else 0
+    terms = [(d + low, Fraction(a, b)) for d, a, b in data.draw(READ_TERMS)]
+    trunc = max(d for d, _ in terms) + data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, len(terms) - 1))
+    r = data.draw(st.integers(-p ** 6, p ** 6))
+    moved = list(terms)
+    moved[k] = (terms[k][0], terms[k][1] + Fraction(p) ** n * r)
+    return (literal_text(ring.variable, terms, trunc),
+            literal_text(ring.variable, moved, trunc))
+
+
+class TestReaderSoundness:
+    """No coefficient the text and document readers make claims more than
+    the literals they read allow."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_series_text(self, data):
+        ring, p = data.draw(SOUND_RINGS)
+        n = data.draw(st.integers(1, 8))
+        text, moved = drawn_texts(data, ring, p, n)
+
+        def read(text, abs_prec):
+            return parse_series(text, ring, p, abs_prec)
+
+        assert_sound(read, (text, n), (moved, n + 4))
+
+    @given(data=st.data())
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_connection_document(self, data):
+        ring, p = data.draw(SOUND_RINGS)
+        n = data.draw(st.integers(1, 8))
+        text, moved = drawn_texts(data, ring, p, n)
+        other = literal_text(ring.variable, [(0, 1), (1, -p)], 2)
+
+        def read(cell, abs_prec, i, j):
+            doc = {"ring": ring.value, "p": p, "abs_prec": abs_prec,
+                   "trunc": 2, "connection": [["0", cell], [other, "0"]]}
+            matrix, _, _ = load_connection_matrix(doc)
+            return matrix.entries[i][j]
+
+        for i in range(2):
+            for j in range(2):
+                assert_sound(read, (text, n, i, j), (moved, n + 4, i, j))
 
 
 # -- sums of products ------------------------------------------------------
