@@ -59,8 +59,9 @@ def _prime_arg(text: str) -> int:
 
 
 def _read_expr(value: str) -> str:
-    text = sys.stdin.read() if value == "-" else value
-    return text.strip()
+    """The series text, from stdin for "-"; columns count from its first
+    character, since the grammar itself skips whitespace."""
+    return sys.stdin.read() if value == "-" else value
 
 
 def _read_doc(value: str) -> dict:

@@ -23,14 +23,9 @@ value of this library.  A bare marker is the all-zero window.  Like terms
 merge, so "t + t + O(t^3)" reads as 2t.  Negative exponents need a ring with
 poles.  Two-variable windows use the two-exponent marker O(u^A, x^B).
 
-Text is read in one of two ways.  The bulk reader, _read, reads the marker
-with one match and every term before it with one findall, whose patterns
-spell out the grammar, and merges the terms as it goes.  Text it declines,
-because the grammar or a later check refuses it, goes to the per-term
-reader, _parse_text then _merge_terms, whose patterns match as far as the
-text fits so that a ParseError names the first token that does not.  That
-reader serves refusals only: its messages, columns and their order against
-the prime and precision checks are the grammar's documented refusals.
+Text is read by one reader, _read: one findall reads it as far as it fits
+the grammar and merges like terms as it goes, and the first refusal comes
+from the same matches.
 
 Like terms merge as exact integers; a Fraction is made only for a literal
 with a '/'.  The merged values become coefficients through the library's
@@ -52,6 +47,7 @@ digits than the literal limit, is refused with invalid-input.
 """
 
 from fractions import Fraction
+import itertools
 import re
 import sys
 
@@ -76,17 +72,23 @@ from .series import (
 
 _VARS = ("t", "u", "x")
 
-# A term, factor, marker or marker entry pattern matches as far as the text
-# fits the grammar, whitespace after a token included, so where it stops is
-# the token a ParseError points at.  A factor is never the bare O that starts
-# the marker.
-_SPACE = re.compile(r"\s*")
+# Series text is read by one findall of _PIECE, one piece per match, with
+# the groups _read_pieces unpacks: a term's sign, literal, '/', denominator
+# and first factor (name, '^' with its '-', exponent); a further factor of
+# the term; the marker, from its sign to the end of the text; or, where no
+# piece fits, the character there.  A piece matches as far as the text fits
+# the grammar, whitespace after a token included, so the piece holding a
+# fault names the token a ParseError points at.  No match repeats a group,
+# so a long term keeps no backtracking state.
+_NAME = r"(?!O(?![A-Za-z]))[A-Za-z]"  # not the O that starts the marker
+_PIECE = re.compile(
+    r"(?:(\A\s*(?:-\s*)?|[+-]\s*)"
+    r"(?:(O(?![A-Za-z])[\s\S]*)"
+    rf"|(\d+)\s*(?:(/\s*)(\d*)\s*)?(?:\*\s*(?={_NAME}))?)?"
+    rf"|(?:\*\s*)?(?={_NAME}))"
+    rf"(?:({_NAME}[A-Za-z]*)\s*(?:(\^\s*(?:-\s*)?)(\d*)\s*)?)?"
+    r"|([\s\S])[\s\S]*")
 _STRAY = re.compile(r"[^\s\dA-Za-z+\-*/^(),]")
-_FACTOR = re.compile(r"\*?\s*(?!O(?![A-Za-z]))(?P<var>[A-Za-z]+)\s*"
-                     r"(?:\^\s*(?P<neg>-\s*)?(?P<exp>\d*)\s*)?")
-_TERM = re.compile(r"(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d*)\s*)?)?"
-                   rf"(?P<factors>(?:{_FACTOR.pattern})*)(?P<star>\*)?"
-                   r"(?:(?P<sign>[+-])\s*)?")
 _MARKER = re.compile(r"O(?![A-Za-z])\s*(?P<open>\(\s*)?")
 _ENTRY = re.compile(r"(?:(?P<var>[A-Za-z]+)\s*(?:(?P<caret>\^)\s*"
                     r"(?P<neg>-\s*)?(?:(?P<end>\d+)\s*(?P<sep>[,)]\s*)?)?)?)?")
@@ -95,136 +97,63 @@ _ENTRY_MISSING = {"var": "expected a variable in the O(...) marker",
                   "end": "expected an integer window end",
                   "sep": "expected ')'"}
 
-# The bulk reader's patterns spell out the grammar.  _MARKER_TEXT is the
-# marker, which the text ends with; _READ_TERM reads one term of the text
-# before it: the sign before the term (at the start of the text, only
-# whitespace and an optional '-'), its literal and denominator, its first
-# factor (name, minus, exponent) and the text of its other factors, which
-# _READ_FACTOR reads.  Where no term starts, the last group takes the rest
-# of the text, so findall's matches cover the text before the marker, which
-# is accepted exactly when the last match is a term.  Each match holds one
-# term, so a long text keeps no backtracking state from term to term.
-_NAME = r"[tux](?![A-Za-z])"
-_POWER = r"(?:\^\s*(-\s*)?(\d+)\s*)?"
-_ENTRY_TEXT = rf"(?P<var{{0}}>{_NAME})\s*\^\s*(?P<neg{{0}}>-\s*)?" \
-              r"(?P<end{0}>\d+)\s*"
-_MARKER_TEXT = re.compile(
-    rf"O\s*\(\s*{_ENTRY_TEXT.format(1)}(?:,\s*{_ENTRY_TEXT.format(2)})?"
-    r"\)\s*")
-_FACTORS = rf"(?:(?:\*\s*)?{_NAME}\s*(?:\^\s*(?:-\s*)?\d+\s*)?)*"
-_READ_TERM = re.compile(
-    rf"(\A\s*(?:-\s*)?|[+-]\s*)(?=\d|{_NAME})"
-    rf"(?:(\d+)\s*(?:/\s*(\d+)\s*)?(?:\*\s*(?={_NAME}))?)?"
-    rf"(?:({_NAME})\s*{_POWER})?({_FACTORS})|([\s\S])[\s\S]*")
-_READ_FACTOR = re.compile(rf"(?:\*\s*)?([tux])\s*{_POWER}")
+
+def _piece(text: str, k: int):
+    """The match of the k-th piece, read again for a refusal's column."""
+    return next(itertools.islice(_PIECE.finditer(text), k, None))
 
 
-def _read(text: str, arity: int):
-    """The merged terms and the marker of text the grammar accepts, with a
-    marker of arity variables, as _merge_terms and _parse_text give them;
-    None for any other text, which the per-term reader then refuses.
-
-    One match reads the marker and one findall reads every term.  Text that
-    fits the grammar but fails a later check is declined too: a window end
-    or degree out of bounds, a variable not in the marker, a zero
-    denominator, a literal too long for int().
-    """
-    at = text.rfind("O")
-    m = _MARKER_TEXT.fullmatch(text, at) if at >= 0 else None
-    if m is None or (m["var2"] is None) != (arity == 1):
-        return None
-    # The terms end at the '+' before the marker; with no '+', only
-    # whitespace stands before it.
-    plus = text.rfind("+", 0, at)
-    if _SPACE.fullmatch(text, plus + 1, at) is None:
-        return None
-    terms = ()
-    if plus >= 0:
-        # At least one term, no '+' before the first, no stray text.
-        terms = _READ_TERM.findall(text, 0, plus)
-        if not terms or "+" in terms[0][0] or terms[-1][-1]:
-            return None
-    acc: dict = {}
-    try:
-        marker = []
-        for k in range(1, arity + 1):
-            var, neg, end = m.group(f"var{k}", f"neg{k}", f"end{k}")
-            marker.append((var, -int(end) if neg else int(end),
-                           m.start(f"var{k}")))
-        # exps[slot[v]] sums the exponents of v in a term.  Like
-        # _merge_terms, a marker naming one variable twice reads that sum
-        # for both entries.
-        slot = {var: k for k, (var, _, _) in enumerate(marker)}
-        first, last = slot[marker[0][0]], slot[marker[-1][0]]
-        for sign, num, den, var, neg, exp, more, _ in terms:
-            coeff = (int(num) if num else 1) if not den \
-                else Fraction(int(num), int(den))
-            if "-" in sign:
-                coeff = -coeff
-            exps = [0] * arity
-            if var:
-                e = int(exp) if exp else 1
-                exps[slot[var]] = -e if neg else e
-                for v, n, e in _READ_FACTOR.findall(more) if more else ():
-                    e = int(e) if e else 1
-                    exps[slot[v]] += -e if n else e
-            key = exps[first] if arity == 1 else (exps[first], exps[last])
-            acc[key] = acc[key] + coeff if key in acc else coeff
-    except (KeyError, ValueError, ZeroDivisionError):
-        return None
-    for k, (_, end, _) in enumerate(marker):
-        degrees = acc if arity == 1 else [key[k] for key in acc]
-        if abs(end) > DEGREE_LIMIT or degrees and not (
-                -DEGREE_LIMIT <= min(degrees) and max(degrees) < end):
-            return None
-    return acc, marker
+def _marker(text: str, at: int, negate: bool, arity: int, arity_error: str):
+    """The entries [(var, window end, column)] of the O(...) marker at
+    column at, negate if a '-' stands before it."""
+    if negate:
+        raise ParseError("the O(...) marker follows '+', not '-'", at)
+    m = _MARKER.match(text, at)
+    if m["open"] is None:
+        raise ParseError("expected '('", m.end())
+    marker, j, sep = [], m.end(), ","
+    while sep[0] == ",":
+        e = _ENTRY.match(text, j)
+        var, neg, end, sep = e.group("var", "neg", "end", "sep")
+        j = e.end()
+        if sep is None or var not in _VARS:
+            if var is not None and var not in _VARS:
+                raise ParseError(f"unknown symbol {var!r}", e.start("var"))
+            group = next(g for g in _ENTRY_MISSING if e.group(g) is None)
+            raise ParseError(_ENTRY_MISSING[group], j)
+        marker.append((var, -int(end) if neg else int(end), e.start("var")))
+    if len(marker) > 2:
+        raise ParseError("the O(...) marker takes at most two variables", at)
+    if j < len(text):
+        raise ParseError("unexpected input after the O(...) marker", j)
+    if len(marker) != arity:
+        raise ParseError(arity_error, marker[0][2])
+    return marker
 
 
-def _term(text: str, i: int, negate: bool):
-    """Read the term at i, negated if negate; return the term
-    (coefficient, {var: exponent}, i), the sign after it ('+', '-' or None)
-    and where the next token starts.  The coefficient is an int, or a
-    Fraction for a literal with a '/'."""
-    m = _TERM.match(text, i)
-    num, den, star, sign = m.group("num", "den", "star", "sign")
-    if num is None and not text[i:i + 1].isalpha():
-        raise ParseError("expected a term", i)
-    if den == "":
-        raise ParseError("expected a denominator", m.start("den"))
-    if den and int(den) == 0:
-        raise ParseError("zero denominator", m.start("den"))
-    coeff = 1 if num is None else int(num) if den is None \
-        else Fraction(int(num), int(den))
-    powers: dict = {}
-    # The factors are back to back, each matched as the term matched it.
-    j, end = m.span("factors")
-    while j < end:
-        f = _FACTOR.match(text, j)
-        var, neg, exp = f.group("var", "neg", "exp")
-        if var not in _VARS:
-            raise ParseError(f"unknown symbol {var!r}", f.start("var"))
-        if exp == "":
-            raise ParseError("expected an integer exponent", f.start("exp"))
-        exp = 1 if exp is None else -int(exp) if neg else int(exp)
-        powers[var] = powers.get(var, 0) + exp
-        j = f.end()
-    if star is not None:
-        raise ParseError("expected a variable after '*'", m.start("star"))
-    return (-coeff if negate else coeff, powers, i), sign, m.end()
+def _read(text: str, arity: int, arity_error: str, check=None):
+    """Read text whose O(...) marker names arity variables; return the
+    merged terms {exponents: value} and the marker [(var, window end,
+    column)].
 
-
-def _parse_text(text: str, arity: int, arity_error: str):
-    """Scan text whose O(...) marker names arity variables; return
-    (terms, marker).
-
-    terms is a list of (coefficient, {var: exponent}, position); marker is a
-    list of arity (var, window end, position) entries.
+    The exponents are the degree for one variable and a pair in marker
+    order for two; a value is an int, or a Fraction where a '/' stands.
+    The first refusal is raised, in this order: a stray character, the
+    tokens left to right, the marker, check(marker) when given, then the
+    window ends and the terms against the marker (each variable in it, each
+    degree below its window end and within coeff.DEGREE_LIMIT).
     """
     try:
-        return _scan(text, arity, arity_error)
-    except ValueError:
+        return _read_pieces(text, arity, arity_error, check)
+    except (ParseError, ValueError) as e:
+        stray = _STRAY.search(text)
+        if stray:
+            raise ParseError(f"unexpected character {stray[0]!r}",
+                             stray.start()) from None
+        if isinstance(e, ParseError):
+            raise
         # int() refuses more digits than sys.get_int_max_str_digits().  The
-        # scan converts literals left to right and digits occur only in
+        # reader converts literals left to right and digits occur only in
         # literals, so the refused one is the first run of that many.
         limit = sys.get_int_max_str_digits()
         at = re.search(rf"\d{{{limit + 1}}}", text).start()
@@ -232,92 +161,104 @@ def _parse_text(text: str, arity: int, arity_error: str):
                          at) from None
 
 
-def _scan(text: str, arity: int, arity_error: str):
-    stray = _STRAY.search(text)
-    if stray:
-        raise ParseError(f"unexpected character {stray[0]!r}", stray.start())
-    i = _SPACE.match(text).end()
-    if i == len(text):
-        raise ParseError("empty input", 0)
-    terms, negate = [], text[i] == "-"
-    if negate:
-        i = _SPACE.match(text, i + 1).end()
-    while (m := _MARKER.match(text, i)) is None:
-        term, sign, i = _term(text, i, negate)
-        terms.append(term)
-        if sign is None:
-            if i == len(text):
-                raise ParseError("missing O(...) marker", i)
-            raise ParseError("expected '+', '-' or the O(...) marker", i)
-        negate = sign == "-"
-    if negate:
-        raise ParseError("the O(...) marker follows '+', not '-'", i)
-    if m.group("open") is None:
-        raise ParseError("expected '('", m.end())
-    marker, j, sep = [], m.end(), ","
-    while sep[0] == ",":
-        e = _ENTRY.match(text, j)
-        var, neg, end, sep = e.group("var", "neg", "end", "sep")
-        j = e.end()
-        if var is not None and var not in _VARS:
-            raise ParseError(f"unknown symbol {var!r}", e.start("var"))
-        for group, message in _ENTRY_MISSING.items():
-            if e.group(group) is None:
-                raise ParseError(message, j)
-        marker.append((var, -int(end) if neg else int(end), e.start("var")))
-    if len(marker) > 2:
-        raise ParseError("the O(...) marker takes at most two variables",
-                         m.start())
-    if j < len(text):
-        raise ParseError("unexpected input after the O(...) marker", j)
-    if len(marker) != arity:
-        raise ParseError(arity_error, marker[0][2])
-    return terms, marker
-
-
-def _merge_terms(terms, marker) -> dict:
-    """Like terms merged: {exponents: coefficient}, the exponents the degree
-    for one variable and a tuple in marker order for two.  A term may use
-    only the marker's variables, each below its window end and within
-    coeff.DEGREE_LIMIT; ring semantics are the caller's.  The window ends
-    are checked against the limit first, so a degree below its end needs
-    only the lower limit.
-    """
-    names = [v for v, _, _ in marker]
-    ends = tuple(check_degree(e) for _, e, _ in marker)
-    one = len(ends) == 1
+def _read_pieces(text: str, arity: int, arity_error: str, check):
+    """_read without its stray check; an over-long literal is a ValueError."""
+    pieces = _PIECE.findall(text)
+    sign, rest = pieces[-1][:2]
+    marker = fault = None
+    if rest:
+        # The marker ends the text; its refusal waits for those of the terms,
+        # which are read meanwhile against a marker that admits none.
+        try:
+            marker = _marker(text, len(text) - len(rest), "-" in sign,
+                             arity, arity_error)
+        except (ParseError, ValueError) as e:
+            fault = e
+    names, ends, _ = zip(*marker or [(None, 0, 0)] * arity)
+    # exps[slot[v]] sums the exponents of v in a term, and exps[arity]
+    # those of a variable the marker lacks.  A marker naming one variable
+    # twice reads that sum for both entries.
+    slot = {v: k for k, v in enumerate(names)}
+    first, last = slot[names[0]], slot[names[-1]]
+    lo, end0, end1, one = -DEGREE_LIMIT, ends[0], ends[-1], arity == 1
     acc: dict = {}
-    for coeff, powers, pos in terms:
-        for v in powers:
-            if v not in names:
-                raise ParseError(
-                    f"variable {v!r} does not belong in a series in "
-                    + " and ".join(map(repr, names)), pos)
-        exps = tuple(powers.get(v, 0) for v in names)
-        if not all(-DEGREE_LIMIT <= d < e for d, e in zip(exps, ends)):
-            for d in exps:
-                check_degree(d)
+    exps = bad = None
+    for k, (sign, rest, num, slash, den, name, power, exp, stop) \
+            in enumerate(pieces):
+        if sign or exps is None:
+            # A term or the marker starts: the term before it is merged,
+            # and the first to break the marker's bounds is kept.
+            if exps is not None:
+                a, b = exps[first], exps[last]
+                key = a if one else (a, b)
+                if not (lo <= a < end0 and lo <= b < end1) and bad is None:
+                    bad = head, None, key
+                acc[key] = acc[key] + coeff if key in acc else coeff
+            if rest:
+                break
+            head = k
+            if slash:
+                coeff = int(den) if den else None
+                if not coeff:
+                    raise ParseError("zero denominator" if den else
+                                     "expected a denominator",
+                                     _piece(text, k).start(5))
+                coeff = Fraction(int(num), coeff)
+            elif num or name:
+                coeff = int(num) if num else 1
+            elif text.strip():
+                raise ParseError("expected a term", _piece(text, k).end(1))
+            else:
+                raise ParseError("empty input", 0)
+            if "-" in sign:
+                coeff = -coeff
+            exps = [0] * (arity + 1)
+        elif stop:
+            raise ParseError("expected a variable after '*'" if stop == "*"
+                             else "expected '+', '-' or the O(...) marker",
+                             _piece(text, k).start())
+        if name:
+            try:
+                s = slot[name]
+            except KeyError:
+                if name not in _VARS:
+                    raise ParseError(f"unknown symbol {name!r}",
+                                     _piece(text, k).start(6)) from None
+                s = arity
+                if bad is None:
+                    bad = head, name, None
+            if not power:
+                exps[s] += 1
+            elif exp:
+                exps[s] += -int(exp) if "-" in power else int(exp)
+            else:
+                raise ParseError("expected an integer exponent",
+                                 _piece(text, k).start(8))
+    else:
+        raise ParseError("missing O(...) marker", len(text))
+    if fault is not None:
+        raise fault
+    if check is not None:
+        check(marker)
+    for end in ends:
+        check_degree(end)
+    if bad is not None:
+        head, var, degree = bad
+        at = _piece(text, head).end(1)
+        if var is not None:
             raise ParseError(
-                f"term degree {exps[0] if one else exps} is not below the "
-                f"window end {ends[0] if one else ends}", pos)
-        key = exps[0] if one else exps
-        acc[key] = acc[key] + coeff if key in acc else coeff
-    return acc
+                f"variable {var!r} does not belong in a series in "
+                + " and ".join(map(repr, names)), at)
+        for d in (degree,) if one else degree:
+            check_degree(d)
+        raise ParseError(f"term degree {degree} is not below the window end "
+                         f"{end0 if one else ends}", at)
+    return acc, marker
 
 
 # -- one-variable series -------------------------------------------------------
 
-
-def _one_variable(text: str):
-    """Scan and merge one-variable text: ({degree: value}, var, window end),
-    each value an int or, from a '/', a Fraction."""
-    read = _read(text, 1)
-    if read is None:
-        terms, marker = _parse_text(
-            text, 1, "a one-variable series takes a one-variable marker")
-        read = _merge_terms(terms, marker), marker
-    acc, ((var, trunc, _),) = read
-    return acc, var, trunc
+_ONE_VARIABLE = "a one-variable series takes a one-variable marker"
 
 
 def parse_rational_terms(text: str):
@@ -326,7 +267,7 @@ def parse_rational_terms(text: str):
     Like terms are merged.  No ring semantics are applied: any degree below
     the window end is legal here.
     """
-    acc, var, trunc = _one_variable(text)
+    acc, ((var, trunc, _),) = _read(text, 1, _ONE_VARIABLE)
     return {d: Fraction(c) for d, c in acc.items()}, var, trunc
 
 
@@ -348,7 +289,7 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
     Unwritten degrees below the window end are zero, so the window floor is
     min(0, lowest written degree).
     """
-    acc, var, trunc = _one_variable(text)
+    acc, ((var, trunc, _),) = _read(text, 1, _ONE_VARIABLE)
     if var != ring.variable:
         raise ParseError(
             f"ring {ring.value} uses the variable {ring.variable!r}, "
@@ -456,22 +397,22 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
     _check_ring_prime(ring, prime)
     check_precision(prime, abs_prec)
     base = ring.variable
-    # Text _read declines is scanned, its marker checked, and only then are
-    # its terms merged.
-    read = _read(text, 2)
-    terms, marker = read or _parse_text(
-        text, 2, f"a two-variable window takes O({base}^A, {fiber_var}^B)")
-    (bv, tu, p1), (fv, tx, p2) = marker
-    if bv != base:
-        raise ParseError(
-            f"ring {ring.value} uses the base variable {base!r}, not {bv!r}",
-            p1)
-    if fv != fiber_var:
-        raise ParseError(
-            f"expected the fiber variable {fiber_var!r}, not {fv!r}", p2)
-    if tu < 0 or tx < 0:
-        raise ParseError("two-variable window ends must not be negative", p1)
-    mapping = terms if read else _merge_terms(terms, marker)
+
+    def check(marker):
+        (bv, tu, p1), (fv, tx, p2) = marker
+        if bv != base:
+            raise ParseError(f"ring {ring.value} uses the base variable "
+                             f"{base!r}, not {bv!r}", p1)
+        if fv != fiber_var:
+            raise ParseError(
+                f"expected the fiber variable {fiber_var!r}, not {fv!r}", p2)
+        if tu < 0 or tx < 0:
+            raise ParseError("two-variable window ends must not be negative",
+                             p1)
+
+    mapping, ((_, tu, _), (_, tx, _)) = _read(
+        text, 2, f"a two-variable window takes O({base}^A, {fiber_var}^B)",
+        check)
     if any(min(exps) < 0 for exps in mapping):
         raise ParseError("two-variable windows take no negative degrees")
     return biseries_from_map(ring, mapping, tu, tx, prime, abs_prec)
@@ -578,6 +519,15 @@ def _string_rows(doc: dict, key: str, what: str, size: int | None = None):
     return rows
 
 
+def _text_cells(rows, what: str, read):
+    """The matrix of rows with each cell, which must be series text, read
+    by read, row by row."""
+    def cell(text):
+        _require(isinstance(text, str), f"{what} entries are series text")
+        return read(text)
+    return tuple(tuple(map(cell, row)) for row in rows)
+
+
 def load_connection_matrix(doc: dict):
     """Read a connection document; return (matrix, signature, window end).
 
@@ -596,16 +546,10 @@ def load_connection_matrix(doc: dict):
     rows = _string_rows(doc, "connection", what,
                         sig.total if sig is not None else None)
     zero = DifferentialForm(zero_series(ring, 0, trunc, prime, prec))
-    entries = []
-    for row in rows:
-        out = []
-        for cell in row:
-            _require(isinstance(cell, str),
-                     "connection entries are series text")
-            out.append(zero if cell.strip() == "0" else DifferentialForm(
-                parse_series(cell, ring, prime, prec)))
-        entries.append(tuple(out))
-    matrix = ConnectionMatrix(ring, tuple(entries), prime)
+    entries = _text_cells(rows, "connection", lambda cell: zero
+                          if cell.strip() == "0" else DifferentialForm(
+                              parse_series(cell, ring, prime, prec)))
+    matrix = ConnectionMatrix(ring, entries, prime)
     return matrix, sig, trunc
 
 
@@ -716,14 +660,9 @@ def parse_series_matrix(doc: dict):
     sig = _signature_from(sig_val) if sig_val is not None else None
     rows = _string_rows(doc, "entries", what,
                         sig.total if sig is not None else None)
-    entries = []
-    for row in rows:
-        out = []
-        for cell in row:
-            _require(isinstance(cell, str), "matrix entries are series text")
-            out.append(parse_series(cell, ring, prime, prec))
-        entries.append(tuple(out))
-    return tuple(entries), ring, prime, sig
+    entries = _text_cells(rows, "matrix",
+                          lambda cell: parse_series(cell, ring, prime, prec))
+    return entries, ring, prime, sig
 
 
 def echo_connection(doc: dict) -> dict:

@@ -605,6 +605,7 @@ class TestParseErrors:
         (["parse-check", "O(t)"], "expected '^' (at column 4)"),
         (["residue", "u^-1 + O(u^1, x^2)"],
          "a one-variable series takes a one-variable marker (at column 10)"),
+        (["parse-check", "   1 + + O(t^2)"], "expected a term (at column 8)"),
     ])
     def test_stderr_bytes(self, cli, argv, message):
         code, out, err = cli(argv)
