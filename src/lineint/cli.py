@@ -32,12 +32,16 @@ class _Usage(Exception):
     """A flag combination the command cannot act on."""
 
 
-def _positive_int(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") \
             from None
+
+
+def _positive_int(text: str) -> int:
+    n = _int_arg(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return n
@@ -45,12 +49,7 @@ def _positive_int(text: str) -> int:
 
 def _prime_arg(text: str) -> int:
     try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") \
-            from None
-    try:
-        return check_prime(n)
+        return check_prime(_int_arg(text))
     except InvalidInputError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 

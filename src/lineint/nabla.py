@@ -22,6 +22,7 @@ from .series import (
     RingLabel,
     TruncatedSeries,
     _Checked,
+    _check_member,
     _coeff_is_zero,
     _dot,
     _max_abs_prec,
@@ -82,12 +83,7 @@ def _check_square(entries, size, kind, ring, prime) -> tuple:
             f"nonempty {r} by {r} matrix")
     for row in entries:
         for x in row:
-            if not isinstance(x, kind):
-                raise InvalidInputError(
-                    f"expected a {kind.__name__}, got {x!r}")
-            if x.ring is not ring or x.prime != prime:
-                raise InvalidInputError(
-                    "matrix entries must share the matrix ring and prime")
+            _check_member(x, kind, ring, prime)
     return entries
 
 

@@ -138,10 +138,12 @@ def _read(text: str, arity: int, arity_error: str, check=None):
 
     The exponents are the degree for one variable and a pair in marker
     order for two; a value is an int, or a Fraction where a '/' stands.
-    The first refusal is raised, in this order: a stray character, the
-    tokens left to right, the marker, check(marker) when given, then the
-    window ends and the terms against the marker (each variable in it, each
-    degree below its window end and within coeff.DEGREE_LIMIT).
+    check(marker), when given, refuses a marker or returns None or the
+    refusal of a negative degree (a format string for it).  The first
+    refusal is raised, in this order: a stray character, the tokens left
+    to right, the marker, check(marker), then the window ends and the terms
+    against the marker (each variable in it, each degree below its window
+    end, within coeff.DEGREE_LIMIT and not negative if check refuses that).
     """
     try:
         return _read_pieces(text, arity, arity_error, check)
@@ -165,13 +167,14 @@ def _read_pieces(text: str, arity: int, arity_error: str, check):
     """_read without its stray check; an over-long literal is a ValueError."""
     pieces = _PIECE.findall(text)
     sign, rest = pieces[-1][:2]
-    marker = fault = None
+    marker = fault = floor = None
     if rest:
         # The marker ends the text; its refusal waits for those of the terms,
         # which are read meanwhile against a marker that admits none.
         try:
             marker = _marker(text, len(text) - len(rest), "-" in sign,
                              arity, arity_error)
+            floor = check and check(marker)
         except (ParseError, ValueError) as e:
             fault = e
     names, ends, _ = zip(*marker or [(None, 0, 0)] * arity)
@@ -180,7 +183,8 @@ def _read_pieces(text: str, arity: int, arity_error: str, check):
     # twice reads that sum for both entries.
     slot = {v: k for k, v in enumerate(names)}
     first, last = slot[names[0]], slot[names[-1]]
-    lo, end0, end1, one = -DEGREE_LIMIT, ends[0], ends[-1], arity == 1
+    lo = -DEGREE_LIMIT if floor is None else 0
+    end0, end1, one = ends[0], ends[-1], arity == 1
     acc: dict = {}
     exps = bad = None
     for k, (sign, rest, num, slash, den, name, power, exp, stop) \
@@ -238,8 +242,6 @@ def _read_pieces(text: str, arity: int, arity_error: str, check):
         raise ParseError("missing O(...) marker", len(text))
     if fault is not None:
         raise fault
-    if check is not None:
-        check(marker)
     for end in ends:
         check_degree(end)
     if bad is not None:
@@ -249,8 +251,11 @@ def _read_pieces(text: str, arity: int, arity_error: str, check):
             raise ParseError(
                 f"variable {var!r} does not belong in a series in "
                 + " and ".join(map(repr, names)), at)
-        for d in (degree,) if one else degree:
+        degrees = (degree,) if one else degree
+        for d in degrees:
             check_degree(d)
+        if all(d < end for d, end in zip(degrees, ends)):
+            raise ParseError(floor.format(degree), at)
         raise ParseError(f"term degree {degree} is not below the window end "
                          f"{end0 if one else ends}", at)
     return acc, marker
@@ -289,22 +294,20 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
     Unwritten degrees below the window end are zero, so the window floor is
     min(0, lowest written degree).
     """
-    acc, ((var, trunc, _),) = _read(text, 1, _ONE_VARIABLE)
+    check = None if ring.laurent else lambda _: (
+        f"degree {{}} is below the window floor of ring {ring.value}")
+    acc, ((var, trunc, at),) = _read(text, 1, _ONE_VARIABLE, check)
     if var != ring.variable:
         raise ParseError(
             f"ring {ring.value} uses the variable {ring.variable!r}, "
             f"not {var!r}")
     _check_ring_prime(ring, prime)
     check_precision(prime, abs_prec)
-    lo = min([0, *acc])
-    if lo < 0 and not ring.laurent:
-        raise ParseError(
-            f"degree {lo} is below the window floor of ring {ring.value}")
     if trunc < 0 and not ring.laurent:
         raise ParseError(
-            f"window end {trunc} is below the floor of ring {ring.value}")
-    # A window end at or below lo leaves nothing written: [trunc, trunc).
-    lo = min(lo, trunc)
+            f"window end {trunc} is below the floor of ring {ring.value}", at)
+    # An end at or below 0 and every written degree gives [trunc, trunc).
+    lo = min([0, *acc, trunc])
     values = [acc.get(d, 0) for d in range(lo, trunc)]
     return series_from_coeffs(ring, lo, values, prime, abs_prec)
 
@@ -409,12 +412,11 @@ def parse_biseries(text: str, ring: RingLabel, prime: int | None = None,
         if tu < 0 or tx < 0:
             raise ParseError("two-variable window ends must not be negative",
                              p1)
+        return "two-variable windows take no negative degrees"
 
     mapping, ((_, tu, _), (_, tx, _)) = _read(
         text, 2, f"a two-variable window takes O({base}^A, {fiber_var}^B)",
         check)
-    if any(min(exps) < 0 for exps in mapping):
-        raise ParseError("two-variable windows take no negative degrees")
     return biseries_from_map(ring, mapping, tu, tx, prime, abs_prec)
 
 
@@ -463,6 +465,13 @@ def _field(doc: dict, key: str, kinds, what: str, required: bool = True,
     else:
         _require(isinstance(val, kinds), f"field {key!r} has the wrong type")
     return val
+
+
+def _window_end(doc: dict, key: str, what: str, default=None) -> int:
+    """Field key (default if absent) as an int in [1, DEGREE_LIMIT]."""
+    end = _field(doc, key, int, what, default is None, default)
+    _require(end >= 1, f"field {key!r} must be at least 1")
+    return check_degree(end)
 
 
 def _ring_from_label(label) -> RingLabel:
@@ -540,9 +549,7 @@ def load_connection_matrix(doc: dict):
     sig_val = doc.get("signature")
     sig = _signature_from(sig_val) if sig_val is not None else None
     ring, prime, prec = _doc_mode(doc, what)
-    trunc = _field(doc, "trunc", int, what)
-    _require(trunc >= 1, "field 'trunc' must be at least 1")
-    check_degree(trunc)
+    trunc = _window_end(doc, "trunc", what)
     rows = _string_rows(doc, "connection", what,
                         sig.total if sig is not None else None)
     zero = DifferentialForm(zero_series(ring, 0, trunc, prime, prec))
@@ -574,13 +581,8 @@ def load_family(doc: dict):
     what = "family document"
     sig = _signature_from(_field(doc, "signature", list, what))
     ring, prime, prec = _doc_mode(doc, what)
-    trunc = _field(doc, "trunc", int, what)
-    _require(trunc >= 1, "field 'trunc' must be at least 1")
-    check_degree(trunc)
-    trunc_x = _field(doc, "trunc_x", int, what, required=False,
-                     default=trunc)
-    _require(trunc_x >= 1, "field 'trunc_x' must be at least 1")
-    check_degree(trunc_x)
+    trunc = _window_end(doc, "trunc", what)
+    trunc_x = _window_end(doc, "trunc_x", what, trunc)
     fiber_var = _field(doc, "fiber_var", str, what, required=False,
                        default="x")
     _require(fiber_var in _VARS and fiber_var != ring.variable,

@@ -35,6 +35,7 @@ from .series import (
     TruncatedSeries,
     _CoeffWindow,
     _Form,
+    _check_member,
     _check_ring_prime,
     _sum_of_products,
     _unit_constant_term,
@@ -71,14 +72,10 @@ class BiSeries(_CoeffWindow):
         object.__setattr__(self, "cols", tuple(self.cols))
         _check_header(self.ring, self.prime, self.trunc_u, self.trunc_x)
         for j, col in enumerate(self.cols):
-            if not (isinstance(col, TruncatedSeries)
-                    and col.ring is self.ring and col.prime == self.prime
-                    and col.min_degree == 0
-                    and col.trunc_order == self.trunc_u):
+            _check_member(col, TruncatedSeries, self.ring, self.prime)
+            if col.min_degree != 0 or col.trunc_order != self.trunc_u:
                 raise InvalidInputError(
-                    f"column {j} is not a series over {self.ring.value} "
-                    f"(p={self.prime}) on [0, {self.trunc_u})"
-                )
+                    f"column {j} is not on [0, {self.trunc_u})")
 
     @property
     def trunc_x(self) -> int:
@@ -118,7 +115,7 @@ class BiSeries(_CoeffWindow):
         return self._with(tuple(c.clipped(trunc_order=tu) for c in cols), tu)
 
     def __add__(self, other) -> "BiSeries":
-        self._binary_check(other)
+        _check_member(other, BiSeries, self.ring, self.prime)
         return self._with(tuple(map(add, self.cols, other.cols)),
                           min(self.trunc_u, other.trunc_u))
 
@@ -126,7 +123,7 @@ class BiSeries(_CoeffWindow):
         return self._with(tuple(-c for c in self.cols))
 
     def __mul__(self, other) -> "BiSeries":
-        self._binary_check(other)
+        _check_member(other, BiSeries, self.ring, self.prime)
         return _bi_sum_of_products([(self, other)])
 
     def scale(self, c) -> "BiSeries":
@@ -203,7 +200,7 @@ class BiForm(_Form):
 
     def __post_init__(self):
         a, b = self.du_part, self.dx_part
-        a._binary_check(b)
+        _check_member(b, BiSeries, a.ring, a.prime)
         tu = min(a.trunc_u, b.trunc_u)
         tx = min(a.trunc_x, b.trunc_x)
         object.__setattr__(self, "du_part", a.clipped(tu, tx))
@@ -268,13 +265,7 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
     unknown x-coefficients could reach visible u-degrees; a w of order 0
     reaches every u-degree and is refused.  powers, if given, holds
     w^1 .. w^(trunc_x - 1) clipped to a u-window of at least trunc_u."""
-    if not isinstance(w, TruncatedSeries):
-        raise InvalidInputError(f"expected a series, got {w!r}")
-    if w.ring is not b.ring or w.prime != b.prime:
-        raise InvalidInputError(
-            f"cannot substitute a series over {w.ring.value} into a window "
-            f"over {b.ring.value}"
-        )
+    _check_member(w, TruncatedSeries, b.ring, b.prime)
     tu, tx, cols = b.trunc_u, b.trunc_x, b.cols
     if tx == 0:
         return zero_series(b.ring, 0, 0, b.prime, b._working_prec())
@@ -300,13 +291,7 @@ def section_pullback(family: FramedFamily,
     distinct part object is substituted once and each distinct pair of
     parts pulled back once, so entries that share parts share the result.
     Returns the one-variable framed module."""
-    if not isinstance(v, TruncatedSeries):
-        raise InvalidInputError(f"expected a series, got {v!r}")
-    if v.ring is not family.ring or v.prime != family.prime:
-        raise InvalidInputError(
-            f"section over {v.ring.value} does not match family over "
-            f"{family.ring.value}"
-        )
+    _check_member(v, TruncatedSeries, family.ring, family.prime)
     v0 = _unit_constant_term(v)
     # v is a power series with v(0) a unit, so its window starts at 0.
     w = TruncatedSeries._trusted(v.ring, 0, (v0 - 1,) + v.coeffs[1:],

@@ -29,10 +29,13 @@ Over the rationals the kernel adds exact ``_dot`` sums in the same loop,
 and ``inverse`` and ``dlog`` are one quotient each: long division on
 integers, each coefficient a numerator over its own reduced denominator.
 
-Validation happens at the boundary.  Every dataclass that checks itself in
-``__post_init__`` (the windows here, the matrices, framed modules and
-representatives of ``nabla`` and ``scheme``) inherits ``_Checked._trusted``,
-which builds it from fields known valid and skips the check.
+Validation happens at the boundary, and values meet through one check,
+``_check_member``: the kind, then one ring and prime, for the operands of
+``+`` and ``*``, matrix entries, columns and sections.  Every dataclass that
+checks itself in ``__post_init__`` (the windows here, the matrices, framed
+modules and representatives of ``nabla`` and ``scheme``) inherits
+``_Checked._trusted``, which builds it from fields known valid and skips the
+check.
 ``series_from_coeffs``, the one way from a value to a coefficient for
 ``zero_series``, ``monomial``, ``biseries_from_map`` and the text reader,
 checks each value's kind and integrality only where it can fail;
@@ -153,6 +156,17 @@ def _check_ring_prime(ring: RingLabel, prime):
         check_prime(prime)
     elif prime is not None:
         raise InvalidInputError("rational ring takes no prime")
+
+
+def _check_member(x, kind, ring, prime):
+    """Refuse x unless it is a kind over ring and prime: see the module."""
+    if not isinstance(x, kind):
+        raise InvalidInputError(f"expected a {kind.__name__}, got {x!r}")
+    if x.ring is not ring or x.prime != prime:
+        raise InvalidInputError(
+            f"expected a {kind.__name__} over "
+            f"{getattr(ring, 'value', repr(ring))} (p={prime}), got one over "
+            f"{x.ring.value} (p={x.prime})")
 
 
 def _dot(pairs):
@@ -364,26 +378,15 @@ class _Checked:
 
 
 class _CoeffWindow(_Checked):
-    """What one- and two-variable windows share: zeros at working
-    precision, the check that two windows may be combined and subtraction.
-    A window is a dataclass with ring, prime, _flat_coeffs() (every stored
-    coefficient), + and unary -."""
+    """What one- and two-variable windows share: zeros at working precision
+    and subtraction.  A window is a dataclass with ring, prime,
+    _flat_coeffs() (every stored coefficient), + and unary -."""
 
     def _zero_coeff(self):
         return _materialize_zero(self.ring, self.prime, self._working_prec())
 
     def _working_prec(self) -> int:
         return _max_abs_prec(self._flat_coeffs())
-
-    def _binary_check(self, other):
-        if not isinstance(other, type(self)):
-            raise InvalidInputError(
-                f"expected a {type(self).__name__}, got {other!r}")
-        if other.ring is not self.ring or other.prime != self.prime:
-            raise InvalidInputError(
-                f"cannot combine windows over {self.ring.value} "
-                f"(p={self.prime}) and {other.ring.value} (p={other.prime})"
-            )
 
     def __sub__(self, other):
         return self + (-other)
@@ -484,7 +487,7 @@ class TruncatedSeries(_CoeffWindow):
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "TruncatedSeries":
-        self._binary_check(other)
+        _check_member(other, TruncatedSeries, self.ring, self.prime)
         return _sum_of_products([], self, other)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -495,7 +498,7 @@ class TruncatedSeries(_CoeffWindow):
     def __mul__(self, other):
         if isinstance(other, DifferentialForm):
             return DifferentialForm(self * other.series)
-        self._binary_check(other)
+        _check_member(other, TruncatedSeries, self.ring, self.prime)
         return _sum_of_products([(self, other)])
 
     def scale(self, c) -> "TruncatedSeries":

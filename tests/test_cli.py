@@ -483,8 +483,15 @@ class TestExitCodes:
          "ring formal takes no --abs-prec"),
         (["residue", "--abs-prec", "5", "t^-1 + O(t^3)"],
          "--abs-prec needs --p and a p-adic --ring"),
+        (["plog", "--p", "0", "1 + O(u^3)"],
+         "argument --p: prime must be >= 2, got 0"),
+        (["plog", "--p", "3", "--abs-prec", "0", "1 + O(u^3)"],
+         "argument --abs-prec: must be at least 1"),
+        (["plog", "--p", "3", "--abs-prec", "2.5", "1 + O(u^3)"],
+         "argument --abs-prec: '2.5' is not an integer"),
     ], ids=["trunc-not-integer", "prime-not-integer", "formal-abs-prec",
-            "rational-residue-abs-prec"])
+            "rational-residue-abs-prec", "prime-zero", "abs-prec-zero",
+            "abs-prec-not-integer"])
     def test_usage_refusal_is_2(self, cli, argv, message):
         code, out, err = cli(argv)
         assert (code, out) == (2, "")

@@ -657,6 +657,53 @@ class TestCheckOrder:
         assert str(exc.value).startswith("abs_prec 2585 at p = 3 exceeds")
 
 
+class TestFloorRefusals:
+    """A degree or window end below a ring's floor is refused at its column:
+    a term at its start, a window end at its marker entry.  Of several
+    faulty terms the first in the text is reported; within one term a
+    degree at or past its window end comes before a negative one."""
+
+    @pytest.mark.parametrize("read,message,position", [
+        (lambda: parse_biseries("1 + x^-1 + O(u^3, x^3)", GP, 2),
+         "two-variable windows take no negative degrees", 4),
+        (lambda: parse_series("1 + t^-1 + O(t^3)"),
+         "degree -1 is below the window floor of ring formal", 4),
+        (lambda: parse_series("1 + u^-2 + O(u^3)", GP, 3),
+         "degree -2 is below the window floor of ring gamma+", 4),
+        (lambda: parse_series("O(t^-1)"),
+         "window end -1 is below the floor of ring formal", 2),
+        (lambda: parse_series("O( t^-1)"),
+         "window end -1 is below the floor of ring formal", 3),
+        (lambda: parse_biseries("1 + x^-1 + x^5 + O(u^3, x^3)", GP, 2),
+         "two-variable windows take no negative degrees", 4),
+        (lambda: parse_biseries("x^5 + x^-1 + O(u^3, x^3)", GP, 2),
+         "term degree (0, 5) is not below the window end (3, 3)", 0),
+        (lambda: parse_series("t + t^-1 + t^-3 + O(t^3)"),
+         "degree -1 is below the window floor of ring formal", 4),
+        (lambda: parse_series("t^-2 + t^5 + O(t^3)"),
+         "degree -2 is below the window floor of ring formal", 0),
+        (lambda: parse_biseries("u^4*x^-1 + O(u^3, x^3)", GP, 2),
+         "term degree (4, -1) is not below the window end (3, 3)", 0),
+        (lambda: parse_series("t^-1 + O(t^-1)"),
+         "term degree -1 is not below the window end -1", 0),
+    ], ids=["two-variable", "formal", "gamma+", "window-end",
+            "window-end-after-a-space", "negative-before-past-the-end",
+            "past-the-end-before-negative", "first-of-two-negatives",
+            "negative-before-past-the-end-in-one-variable",
+            "past-the-end-in-the-same-term", "end-in-the-same-term"])
+    def test_columns(self, read, message, position):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert str(exc.value) == f"{message} (at column {position + 1})"
+        assert exc.value.position == position
+
+    def test_laurent_rings_and_rational_terms_take_poles(self):
+        s = parse_series("u^-2 + O(u^1)", RingLabel.ROBBA, 3)
+        assert (s.min_degree, s.trunc_order) == (-2, 1)
+        assert parse_series("O(u^-1)", RingLabel.ROBBA, 3).trunc_order == -1
+        assert parse_rational_terms("t^-2 + O(t^1)") == ({-2: 1}, "t", 1)
+
+
 def pattern_opcodes(node):
     """Every opcode of a parsed pattern, nested groups and branches
     included."""
@@ -1177,6 +1224,37 @@ class TestFamilyDocuments:
         doc["connection"][0][1]["dx"] = "1 - x + O(t^6, x^3)"
         family, trunc, trunc_x, _ = load_family(doc)
         assert (trunc, trunc_x) == (6, 3)
+
+    @pytest.mark.parametrize("field,value,error,message", [
+        ("trunc", None, ParseError,
+         "the {} document is missing the field 'trunc'"),
+        ("trunc", "6", ParseError, "field 'trunc' must be an integer"),
+        ("trunc", True, ParseError, "field 'trunc' must be an integer"),
+        ("trunc", 0, ParseError, "field 'trunc' must be at least 1"),
+        ("trunc", DEGREE_LIMIT + 1, InvalidInputError,
+         f"degree or window end {DEGREE_LIMIT + 1} exceeds the bound "
+         f"|n| <= {DEGREE_LIMIT}"),
+        ("trunc_x", "6", ParseError, "field 'trunc_x' must be an integer"),
+        ("trunc_x", 0, ParseError, "field 'trunc_x' must be at least 1"),
+        ("trunc_x", -DEGREE_LIMIT - 1, ParseError,
+         "field 'trunc_x' must be at least 1"),
+        ("trunc_x", DEGREE_LIMIT + 1, InvalidInputError,
+         f"degree or window end {DEGREE_LIMIT + 1} exceeds the bound "
+         f"|n| <= {DEGREE_LIMIT}"),
+    ])
+    def test_window_end_fields(self, field, value, error, message):
+        """The family and connection documents read trunc (and trunc_x)
+        by one rule, with the same messages."""
+        docs = [("family", GOLDEN_FAMILY, load_family)]
+        if field == "trunc":
+            docs.append(("connection", GOLDEN_CONNECTION,
+                         load_connection_matrix))
+        for kind, golden, load in docs:
+            doc = json.loads(json.dumps(golden))
+            doc[field] = value
+            with pytest.raises(error) as exc:
+                load(doc)
+            assert str(exc.value) == message.format(kind)
 
     def test_unknown_entry_keys_rejected(self):
         doc = json.loads(json.dumps(GOLDEN_FAMILY))

@@ -24,6 +24,7 @@ from lineint.nabla import (
 from lineint.parsing import parse_biseries, parse_series
 from lineint.scheme import (
     BiForm,
+    BiSeries,
     FramedFamily,
     biseries_from_map,
     section_pullback,
@@ -50,6 +51,11 @@ def formal_chain():
     dt = DifferentialForm(series_from_coeffs(F, 0, [1, 0, 0, 0]))
     return FramedNablaModule(Signature((1, 1)),
                              ConnectionMatrix(F, ((z, dt), (z, z))))
+
+
+def gp(prime, values):
+    """The window of values from degree 0 over gamma+ at the prime."""
+    return series_from_coeffs(GP, 0, values, prime)
 
 
 def padic_family():
@@ -84,11 +90,15 @@ REFUSALS = {
     "matrix product across rings": (
         lambda: series_matrix_product(((monomial(F, 1, 0, 2),),),
                                       ((monomial(GP, 1, 0, 2, 3),),)),
-        InvalidInputError, "share the matrix ring and prime"),
+        InvalidInputError,
+        "expected a TruncatedSeries over formal (p=None), got one over "
+        "gamma+ (p=3)"),
     "matrix product across primes": (
         lambda: series_matrix_product(((monomial(GP, 1, 0, 2, 5),),),
                                       ((monomial(GP, 1, 0, 2, 3),),)),
-        InvalidInputError, "share the matrix ring and prime"),
+        InvalidInputError,
+        "expected a TruncatedSeries over gamma+ (p=5), got one over "
+        "gamma+ (p=3)"),
     "matrix product of a ragged matrix": (
         lambda: series_matrix_product(
             ((monomial(F, 1, 0, 2),) * 2, (monomial(F, 1, 0, 2),)),
@@ -107,17 +117,61 @@ REFUSALS = {
         "must not be negative"),
     "substitute a number for x": (
         lambda: substitute_fiber(zero_biseries(GP, 2, 2, 3), 1),
-        InvalidInputError, "expected a series"),
+        InvalidInputError, "expected a TruncatedSeries, got 1"),
     "pull back along a number": (
         lambda: section_pullback(padic_family(), 1), InvalidInputError,
-        "expected a series"),
+        "expected a TruncatedSeries, got 1"),
     "series plus a number": (
         lambda: series_from_coeffs(GP, 0, [1], 3) + 1, InvalidInputError,
         "expected a TruncatedSeries"),
     "monomial at the window end": (
         lambda: monomial(F, 1, 3, 3), InvalidInputError,
         "not inside window"),
+    # Every site where values of one ring and prime meet, given a 5-adic
+    # value where a 3-adic one belongs.
+    "series + across primes": (
+        lambda: gp(3, [1]) + gp(5, [1]), InvalidInputError,
+        "expected a TruncatedSeries over gamma+ (p=3), got one over "
+        "gamma+ (p=5)"),
+    "series * across primes": (
+        lambda: gp(3, [1]) * gp(5, [1]), InvalidInputError,
+        "expected a TruncatedSeries over gamma+ (p=3), got one over "
+        "gamma+ (p=5)"),
+    "two-variable + across primes": (
+        lambda: zero_biseries(GP, 2, 2, 3) + zero_biseries(GP, 2, 2, 5),
+        InvalidInputError,
+        "expected a BiSeries over gamma+ (p=3), got one over gamma+ (p=5)"),
+    "two-variable form across primes": (
+        lambda: BiForm(zero_biseries(GP, 2, 2, 3), zero_biseries(GP, 2, 2, 5)),
+        InvalidInputError,
+        "expected a BiSeries over gamma+ (p=3), got one over gamma+ (p=5)"),
+    "column across primes": (
+        lambda: BiSeries(GP, (gp(5, [1, 2]),), 2, 3), InvalidInputError,
+        "expected a TruncatedSeries over gamma+ (p=3), got one over "
+        "gamma+ (p=5)"),
+    "connection entry across primes": (
+        lambda: ConnectionMatrix(GP, ((DifferentialForm(gp(5, [1])),),), 3),
+        InvalidInputError,
+        "expected a DifferentialForm over gamma+ (p=3), got one over "
+        "gamma+ (p=5)"),
+    "family entry across primes": (
+        lambda: FramedFamily(Signature((1,)), GP, ((BiForm(
+            zero_biseries(GP, 2, 2, 5), zero_biseries(GP, 2, 2, 5)),),), 3),
+        InvalidInputError,
+        "expected a BiForm over gamma+ (p=3), got one over gamma+ (p=5)"),
+    "substitute across primes": (
+        lambda: substitute_fiber(zero_biseries(GP, 2, 2, 3),
+                                 gp(5, [0, 1])), InvalidInputError,
+        "expected a TruncatedSeries over gamma+ (p=3), got one over "
+        "gamma+ (p=5)"),
+    "pull back across primes": (
+        lambda: section_pullback(padic_family(), gp(5, [1, 1, 0])),
+        InvalidInputError,
+        "expected a TruncatedSeries over gamma+ (p=3), got one over "
+        "gamma+ (p=5)"),
 }
+
+PRIME_MISMATCHES = [name for name in REFUSALS if name.endswith("primes")]
 
 
 @pytest.mark.parametrize("build,error,message", REFUSALS.values(),
@@ -127,6 +181,14 @@ def test_refused(build, error, message):
         build()
     assert type(info.value) is error
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("name", PRIME_MISMATCHES)
+def test_prime_mismatch_names_both_primes(name):
+    with pytest.raises(CalculusError) as info:
+        REFUSALS[name][0]()
+    assert info.value.code == "invalid-input"
+    assert "(p=3)" in str(info.value) and "(p=5)" in str(info.value)
 
 
 class TestFormAlgebra:

@@ -94,16 +94,24 @@ class TestBiSeries:
         col = series_from_coeffs(F, 0, [1, 2])
         assert BiSeries(F, (col, col), 2).trunc_x == 2
         bad_columns = [
-            (F, (col,), 3, None),                          # u-window 3
-            (F, (col, col.clipped(min_degree=1)), 2, None),  # [1, 2)
+            (F, (col,), 3, None,                           # u-window 3
+             "column 0 is not on [0, 3)"),
+            (F, (col, col.clipped(min_degree=1)), 2, None,  # [1, 2)
+             "column 1 is not on [0, 2)"),
             (GP, (series_from_coeffs(RingLabel.E_PLUS, 0, [1, 2],
-                                     prime=3),), 2, 3),    # another ring
-            (GP, (series_from_coeffs(GP, 0, [1, 2], prime=5),), 2, 3),
-            (F, ((Fraction(1), Fraction(2)),), 2, None),   # not a series
+                                     prime=3),), 2, 3,     # another ring
+             "expected a TruncatedSeries over gamma+ (p=3), got one over "
+             "e+ (p=3)"),
+            (GP, (series_from_coeffs(GP, 0, [1, 2], prime=5),), 2, 3,
+             "expected a TruncatedSeries over gamma+ (p=3), got one over "
+             "gamma+ (p=5)"),
+            (F, ((Fraction(1), Fraction(2)),), 2, None,    # not a series
+             "expected a TruncatedSeries, got (Fraction(1, 1), "),
         ]
-        for ring, cols, trunc_u, prime in bad_columns:
-            with pytest.raises(InvalidInputError, match="is not a series"):
+        for ring, cols, trunc_u, prime, message in bad_columns:
+            with pytest.raises(InvalidInputError) as info:
                 BiSeries(ring, cols, trunc_u, prime)
+            assert message in str(info.value)
 
     def test_prime_rules(self):
         with pytest.raises(InvalidInputError):
