@@ -623,15 +623,23 @@ def matrix_document(signature: Signature | None, ring: RingLabel,
     The header is the signature (None for a plain matrix), the ring label
     and p; fields adds document fields such as abs_prec, flat, trunc,
     trunc_x and fiber_var; key ("entries" or "connection") holds the rows
-    with each entry rendered by render.
+    with each entry rendered by render, once per distinct entry object
+    (a matrix such as trivialize's shares its zero and one windows).
     """
+    texts = {}
+
+    def rendered(x):
+        if id(x) not in texts:
+            texts[id(x)] = render(x)
+        return texts[id(x)]
+
     return {
         "signature": list(signature.parts) if signature is not None
         else None,
         "ring": ring.value,
         "p": prime,
         **fields,
-        key: [[render(x) for x in row] for row in rows],
+        key: [[rendered(x) for x in row] for row in rows],
     }
 
 

@@ -200,6 +200,9 @@ class BiForm(_Form):
 
     def __post_init__(self):
         a, b = self.du_part, self.dx_part
+        # The du part sets the ring and prime once it is a BiSeries.
+        _check_member(a, BiSeries, getattr(a, "ring", None),
+                      getattr(a, "prime", None))
         _check_member(b, BiSeries, a.ring, a.prime)
         tu = min(a.trunc_u, b.trunc_u)
         tx = min(a.trunc_x, b.trunc_x)

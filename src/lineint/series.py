@@ -22,6 +22,9 @@ it can prove.  The values of a product come from one multiply of the lifts
 packed into one integer each (Kronecker substitution), those of
 ``inverse`` from long division on integers modulo one power of p; the
 precisions from a min-plus pass over ``abs_prec`` and ``valuation_floor``.
+Each degree of a pass is first bounded below by prefix minima, a bound that
+is its value when one side is one run, as a parsed window's precisions
+are; only a degree the bound cannot settle is scanned.
 A p-adic ``dlog`` is derive(a) * inverse(a) on integers, building neither
 window: da's lifts read off a's, the inverse's unreduced, one Kronecker
 product.  Zeros lift to 0, so a zero coefficient costs only its precision.
@@ -56,9 +59,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from math import gcd, inf, lcm
-from operator import add, eq, floordiv, mul, neg, sub
+from operator import add, eq, floordiv, lt, mul, neg, sub
 
 from .coeff import PAdic, _reduce, check_prime, vp_int
 from .errors import (
@@ -221,14 +224,29 @@ def _pair_precisions(na, va, nb, vb):
     min_(i<=k) min(na[i] + vb[k-i], nb[k-i] + va[i]) that the sum of the
     products a_i * b_(k-i) proves, from the abs_prec (n) and
     valuation_floor (v) lists of two windows of that length: the min-plus
-    pass behind every p-adic product."""
-    nb, vb = nb[::-1], vb[::-1]
-    top = len(na) - 1
-    # map stops at the shorter list: na[i] meets vb[top - k + i], the
-    # valuation_floor of b[k - i], for i <= k.
-    return [min(min(map(add, na, vb[top - k:])),
-                min(map(add, nb[top - k:], va)))
-            for k in range(len(na))]
+    pass behind every p-adic product.
+
+    Each half, min_(i+j=k) x_i + y_j, is at least its bound, the sum of
+    the prefix minima min(x_0..k) + min(y_0..k), and equals it when x or y
+    is one run (all its values equal): the least value of the other side
+    then meets that run.  A degree takes an exact half's bound, and a half
+    is scanned there only when it is not exact and its bound is below the
+    other half's value.  So the pass is linear when one side of each half
+    is one run, as for parsed and empty windows, and otherwise scans each
+    degree at most twice, as a plain pass does."""
+    n = len(na)
+    out, scans = [inf] * n, []
+    for x, y in ((na, vb), (nb, va)):
+        bound = list(map(add, accumulate(x, min), accumulate(y, min)))
+        if not n or x.count(x[0]) == n or y.count(y[0]) == n:
+            out = list(map(min, out, bound))
+        else:
+            scans.append((bound, x, y[::-1]))
+    for bound, x, y in scans:
+        # Reversed, y[n - 1 - k + i] is the floor of b[k - i] for x[i].
+        for k in compress(range(n), map(lt, bound, out)):
+            out[k] = min(out[k], min(map(add, x, y[n - 1 - k:])))
+    return out
 
 
 def _lifts(coeffs, p):
@@ -331,6 +349,11 @@ def _padic_inverse(a, p):
     N(a_j) + vf(out_(k-j)) for j < k, as vf(out_i) >= vf(a_l) +
     vf(out_(i-l)) - v_0 for some l.  What is left is
     N(out_k) = min(N(a_k) - v_0, min_j N(out_(k-j)) + vf(a_j)) - v_0.
+    As in ``_pair_precisions``, the inner minimum is at least a bound of
+    prefix minima, min N(out_0..k-1) + min vf(a_1..k); when N(a_k) - v_0
+    is at or below it, it is the minimum and degree k needs no scan.  So
+    the precisions of one-run N(a) with vf(a_j) >= v_0, as for a parsed
+    unit, take linear time.
 
     The values come from long division modulo one power of p after the
     substitution u -> p^c u, with c the least shift that leaves every
@@ -347,12 +370,17 @@ def _padic_inverse(a, p):
               else x.unit * p ** (x.valuation + c * i - v0) % q
               for i, x in enumerate(a)]
     vf = [x.valuation_floor for x in a]
+    vf_least = list(accumulate(vf[1:], min))  # least vf(a_1..k) at k - 1
     inv0 = a[0].inverse()
     b, ns = [pow(scaled[0], -1, q)], [inv0.abs_prec]
+    least = ns[0]  # the least N(out_0..k-1)
     for k in range(1, len(a)):
         b.append(sum(map(mul, scaled[1:k + 1], b[k - 1::-1])) * -b[0] % q)
-        ns.append(min(a[k].abs_prec - v0,
-                      min(map(add, ns[k - 1::-1], vf[1:k + 1]))) - v0)
+        n_k = a[k].abs_prec - v0
+        if n_k > least + vf_least[k - 1]:  # the bound does not settle k
+            n_k = min(n_k, min(map(add, ns[k - 1::-1], vf[1:k + 1])))
+        ns.append(n_k - v0)
+        least = min(least, ns[k])
     b[0] = inv0.unit
     bases = [-v0 - c * k for k in range(len(a))]
     floors = [min(e + vp_int(x, p), n) if x else n
@@ -556,6 +584,8 @@ class _Form:
         return [getattr(self, f) for f in self.__match_args__]
 
     def _map(self, op, *others):
+        for o in others:
+            _check_member(o, type(self), self.ring, self.prime)
         return type(self)(*map(op, self._parts(),
                                *(o._parts() for o in others)))
 

@@ -1375,3 +1375,21 @@ class TestSignatureFitsTheMatrix:
                "signature": [1, 1]}
         entries, _, _, sig = parse_series_matrix(doc)
         assert sig.parts == (1, 1) and len(entries) == 2
+
+
+def test_matrix_document_renders_each_distinct_entry_once():
+    """A matrix such as trivialize's shares its one and zero windows; each
+    distinct entry is rendered once, and the document is unchanged."""
+    one, zero = series_from_coeffs(F, 0, [1, 0]), zero_series(F, 0, 2)
+    t = series_from_coeffs(F, 0, [0, 1])
+    rows = ((one, t, zero), (zero, one, zero), (zero, zero, one))
+    rendered = []
+
+    def render(s):
+        rendered.append(s)
+        return structured_series(s)
+
+    doc = parsing.matrix_document(None, F, None, rows, render)
+    assert len(rendered) == 3
+    assert doc["entries"] == [[structured_series(s) for s in row]
+                              for row in rows]

@@ -37,6 +37,10 @@ da by the unreduced integers of ``_padic_inverse`` without building either
 window; the chain ``derive(a) * inverse(a)`` through the loops stays here
 as its oracle, and a count checks it reduces each output coefficient once
 and calls no ``derive``, ``inverse`` or series ``*``.
+The precision passes decide a degree from prefix-minimum bounds and scan
+only where a bound cannot settle it; ``TestPrecisionBounds`` checks them
+against the passes that scan every degree, ``loop_pair_precisions`` and
+``loop_inverse_precisions``.
 ``TestPerturbationSoundness`` moves every operand coefficient within its
 claimed precision and checks that no result coefficient moves within its
 own: a slice, for ``inverse``, ``dlog``, ``padic_log_dagger``, ``+``,
@@ -82,6 +86,8 @@ from lineint.series import (
     RingLabel,
     TruncatedSeries,
     _floor_log,
+    _padic_inverse,
+    _pair_precisions,
     _sum_of_products,
     derive,
     dlog,
@@ -202,6 +208,29 @@ def loop_inverse(s):
             acc = aj * bk if acc is None else acc + aj * bk
         out.append(s._zero_coeff() if acc is None else -(acc * inv0))
     return TruncatedSeries(s.ring, -m, tuple(out), -m + n, s.prime)
+
+
+def loop_pair_precisions(na, va, nb, vb):
+    """The min-plus pass of a p-adic product with both halves scanned at
+    every degree: min_(i<=k) min(na[i] + vb[k-i], nb[k-i] + va[i])."""
+    nb, vb = nb[::-1], vb[::-1]
+    top = len(na) - 1
+    return [min(min(map(add, na, vb[top - k:])),
+                min(map(add, nb[top - k:], va)))
+            for k in range(len(na))]
+
+
+def loop_inverse_precisions(a):
+    """The abs_prec of each coefficient of 1/a from the recurrence
+    N(out_k) = min(N(a_k) - v_0, min_j N(out_(k-j)) + vf(a_j)) - v_0,
+    scanned at every degree."""
+    v0 = a[0].valuation
+    vf = [x.valuation_floor for x in a]
+    ns = [a[0].inverse().abs_prec]
+    for k in range(1, len(a)):
+        ns.append(min(a[k].abs_prec - v0,
+                      min(map(add, ns[k - 1::-1], vf[1:k + 1]))) - v0)
+    return ns
 
 
 def loop_bimul(s, o):
@@ -486,6 +515,66 @@ class TestZeroFactors:
                            raws[16:], data.draw(masks))
         assert outcome(lambda: x * y) == outcome(lambda: loop_bimul(x, y)), \
             (x, y)
+
+
+# -- the precision passes -------------------------------------------------
+
+
+def precision_lists(n):
+    """n precisions or valuation floors: one run, all distinct, or a few
+    values repeated; negative values too."""
+    return st.one_of(
+        st.integers(-6, 40).map(lambda c: [c] * n),
+        st.lists(st.integers(-60, 60), min_size=n, max_size=n, unique=True),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+
+
+PADIC_UNIT_SERIES = st.tuples(st.integers(-3, 3),
+                              st.lists(RAW, min_size=1, max_size=40))
+
+
+class TestPrecisionBounds:
+    """The min-plus passes settle a degree from prefix-minimum bounds and
+    scan only where the bound cannot: they give the loops' precisions on
+    empty lists, one-run sides, all-distinct values and negative floors,
+    and ``_padic_inverse`` gives the loop recurrence's on every p-adic
+    ring."""
+
+    @given(st.data())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_pair_precisions(self, data):
+        n = data.draw(st.integers(0, 40))
+        lists = [data.draw(precision_lists(n)) for _ in range(4)]
+        assert _pair_precisions(*lists) == loop_pair_precisions(*lists), \
+            lists
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_inverse_precisions(self, data):
+        ring = data.draw(st.sampled_from(PADIC_RINGS))
+        p = data.draw(st.sampled_from((2, 3, 5, 101)))
+        if data.draw(st.booleans()):  # a parsed window: one abs_prec
+            values = data.draw(st.lists(st.integers(-99, 99), min_size=1,
+                                        max_size=40))
+            values[0] += values[0] % p == 0
+            a = series_from_coeffs(ring, 0, values, p,
+                                   data.draw(st.integers(1, 30)))
+        else:
+            a = make_series(ring, p, data.draw(PADIC_UNIT_SERIES),
+                            unit_lead=True)
+        assert _padic_inverse(a.coeffs, p)[2] == \
+            loop_inverse_precisions(a.coeffs), a
+
+    def test_empty_windows(self):
+        gp = RingLabel.GAMMA_PLUS
+        assert _pair_precisions([], [], [], []) == []
+        empty = zero_series(gp, 0, 0, 3)
+        a = series_from_coeffs(gp, 0, [1, 2, 3], 3)
+        for product in (a * empty, empty * a, empty * empty):
+            assert shown(product) == (gp, 3, 0, 0, [])
+        # A one-coefficient unit: its dlog multiplies empty windows.
+        assert shown(dlog(series_from_coeffs(gp, 0, [1], 3))) == \
+            (gp, 3, 0, 0, [])
 
 
 # -- the lift rule ----------------------------------------------------------

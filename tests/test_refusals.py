@@ -124,6 +124,12 @@ REFUSALS = {
     "series plus a number": (
         lambda: series_from_coeffs(GP, 0, [1], 3) + 1, InvalidInputError,
         "expected a TruncatedSeries"),
+    "one-form plus a number": (
+        lambda: DifferentialForm(series_from_coeffs(F, 0, [1])) + 1,
+        InvalidInputError, "expected a DifferentialForm, got 1"),
+    "two-variable form of a number": (
+        lambda: BiForm(1, zero_biseries(F, 2, 2)), InvalidInputError,
+        "expected a BiSeries, got 1"),
     "monomial at the window end": (
         lambda: monomial(F, 1, 3, 3), InvalidInputError,
         "not inside window"),
