@@ -65,6 +65,7 @@ from .series import (
     _check_ring_prime,
     _coeff_is_zero,
     _max_abs_prec,
+    coeff_text,
     series_from_coeffs,
     valuation_profile,
     zero_series,
@@ -314,19 +315,6 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
 
 def _coeff_fraction(c) -> Fraction:
     return c.to_fraction() if isinstance(c, PAdic) else c
-
-
-def coeff_text(c, degree) -> str:
-    """str(c) for the coefficient of degree (an int, or a pair for two
-    variables); invalid-input when a rational in it has more digits than
-    Python writes out (sys.get_int_max_str_digits())."""
-    try:
-        return str(c)
-    except ValueError:
-        raise InvalidInputError(
-            f"the coefficient of degree {degree} has more than "
-            f"{sys.get_int_max_str_digits()} digits and cannot be printed"
-        ) from None
 
 
 def _term_chunk(mag: str, factors) -> str:

@@ -29,8 +29,10 @@ A p-adic ``dlog`` is derive(a) * inverse(a) on integers, building neither
 window: da's lifts read off a's, the inverse's unreduced, one Kronecker
 product.  Zeros lift to 0, so a zero coefficient costs only its precision.
 Over the rationals the kernel adds exact ``_dot`` sums in the same loop,
-and ``inverse`` and ``dlog`` are one quotient each: long division on
-integers, each coefficient a numerator over its own reduced denominator.
+and ``inverse``, ``dlog`` and ``formal_log`` are one integer quotient
+each: each coefficient a numerator over its own reduced denominator, made
+into one ``Fraction`` and refused as ``coeff_text`` refuses it before the
+next degree is computed.
 
 Validation happens at the boundary, and values meet through one check,
 ``_check_member``: the kind, then one ring and prime, for the operands of
@@ -56,6 +58,7 @@ allowed, and whether coefficients must stay in the integer ring.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -184,11 +187,14 @@ def _dot(pairs):
 
 
 def _rational_quotient(num, den):
-    """The first min(len(num), len(den)) coefficients of num/den for two
-    windows of rationals with den[0] nonzero, by long division on integers.
+    """Yield (q_k, d_k), d_k > 0, in lowest terms for k below
+    min(len(num), len(den)): Q_k = q_k/d_k of num/den, num integer pairs
+    (y, z) for y/z, z > 0, den rationals with den[0] nonzero, by long
+    division on integers.
 
-    With 1/den[0] = w/u, num[k] = y/z and r_j = den[j]/den[0] = a_j/b_j
-    in lowest terms, Q_k = y*w/(z*u) - sum_(j=1..k) r_j * Q_(k-j).
+    With 1/den[0] = w/u (u > 0), num[k] = y/z and r_j = den[j]/den[0] =
+    a_j/b_j, Q_k = y*w/(z*u) - sum_(j=1..k) r_j * Q_(k-j).  For
+    den[j] = y_j/z_j, r_j is y_j*w/(z_j*u) reduced by one gcd, so b_j > 0.
     Each Q_k is kept as q_k/d_k in lowest terms: with m the lcm of the
     b_j * d_(k-j) over the nonzero r_j and, if y is nonzero, of z*u,
     m * Q_k = y*w * (m/(z*u)) - sum_j a_j * (m/(b_j * d_(k-j))) * q_(k-j),
@@ -199,24 +205,65 @@ def _rational_quotient(num, den):
     -1/127! of 710 bits would be held as an integer of 90,000 bits."""
     n = min(len(num), len(den))
     u, w = den[0].numerator, den[0].denominator
-    nonzero = [bool(y) for y in den[1:n]]
-    r = [y / den[0] for y in compress(den[1:n], nonzero)]
-    a, b = [y.numerator for y in r], [y.denominator for y in r]
+    if u < 0:
+        u, w = -u, -w
+    nonzero = [bool(x) for x in den[1:n]]
+    a, b = [], []
+    for x in compress(den[1:n], nonzero):
+        s, m = x.numerator * w, x.denominator * u
+        g = gcd(s, m)
+        a.append(s // g)
+        b.append(m // g)
     q, d = [], []
-    for x in num[:n]:
+    for y, z in num[:n]:
         bd = list(map(mul, b, compress(reversed(d), nonzero)))
-        v = x.denominator * u
-        m = lcm(v, *bd) if x else lcm(*bd)
+        v = z * u
+        m = lcm(v, *bd) if y else lcm(*bd)
         s = -sum(map(mul, map(mul, a, map(floordiv, repeat(m), bd)),
                      compress(reversed(q), nonzero)))
-        if x:
-            s += x.numerator * w * (m // v)
+        if y:
+            s += y * w * (m // v)
         g = gcd(s, m)
         if g > 1:
             s, m = s // g, m // g
         q.append(s)
         d.append(m)
-    return tuple(map(Fraction, q, d))
+        yield s, m
+
+
+def _rational_dlog(a):
+    """The quotient da/a for a rational unit a on [0, T), da's pairs
+    (k*y_k, z_k) read off a's coefficients y_k/z_k."""
+    return _rational_quotient([(k * x.numerator, x.denominator)
+                               for k, x in enumerate(a.coeffs[1:], 1)],
+                              a.coeffs)
+
+
+def _rational_coeffs(pairs, first):
+    """Fraction(q, d) for the integer pairs (q, d), d > 0, of the degrees
+    from first on, each refused as ``coeff_text`` refuses it before the next
+    pair is drawn.  Below 2^(3.32 * limit) <= 10^limit a number has at
+    most limit digits, so only q or d of more bits is written out."""
+    limit = sys.get_int_max_str_digits()
+    bits = 3.32 * limit if limit else inf
+    for degree, (q, d) in enumerate(pairs, first):
+        c = Fraction(q, d)
+        if (abs(q) | d).bit_length() > bits:
+            coeff_text(c, degree)
+        yield c
+
+
+def coeff_text(c, degree) -> str:
+    """str(c) for the coefficient of degree (an int, or a pair for two
+    variables); invalid-input when a rational in it has more digits than
+    Python writes out (sys.get_int_max_str_digits())."""
+    try:
+        return str(c)
+    except ValueError:
+        raise InvalidInputError(
+            f"the coefficient of degree {degree} has more than "
+            f"{sys.get_int_max_str_digits()} digits and cannot be printed"
+        ) from None
 
 
 def _pair_precisions(na, va, nb, vb):
@@ -624,6 +671,11 @@ class DifferentialForm(_Form):
 
     series: TruncatedSeries
 
+    def __post_init__(self):
+        s = self.series
+        _check_member(s, TruncatedSeries, getattr(s, "ring", None),
+                      getattr(s, "prime", None))
+
     def agrees_with(self, other: "DifferentialForm") -> bool:
         return self.series.agrees_with(other.series)
 
@@ -792,7 +844,8 @@ def inverse(a: TruncatedSeries) -> TruncatedSeries:
         bases, values, ns, _ = _padic_inverse(a.coeffs, a.prime)
         out = map(_reduce, repeat(a.prime), bases, values, ns)
     else:
-        out = _rational_quotient((1,) + (0,) * (n - 1), a.coeffs)
+        out = _rational_coeffs(_rational_quotient(
+            [(1, 1)] + [(0, 1)] * (n - 1), a.coeffs), -m)
     return TruncatedSeries._trusted(a.ring, -m, tuple(out), -m + n, a.prime)
 
 
@@ -811,20 +864,19 @@ def _check_invertible(a: TruncatedSeries):
 
 def dlog(a: TruncatedSeries) -> DifferentialForm:
     """The logarithmic derivative da/a as a one-form.  Over the rationals it
-    is one quotient.  Over the p-adics it is derive(a) * inverse(a) made on
-    integers, with one ``_reduce`` per output coefficient: the lifts of da
-    are d * lift(a_d), known modulo p^(N + v_p(d)) (an exact zero at N for
-    d = 0), the inverse's are the unreduced values of ``_padic_inverse``,
-    and one Kronecker product and one min-plus pass give the rest.  A lift
-    congruent to the reduced one moves each term by at least N_x + vf_y,
-    at or above the claim, so every coefficient is that product's."""
+    is one quotient, ``_rational_dlog``.  Over the p-adics it is
+    derive(a) * inverse(a) made on integers, with one ``_reduce`` per output
+    coefficient: the lifts of da are d * lift(a_d), known modulo
+    p^(N + v_p(d)) (an exact zero at N for d = 0), the inverse's are the
+    unreduced values of ``_padic_inverse``, and one Kronecker product and
+    one min-plus pass give the rest.  A lift congruent to the reduced one
+    moves each term by at least N_x + vf_y, at or above the claim, so every
+    coefficient is that product's."""
     _check_invertible(a)
-    if not a.ring.padic:
-        da = derive(a).series
-        lo = da.min_degree - a.min_degree
-        out = _rational_quotient(da.coeffs, a.coeffs)
+    if not a.ring.padic:  # a power series: a window [0, T)
+        out = tuple(_rational_coeffs(_rational_dlog(a), 0))
         return DifferentialForm(
-            TruncatedSeries._trusted(a.ring, lo, out, lo + len(out), a.prime))
+            TruncatedSeries._trusted(a.ring, 0, out, len(out), None))
     p, n = a.prime, len(a.coeffs)
     s = 0 if a.ring.laurent else 1  # a power series' constant term drops
     w, lifts, na, va = _lifts(a.coeffs, p)
@@ -904,16 +956,18 @@ def formal_log(a: TruncatedSeries) -> TruncatedSeries:
     The result is the antiderivative of dlog(a) = da/a with zero constant
     term, on the window [0, T) of a: the exact zero of degree 0 is stored,
     so the window starts at 0 as the input's does.  With a = c * (1 - w)
-    this equals -sum(w^n / n) truncated at T."""
+    this equals -sum(w^n / n) truncated at T.  No window is built between:
+    degree k is Fraction(q, k * d) for the dlog quotient's (q, d) at k - 1."""
     if a.ring is not RingLabel.FORMAL:
         raise InvalidInputError(
             f"formal_log works over {RingLabel.FORMAL.value}; "
             "use the p-adic logarithms for p-adic rings"
         )
     _unit_constant_term(a)
-    s = antiderive(dlog(a), RingLabel.FORMAL)
-    return TruncatedSeries._trusted(a.ring, 0, (Fraction(0),) + s.coeffs,
-                                    s.trunc_order, None)
+    out = _rational_coeffs(((q, k * d) for k, (q, d)
+                            in enumerate(_rational_dlog(a), 1)), 1)
+    return TruncatedSeries._trusted(a.ring, 0, (Fraction(0), *out),
+                                    a.trunc_order, None)
 
 
 def padic_log_one_minus_py(y: TruncatedSeries) -> TruncatedSeries:

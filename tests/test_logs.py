@@ -1,5 +1,7 @@
 """Logarithms: the formal power-series log and its two p-adic relatives."""
 
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,15 @@ from lineint.errors import (
     InvalidInputError,
     NonUnitError,
 )
+from lineint.parsing import parse_series
 from lineint.series import (
     RingLabel,
     TruncatedSeries,
+    _rational_coeffs,
     derive,
     dlog,
     formal_log,
+    inverse,
     padic_log_dagger,
     padic_log_one_minus_py,
     series_from_coeffs,
@@ -332,3 +337,43 @@ class TestWitness:
     def test_rational_rejected(self):
         with pytest.raises(InvalidInputError):
             unboundedness_witness(fseries(0, [1] * 20), 1)
+
+
+def unprintable(degree):
+    return (f"the coefficient of degree {degree} has more than "
+            f"{sys.get_int_max_str_digits()} digits and cannot be printed")
+
+
+class TestBoundedRationalWork:
+    """The rational log, dlog and inverse refuse a coefficient too long to
+    print when they reach it, so the work stops there.  The degree-k
+    coefficient of log(a + t) is (-1)^(k+1)/(k*a^k), of dlog and of the
+    inverse (-1)^k/a^(k+1): at a of 30 digits each passes the 4,300-digit
+    limit at the 148th power of a.  Computed to the window's end, the
+    window below takes about 50 MiB."""
+
+    @pytest.mark.parametrize("op,degree", [
+        (formal_log, 148), (lambda a: dlog(a).series, 147), (inverse, 147),
+    ], ids=["formal_log", "dlog", "inverse"])
+    def test_refused_where_the_first_unprintable_coefficient_is(
+            self, op, degree):
+        a = parse_series("123456789012345678901234567890 + t + O(t^2000)",
+                         F, None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError) as info:
+                op(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == unprintable(degree)
+        assert peak < 4 * 2**20
+
+    def test_the_limit_is_the_printers(self):
+        big = 10 ** sys.get_int_max_str_digits()
+        for q, d in ((big - 1, 1), (1 - big, big - 2)):
+            assert list(_rational_coeffs([(q, d)], 7)) == [Fraction(q, d)]
+        for q, d in ((-big, 1), (1, big)):
+            with pytest.raises(InvalidInputError) as info:
+                list(_rational_coeffs([(1, 1), (q, d)], 6))
+            assert str(info.value) == unprintable(7)

@@ -8,9 +8,11 @@ matrix product and ``padic_log_one_minus_py`` its own accumulator of
 first terms, ``*`` of one pair, the log one call over its terms.  Over the
 p-adics it and ``inverse`` are lift and reduce (``inverse`` reduces the
 integers of ``series._padic_inverse``); over the rationals it adds exact
-``series._dot`` sums in the same loop, the rational ``inverse`` and
-``dlog`` are one long division on integers each
-(``series._rational_quotient``), and ``BiSeries.__mul__`` is a convolution
+``series._dot`` sums in the same loop, the rational ``inverse``,
+``dlog`` and ``formal_log`` are one long division on integers each
+(``series._rational_quotient``; ``TestRationalLogMatchesRoute`` keeps
+formal_log's old route, the antiderivative of the loops' dlog, as its
+oracle), and ``BiSeries.__mul__`` is a convolution
 of its columns' series products.  Those loops are kept here as test-only
 oracles, ``loop_add`` for every sum, so no oracle runs the kernel: the
 kernels must give the same ring, window, coefficient type and text, and
@@ -50,7 +52,7 @@ own: a slice, for ``inverse``, ``dlog``, ``padic_log_dagger``, ``+``,
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import factorial
 from operator import add, mul, sub
 
@@ -89,6 +91,8 @@ from lineint.series import (
     _padic_inverse,
     _pair_precisions,
     _sum_of_products,
+    _unit_constant_term,
+    antiderive,
     derive,
     dlog,
     formal_log,
@@ -208,6 +212,16 @@ def loop_inverse(s):
             acc = aj * bk if acc is None else acc + aj * bk
         out.append(s._zero_coeff() if acc is None else -(acc * inv0))
     return TruncatedSeries(s.ring, -m, tuple(out), -m + n, s.prime)
+
+
+def loop_formal_log(a, loop_dlog):
+    """formal_log as windows: the zero-constant antiderivative of
+    loop_dlog(), derive(a) * inverse(a) through the loops, an exact zero
+    prepended."""
+    _unit_constant_term(a)
+    s = antiderive(DifferentialForm(loop_dlog()), RingLabel.FORMAL)
+    return TruncatedSeries(RingLabel.FORMAL, 0, (Fraction(0),) + s.coeffs,
+                           s.trunc_order)
 
 
 def loop_pair_precisions(na, va, nb, vb):
@@ -466,6 +480,39 @@ class TestKernelMatchesLoops:
         family = FramedFamily(Signature((1, 1, 1)), ring, entries, p)
         assert [[shown(f) for f in row] for row in curvature(family)] == \
             [[shown(f) for f in row] for row in loop_curvature(family)]
+
+
+class TestRationalLogMatchesRoute:
+    """The rational inverse, dlog and formal_log are one integer quotient
+    each; the windows they replaced, the loops' inverse, derive(a) times
+    it and formal_log's antiderivative of that, are their oracles."""
+
+    @staticmethod
+    def assert_same(a):
+        # The three routes share one loop inverse and one loop product.
+        loop_inv = cache(lambda: loop_inverse(a))
+        loop_dlog = cache(lambda: loop_mul(derive(a).series, loop_inv()))
+        assert outcome(lambda: inverse(a)) == outcome(loop_inv), a
+        assert outcome(lambda: dlog(a)) == outcome(loop_dlog), a
+        assert outcome(lambda: formal_log(a)) == \
+            outcome(lambda: loop_formal_log(a, loop_dlog)), a
+
+    @pytest.mark.parametrize("n", [0, 1, 64, 128, 256])
+    @pytest.mark.parametrize("shape", sorted(RATIONAL_UNITS))
+    def test_long_windows(self, shape, n):
+        self.assert_same(TruncatedSeries(
+            RingLabel.FORMAL, 0,
+            tuple(RATIONAL_UNITS[shape](d) for d in range(n)), n))
+
+    # Units, and windows that may be none: a zero constant term, a window
+    # from degree 1 or more, an empty window.
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_drawn_windows(self, data):
+        unit = data.draw(st.booleans())
+        drawn = data.draw(UNIT_SERIES if unit else SERIES)
+        self.assert_same(make_series(RingLabel.FORMAL, None, drawn,
+                                     unit_lead=unit))
 
 
 # -- all-zero factors -------------------------------------------------------

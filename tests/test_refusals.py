@@ -127,6 +127,9 @@ REFUSALS = {
     "one-form plus a number": (
         lambda: DifferentialForm(series_from_coeffs(F, 0, [1])) + 1,
         InvalidInputError, "expected a DifferentialForm, got 1"),
+    "one-form of a number": (
+        lambda: DifferentialForm(1), InvalidInputError,
+        "expected a TruncatedSeries, got 1"),
     "two-variable form of a number": (
         lambda: BiForm(1, zero_biseries(F, 2, 2)), InvalidInputError,
         "expected a BiSeries, got 1"),
