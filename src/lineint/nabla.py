@@ -276,9 +276,6 @@ def horizontal_basis(module: FramedNablaModule, trunc_order: int) -> tuple:
     return fundamental_solution(module.connection.negated(), trunc_order)
 
 
-_TRIVIALIZE_RINGS = (RingLabel.FORMAL, RingLabel.ROBBA_PLUS, RingLabel.ROBBA)
-
-
 def trivialize(module: FramedNablaModule, trunc_order: int) -> UnipotentMatrix:
     """The unipotent V with dV = V*C and V(0) = I, filled row by row, left
     to right.  Where block(a) < block(b), V[a, b] is one antiderivative,
@@ -292,7 +289,7 @@ def trivialize(module: FramedNablaModule, trunc_order: int) -> UnipotentMatrix:
     connection, each vanishing at the origin."""
     conn = module.connection
     ring = conn.ring
-    if ring not in _TRIVIALIZE_RINGS:
+    if ring is not ring.antiderive_targets[0]:
         raise InvalidInputError(
             f"cannot integrate one-forms over {ring.value}; "
             "use invariant() to view an integral connection in a ring "
@@ -336,10 +333,6 @@ def matrix_residual(module: FramedNablaModule,
                for v, s in zip(row, vc_row))
 
 
-_INVARIANT_SOURCES = (RingLabel.FORMAL, RingLabel.GAMMA_PLUS,
-                      RingLabel.E_PLUS, RingLabel.ROBBA_PLUS)
-
-
 def invariant(module: FramedNablaModule,
               trunc_order: int) -> InvariantRepresentative:
     """The normalized line-integral representative of a framed module.
@@ -349,14 +342,15 @@ def invariant(module: FramedNablaModule,
     constant term to the identity makes the representative deterministic
     for the given frame and truncation."""
     conn = module.connection
-    if conn.ring not in _INVARIANT_SOURCES:
+    if conn.ring.laurent:
         raise InvalidInputError(
             f"connections over {conn.ring.value} have no origin to "
             "normalize at; expected a power-series ring"
         )
-    if conn.ring.padic and conn.ring is not RingLabel.ROBBA_PLUS:
-        module = FramedNablaModule._trusted(
-            module.signature, conn.relabeled(RingLabel.ROBBA_PLUS))
+    ring = conn.ring.antiderive_targets[0]
+    if conn.ring is not ring:
+        module = FramedNablaModule._trusted(module.signature,
+                                            conn.relabeled(ring))
     # Each antiderivative above the diagonal has zero constant term.
     return InvariantRepresentative._trusted(trivialize(module, trunc_order))
 

@@ -301,7 +301,7 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
     if var != ring.variable:
         raise ParseError(
             f"ring {ring.value} uses the variable {ring.variable!r}, "
-            f"not {var!r}")
+            f"not {var!r}", at)
     _check_ring_prime(ring, prime)
     check_precision(prime, abs_prec)
     if trunc < 0 and not ring.laurent:

@@ -41,19 +41,21 @@ checks itself in ``__post_init__`` (the windows here, the matrices, framed
 modules and representatives of ``nabla`` and ``scheme``) inherits
 ``_Checked._trusted``, which builds it from fields known valid and skips the
 check.
-``series_from_coeffs``, the one way from a value to a coefficient for
-``zero_series``, ``monomial``, ``biseries_from_map`` and the text reader,
-checks each value's kind and integrality only where it can fail;
-``antiderive`` checks only integrality.  Both build through ``_trusted``.
-``TruncatedSeries(...)`` checks the results of ``scale`` and of a
-``relabeled`` into a ring that may refuse a coefficient.  ``+``, ``-``,
-``*``, ``clipped``, ``without_constant_term``, ``derive``, ``inverse``,
-``dlog``, the logs, ``unit_decompose`` and the other relabels are valid by
-construction and skip every check through ``_trusted``.
+Coefficients meet through ``_check_coeffs``: kind, then prime, then
+integrality, refused at the lowest degree.  ``TruncatedSeries(...)`` runs
+it (on the results of ``scale`` and of a ``relabeled`` into a ring that may
+refuse one); ``series_from_coeffs``, the one way from a value to a
+coefficient for ``zero_series``, ``monomial``, ``biseries_from_map`` and
+the text reader, only when a value can fail it, after converting ints and
+Fractions; ``antiderive`` only into an integral ring.  These two, ``+``,
+``-``, ``*``, ``clipped``, ``without_constant_term``, ``derive``,
+``inverse``, ``dlog``, the logs, ``unit_decompose`` and the other relabels
+build through ``_trusted`` and skip every other check.
 
 Ring labels say which coefficient ring applies (exact rationals in
 characteristic zero, p-adics otherwise), whether negative degrees are
-allowed, and whether coefficients must stay in the integer ring.
+allowed, whether coefficients must stay in the integer ring, and where
+forms integrate (``antiderive_targets``, ``trivialize`` in the first).
 """
 
 from __future__ import annotations
@@ -110,37 +112,37 @@ class RingLabel(Enum):
     def variable(self) -> str:
         return "t" if self is RingLabel.FORMAL else "u"
 
+    @property
+    def antiderive_targets(self) -> tuple:
+        """The rings ``antiderive`` takes a form over this ring into: first
+        where every form without residue integrates, then the integral one."""
+        if not self.padic:
+            return (self,)
+        if self.laurent:
+            return (RingLabel.ROBBA, RingLabel.GAMMA)
+        return (RingLabel.ROBBA_PLUS, RingLabel.GAMMA_PLUS)
 
-def _check_coeff(ring: RingLabel, prime, c, degree: int):
-    if ring.padic:
-        if not isinstance(c, PAdic):
+
+def _check_coeffs(ring: RingLabel, prime, min_degree: int, coeffs):
+    """Refuse, at the lowest degree, a value from min_degree on that is not
+    a coefficient of ring: not of its kind, then of another prime, then
+    outside an integral ring.  The one check on a window's coefficients."""
+    kind = PAdic if ring.padic else Fraction
+    integral = ring.integral
+    for d, c in enumerate(coeffs, min_degree):
+        if not isinstance(c, kind):
+            raise InvalidInputError(f"coefficient {c!r} at degree {d} is not "
+                                    f"a value of ring {ring.value}")
+        if kind is PAdic and c.prime != prime:
             raise InvalidInputError(
-                f"ring {ring.value} needs p-adic coefficients, got {c!r}"
-            )
-        if c.prime != prime:
-            raise InvalidInputError(
-                f"coefficient at degree {degree} has prime {c.prime}, "
+                f"coefficient at degree {d} has prime {c.prime}, "
                 f"series has prime {prime}"
             )
-        _check_integral(ring, degree, (c,))
-    else:
-        if not isinstance(c, Fraction):
-            raise InvalidInputError(
-                f"ring {ring.value} needs rational coefficients, got {c!r}"
+        if integral and c.valuation_floor < 0:
+            raise IntegralityError(
+                f"coefficient {c} at degree {d} is not integral, "
+                f"required by ring {ring.value}"
             )
-
-
-def _check_integral(ring: RingLabel, min_degree: int, coeffs):
-    """Raise at the lowest degree whose coefficient ring refuses, for
-    coefficients from min_degree on of the ring's kind and prime: the one
-    check on them that can fail."""
-    if ring.integral:
-        for d, c in enumerate(coeffs, min_degree):
-            if c.valuation_floor < 0:
-                raise IntegralityError(
-                    f"coefficient {c} at degree {d} is not integral, "
-                    f"required by ring {ring.value}"
-                )
 
 
 def _check_window(ring: RingLabel, min_degree: int, trunc_order: int,
@@ -485,8 +487,7 @@ class TruncatedSeries(_CoeffWindow):
                 f"{len(self.coeffs)} coefficients do not fill window "
                 f"[{self.min_degree}, {self.trunc_order})"
             )
-        for i, c in enumerate(self.coeffs):
-            _check_coeff(self.ring, self.prime, c, self.min_degree + i)
+        _check_coeffs(self.ring, self.prime, self.min_degree, self.coeffs)
 
     # -- basic views -------------------------------------------------------
 
@@ -726,31 +727,25 @@ def series_from_coeffs(ring: RingLabel, min_degree: int, values,
     a coefficient.  A value is an int (not a bool), a Fraction or, over a
     p-adic ring, a PAdic of its prime, kept as it is.  Over the p-adics an
     int is p^0 * n mod p^abs_prec and a Fraction goes through
-    PAdic.from_rational; each 0 is one shared zero.  Only a value that is
-    not an int, or an abs_prec below 0, can leave an integral ring."""
+    PAdic.from_rational; each 0 is one shared zero.  The converted window
+    goes through ``_check_coeffs`` only where it can fail: for a value of
+    another kind, a Fraction in an integral ring or an abs_prec below 0."""
     _check_window(ring, min_degree, min_degree, prime)
     padic = ring.padic
     zero = _materialize_zero(ring, prime, abs_prec)
-    coeffs, check = [], abs_prec < 0
-    for d, v in enumerate(values, min_degree):
+    coeffs, check, integral = [], abs_prec < 0, ring.integral
+    for v in values:
         if type(v) is int:
             c = zero if not v else _reduce(prime, 0, v, abs_prec) if padic \
                 else Fraction(v)
         elif isinstance(v, Fraction):
             c = PAdic.from_rational(v, prime, abs_prec) if padic else v
-            check = True
-        elif padic and isinstance(v, PAdic) and v.prime == prime:
-            c, check = v, True
+            check |= integral
         else:
-            # A lower degree that leaves the ring is refused first.
-            _check_integral(ring, min_degree, coeffs)
-            if padic and isinstance(v, PAdic):
-                _check_coeff(ring, prime, v, d)  # of another prime: raises
-            raise InvalidInputError(f"coefficient {v!r} at degree {d} is not "
-                                    f"a value of ring {ring.value}")
+            c, check = v, True
         coeffs.append(c)
     if check:
-        _check_integral(ring, min_degree, coeffs)
+        _check_coeffs(ring, prime, min_degree, coeffs)
     return TruncatedSeries._trusted(ring, min_degree, tuple(coeffs),
                                     min_degree + len(coeffs), prime)
 
@@ -769,18 +764,6 @@ def derive(s: TruncatedSeries) -> DifferentialForm:
         TruncatedSeries._trusted(s.ring, lo, coeffs, hi, s.prime))
 
 
-_ANTIDERIVE_TARGETS = {
-    RingLabel.FORMAL: (RingLabel.FORMAL,),
-    RingLabel.GAMMA_PLUS: (RingLabel.ROBBA_PLUS, RingLabel.GAMMA_PLUS),
-    RingLabel.E_PLUS: (RingLabel.ROBBA_PLUS, RingLabel.GAMMA_PLUS),
-    RingLabel.ROBBA_PLUS: (RingLabel.ROBBA_PLUS, RingLabel.GAMMA_PLUS),
-    RingLabel.GAMMA: (RingLabel.ROBBA, RingLabel.GAMMA),
-    RingLabel.E: (RingLabel.ROBBA, RingLabel.GAMMA),
-    RingLabel.DAGGER: (RingLabel.ROBBA, RingLabel.GAMMA),
-    RingLabel.ROBBA: (RingLabel.ROBBA, RingLabel.GAMMA),
-}
-
-
 def antiderive(f: DifferentialForm, target: RingLabel) -> TruncatedSeries:
     """The antiderivative with zero constant term, in the target ring.
 
@@ -788,7 +771,7 @@ def antiderive(f: DifferentialForm, target: RingLabel) -> TruncatedSeries:
     antiderivative; the error carries that residue.
     """
     s = f.series
-    allowed = _ANTIDERIVE_TARGETS[s.ring]
+    allowed = s.ring.antiderive_targets
     if target not in allowed:
         raise InvalidInputError(
             f"cannot integrate a form over {s.ring.value} into {target.value}; "
@@ -809,12 +792,13 @@ def antiderive(f: DifferentialForm, target: RingLabel) -> TruncatedSeries:
             coeffs.append(_materialize_zero(target, s.prime, s._working_prec()))
         else:
             coeffs.append(s._at(d - 1) / d)
-    try:
-        _check_integral(target, lo, coeffs)
-    except IntegralityError as exc:
-        raise IntegralityError(
-            f"antiderivative leaves the integer ring: {exc}"
-        ) from None
+    if target.integral:
+        try:
+            _check_coeffs(target, s.prime, lo, coeffs)
+        except IntegralityError as exc:
+            raise IntegralityError(
+                f"antiderivative leaves the integer ring: {exc}"
+            ) from None
     return TruncatedSeries._trusted(target, lo, tuple(coeffs), hi, s.prime)
 
 
@@ -979,7 +963,7 @@ def padic_log_one_minus_py(y: TruncatedSeries) -> TruncatedSeries:
     precision, each term padded to the end of y's window with zeros at
     n - v_p(n), the valuation it is known to have where its own window
     ends.  The output is integral."""
-    if y.ring not in (RingLabel.GAMMA, RingLabel.GAMMA_PLUS):
+    if not y.ring.integral:
         raise InvalidInputError(
             f"padic_log_one_minus_py needs an integral ring, got {y.ring.value}"
         )

@@ -613,6 +613,8 @@ class TestParseErrors:
         (["residue", "u^-1 + O(u^1, x^2)"],
          "a one-variable series takes a one-variable marker (at column 10)"),
         (["parse-check", "   1 + + O(t^2)"], "expected a term (at column 8)"),
+        (["plog", "--p", "3", "1 + O(t^2)"],
+         "ring gamma+ uses the variable 'u', not 't' (at column 7)"),
     ])
     def test_stderr_bytes(self, cli, argv, message):
         code, out, err = cli(argv)

@@ -755,3 +755,58 @@ class TestInvariant:
         v = UnipotentMatrix(sig, F, ((one, shifted), (z, one)))
         with pytest.raises(InvalidInputError):
             InvariantRepresentative(v)
+
+
+# The ring lattice as the three tables that held it before RingLabel did.
+G, E_PLUS, E = RingLabel.GAMMA, RingLabel.E_PLUS, RingLabel.E
+ANTIDERIVE_TARGETS = {
+    F: (F,),
+    GP: (RP, GP), E_PLUS: (RP, GP), RP: (RP, GP),
+    G: (R, G), E: (R, G), RingLabel.DAGGER: (R, G), R: (R, G),
+}
+TRIVIALIZE_RINGS = (F, RP, R)
+INVARIANT_SOURCES = (F, GP, E_PLUS, RP)
+
+
+def du_module(ring):
+    """The 2x2 module over ring (p = 3) with one du above the diagonal."""
+    p = 3 if ring.padic else None
+    z = DifferentialForm(zero_series(ring, 0, 4, p))
+    du = DifferentialForm(one_series(ring, 4, p))
+    return FramedNablaModule(Signature((1, 1)),
+                             ConnectionMatrix(ring, ((z, du), (z, z)), p))
+
+
+@pytest.mark.parametrize("ring", list(RingLabel), ids=lambda r: r.value)
+class TestRingLattice:
+    """Where forms integrate, read off RingLabel, against the old tables."""
+
+    def test_antiderive_targets(self, ring):
+        form = du_module(ring).connection.entries[0][1]
+        want = ANTIDERIVE_TARGETS[ring]
+        taken, refusals = [], []
+        for target in RingLabel:
+            try:
+                taken.append(antiderive(form, target).ring)
+            except InvalidInputError as exc:
+                refusals.append(str(exc))
+        assert ring.antiderive_targets == want
+        assert set(taken) == set(want) and len(taken) == len(want)
+        allowed = "allowed targets: " + ", ".join(r.value for r in want)
+        assert refusals and all(m.endswith(allowed) for m in refusals)
+
+    def test_trivialize_rings(self, ring):
+        if ring in TRIVIALIZE_RINGS:
+            assert trivialize(du_module(ring), 5).ring is ring
+        else:
+            with pytest.raises(InvalidInputError,
+                               match="cannot integrate one-forms"):
+                trivialize(du_module(ring), 5)
+
+    def test_invariant_sources(self, ring):
+        if ring in INVARIANT_SOURCES:
+            rep = invariant(du_module(ring), 5)
+            assert rep.matrix.ring is (RP if ring.padic else F)
+        else:
+            with pytest.raises(InvalidInputError, match="no origin"):
+                invariant(du_module(ring), 5)

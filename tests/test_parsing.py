@@ -649,7 +649,8 @@ class TestCheckOrder:
     def test_series_checks_the_variable_first(self):
         with pytest.raises(ParseError) as exc:
             parse_series("1 + O(t^2)", GP, 3, 2585)
-        assert str(exc.value) == "ring gamma+ uses the variable 'u', not 't'"
+        assert str(exc.value) == ("ring gamma+ uses the variable 'u', not 't' "
+                                  "(at column 7)")
 
     def test_biseries_checks_the_precision_first(self):
         with pytest.raises(InvalidInputError) as exc:

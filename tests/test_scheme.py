@@ -881,19 +881,19 @@ class TestConstantsBuiltUnchecked:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = Counter()
-        lift, check = PAdic.from_rational.__func__, series._check_coeff
+        lift, check = PAdic.from_rational.__func__, series._check_coeffs
 
         def counted_lift(cls, *args):
             calls["from_rational"] += 1
             return lift(cls, *args)
 
         def counted_check(*args):
-            calls["_check_coeff"] += 1
+            calls["_check_coeffs"] += 1
             return check(*args)
 
         monkeypatch.setattr(PAdic, "from_rational",
                             classmethod(counted_lift))
-        monkeypatch.setattr(series, "_check_coeff", counted_check)
+        monkeypatch.setattr(series, "_check_coeffs", counted_check)
         return calls
 
     def test_trivialize(self, counted):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lineint.coeff import PAdic
 from lineint.errors import (
+    CalculusError,
     CannotDetermineDegreeError,
     DisjointWindowsError,
     InsufficientWindowError,
@@ -47,6 +48,14 @@ def fseries(min_degree, values):
 
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+
+# Windows that series_from_coeffs keeps as they are, p-adic ones at p = 3;
+# the Fractions only over formal.  In the last two the first value leaves
+# an integral ring and the second is of no ring's kind.
+THIRD = PAdic.from_rational(Fraction(1, 3), 3, 5)
+KEPT_VALUES = [[PAdic.one(3, 5)], [PAdic.one(5, 5)], [THIRD],
+               [Fraction(1, 2)], [Fraction(1, 2), PAdic.one(3, 5)],
+               [True], [1.0], ["1"], [None], [THIRD, None], [THIRD, "1"]]
 
 
 def formal_series(min_len=1, max_len=8):
@@ -162,6 +171,27 @@ class TestConstruction:
         for build in builds:
             with pytest.raises(InvalidInputError, match="at degree 2"):
                 build()
+
+    @pytest.mark.parametrize("ring,values", [
+        (ring, values) for ring in RingLabel for values in KEPT_VALUES
+        if not (ring.padic and isinstance(values[0], Fraction))],
+        ids=lambda x: getattr(x, "value", None) or "-".join(map(repr, x)))
+    def test_constructor_and_builder_refuse_alike(self, ring, values):
+        """Over values the builder keeps as they are, TruncatedSeries(...)
+        and series_from_coeffs give one window or one refusal."""
+        prime = 3 if ring.padic else None
+
+        def outcome(build):
+            try:
+                s = build()
+            except CalculusError as exc:
+                return type(exc), str(exc)
+            return (s.ring, s.min_degree, tuple(map(repr, s.coeffs)),
+                    s.trunc_order, s.prime)
+
+        assert outcome(lambda: TruncatedSeries(
+            ring, 0, tuple(values), len(values), prime)) == outcome(
+            lambda: series_from_coeffs(ring, 0, values, prime))
 
     def test_zero_series_over_a_padic_ring_needs_a_prime(self):
         with pytest.raises(InvalidInputError, match="gamma needs a prime"):
