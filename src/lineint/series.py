@@ -30,9 +30,10 @@ window: da's lifts read off a's, the inverse's unreduced, one Kronecker
 product.  Zeros lift to 0, so a zero coefficient costs only its precision.
 Over the rationals the kernel adds exact ``_dot`` sums in the same loop,
 and ``inverse``, ``dlog`` and ``formal_log`` are one integer quotient
-each: each coefficient a numerator over its own reduced denominator, made
-into one ``Fraction`` and refused as ``coeff_text`` refuses it before the
-next degree is computed.
+each: the earlier coefficients held as integers over one running
+denominator, the lcm of their reduced ones, each new one reduced by one
+gcd, made into one ``Fraction`` and refused as ``coeff_text`` refuses it
+before the next degree is computed.
 
 Validation happens at the boundary, and values meet through one check,
 ``_check_member``: the kind, then one ring and prime, for the operands of
@@ -66,7 +67,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from math import gcd, inf, lcm
-from operator import add, eq, floordiv, lt, mul, neg, sub
+from operator import add, eq, lt, mul, neg, sub
 
 from .coeff import PAdic, _reduce, check_prime, vp_int
 from .errors import (
@@ -131,7 +132,7 @@ def _check_coeffs(ring: RingLabel, prime, min_degree: int, coeffs):
     integral = ring.integral
     for d, c in enumerate(coeffs, min_degree):
         if not isinstance(c, kind):
-            raise InvalidInputError(f"coefficient {c!r} at degree {d} is not "
+            raise InvalidInputError(f"{_named(c, repr)} at degree {d} is not "
                                     f"a value of ring {ring.value}")
         if kind is PAdic and c.prime != prime:
             raise InvalidInputError(
@@ -140,9 +141,18 @@ def _check_coeffs(ring: RingLabel, prime, min_degree: int, coeffs):
             )
         if integral and c.valuation_floor < 0:
             raise IntegralityError(
-                f"coefficient {c} at degree {d} is not integral, "
+                f"{_named(c, str)} at degree {d} is not integral, "
                 f"required by ring {ring.value}"
             )
+
+
+def _named(c, text):
+    """'coefficient X', X = text(c), or 'coefficient' when X would have more
+    digits than Python writes out (sys.get_int_max_str_digits())."""
+    try:
+        return f"coefficient {text(c)}"
+    except ValueError:
+        return "coefficient"
 
 
 def _check_window(ring: RingLabel, min_degree: int, trunc_order: int,
@@ -197,14 +207,23 @@ def _rational_quotient(num, den):
     With 1/den[0] = w/u (u > 0), num[k] = y/z and r_j = den[j]/den[0] =
     a_j/b_j, Q_k = y*w/(z*u) - sum_(j=1..k) r_j * Q_(k-j).  For
     den[j] = y_j/z_j, r_j is y_j*w/(z_j*u) reduced by one gcd, so b_j > 0.
-    Each Q_k is kept as q_k/d_k in lowest terms: with m the lcm of the
-    b_j * d_(k-j) over the nonzero r_j and, if y is nonzero, of z*u,
-    m * Q_k = y*w * (m/(z*u)) - sum_j a_j * (m/(b_j * d_(k-j))) * q_(k-j),
-    and one gcd reduces it.  Reduced denominators keep each integer the
-    size of its coefficient.  Scaling every Q_k by a power of one integer
-    instead, den[0] times the lcm of den's denominators, would not: for
-    the inverse of exp(t) to 128 terms that integer is 127!, and Q_127 =
-    -1/127! of 710 bits would be held as an integer of 90,000 bits."""
+    The ratios share one denominator B, the lcm of the b_j, as integers
+    R_j = a_j * (B/b_j), and the earlier Q_i share one running D, the lcm
+    of d_0 ... d_(k-1), as integers P_i = Q_i * D.  Then
+    B*D * Q_k = y*w * (B*D/(z*u)) - sum_j R_j * P_(k-j): k products,
+    the y term brought onto lcm(z*u, B*D) by one gcd, and one gcd reduces
+    it.  When d_k does not divide D, D and every P_i take the missing
+    factor d_k/gcd(D, d_k).
+    D stays small because it is an lcm of reduced denominators: at each
+    prime it holds the largest power that any d_i holds.  Each Q_i enters
+    the later Q_k through the ratios, so the longest d_i lacks such a
+    power only where a numerator cancelled it, by chance: on drawn
+    inverses and dlogs D is at most 27 bits longer than the longest d_i.
+    Scaling every Q_k by a power of one integer instead, den[0] times the
+    lcm of den's denominators, would not keep it small: for the inverse
+    of exp(t) to 128 terms that integer is 127!, and Q_127 = -1/127! of
+    710 bits would be held as an integer of 90,000 bits, where D is 126!
+    and no P_i is longer."""
     n = min(len(num), len(den))
     u, w = den[0].numerator, den[0].denominator
     if u < 0:
@@ -216,21 +235,25 @@ def _rational_quotient(num, den):
         g = gcd(s, m)
         a.append(s // g)
         b.append(m // g)
-    q, d = [], []
+    lcm_b = lcm(*b)
+    r = [x * (lcm_b // y) for x, y in zip(a, b)]
+    p, lcm_d = [], 1
     for y, z in num[:n]:
-        bd = list(map(mul, b, compress(reversed(d), nonzero)))
-        v = z * u
-        m = lcm(v, *bd) if y else lcm(*bd)
-        s = -sum(map(mul, map(mul, a, map(floordiv, repeat(m), bd)),
-                     compress(reversed(q), nonzero)))
+        m = lcm_b * lcm_d
+        s = -sum(map(mul, r, compress(reversed(p), nonzero)))
         if y:
-            s += y * w * (m // v)
+            v = z * u
+            g = gcd(v, m)
+            s, m = s * (v // g) + y * w * (m // g), m * (v // g)
         g = gcd(s, m)
         if g > 1:
             s, m = s // g, m // g
-        q.append(s)
-        d.append(m)
         yield s, m
+        f = m // gcd(lcm_d, m)
+        if f > 1:
+            lcm_d *= f
+            p = [x * f for x in p]
+        p.append(s * (lcm_d // m))
 
 
 def _rational_dlog(a):

@@ -12,7 +12,9 @@ integers of ``series._padic_inverse``); over the rationals it adds exact
 ``dlog`` and ``formal_log`` are one long division on integers each
 (``series._rational_quotient``; ``TestRationalLogMatchesRoute`` keeps
 formal_log's old route, the antiderivative of the loops' dlog, as its
-oracle), and ``BiSeries.__mul__`` is a convolution
+oracle, and ``TestRationalQuotientMatchesLcm`` keeps the quotient's old
+per-degree lcm, ``lcm_rational_quotient``, as the oracle of its one
+running denominator), and ``BiSeries.__mul__`` is a convolution
 of its columns' series products.  Those loops are kept here as test-only
 oracles, ``loop_add`` for every sum, so no oracle runs the kernel: the
 kernels must give the same ring, window, coefficient type and text, and
@@ -53,8 +55,9 @@ own: a slice, for ``inverse``, ``dlog``, ``padic_log_dagger``, ``+``,
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from math import factorial
-from operator import add, mul, sub
+from itertools import compress, repeat
+from math import factorial, gcd, lcm
+from operator import add, floordiv, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +93,7 @@ from lineint.series import (
     _floor_log,
     _padic_inverse,
     _pair_precisions,
+    _rational_quotient,
     _sum_of_products,
     _unit_constant_term,
     antiderive,
@@ -222,6 +226,39 @@ def loop_formal_log(a, loop_dlog):
     s = antiderive(DifferentialForm(loop_dlog()), RingLabel.FORMAL)
     return TruncatedSeries(RingLabel.FORMAL, 0, (Fraction(0),) + s.coeffs,
                            s.trunc_order)
+
+
+def lcm_rational_quotient(num, den):
+    """_rational_quotient with each Q_k kept as q_k/d_k in lowest terms:
+    over m, the lcm of the b_j * d_(k-j) of the nonzero ratios and, if y
+    is nonzero, of z*u, m * Q_k = y*w * (m/(z*u)) - sum_j a_j *
+    (m/(b_j * d_(k-j))) * q_(k-j), and one gcd reduces it."""
+    n = min(len(num), len(den))
+    u, w = den[0].numerator, den[0].denominator
+    if u < 0:
+        u, w = -u, -w
+    nonzero = [bool(x) for x in den[1:n]]
+    a, b = [], []
+    for x in compress(den[1:n], nonzero):
+        s, m = x.numerator * w, x.denominator * u
+        g = gcd(s, m)
+        a.append(s // g)
+        b.append(m // g)
+    q, d = [], []
+    for y, z in num[:n]:
+        bd = list(map(mul, b, compress(reversed(d), nonzero)))
+        v = z * u
+        m = lcm(v, *bd) if y else lcm(*bd)
+        s = -sum(map(mul, map(mul, a, map(floordiv, repeat(m), bd)),
+                     compress(reversed(q), nonzero)))
+        if y:
+            s += y * w * (m // v)
+        g = gcd(s, m)
+        if g > 1:
+            s, m = s // g, m // g
+        q.append(s)
+        d.append(m)
+        yield s, m
 
 
 def loop_pair_precisions(na, va, nb, vb):
@@ -513,6 +550,104 @@ class TestRationalLogMatchesRoute:
         drawn = data.draw(UNIT_SERIES if unit else SERIES)
         self.assert_same(make_series(RingLabel.FORMAL, None, drawn,
                                      unit_lead=unit))
+
+
+def fractions_to(top):
+    return st.builds(Fraction, st.integers(-top, top), st.integers(1, top))
+
+
+SMALL_PRIMES = [q for q in range(2, 300) if all(q % f for f in range(2, q))]
+# Rational divisors den by shape, den[0] nonzero, up to 48 terms: digits,
+# denominators to 30 and to 1,000, one distinct prime denominator per
+# degree, and zero ratios, sparse or at every even degree past the first.
+QUOTIENT_LENGTHS = st.integers(1, 48)
+DIGIT = st.integers(0, 9).map(Fraction)
+ZERO = st.just(Fraction(0))
+SPARSE = st.tuples(st.integers(0, 3), fractions_to(30)).map(
+    lambda t: t[1] * (t[0] == 0))
+QUOTIENT_DIVISORS = {
+    "dense digits": (DIGIT.filter(bool), lambda j: DIGIT),
+    "denominators to 30": (fractions_to(30).filter(bool),
+                           lambda j: fractions_to(30)),
+    "denominators to 1000": (fractions_to(1000).filter(bool),
+                             lambda j: fractions_to(1000)),
+    "distinct primes": (fractions_to(9).filter(bool),
+                        lambda j: st.integers(-9, 9).map(
+                            lambda c, q=SMALL_PRIMES[j]: Fraction(c, q))),
+    "sparse zeros": (fractions_to(30).filter(bool), lambda j: SPARSE),
+    "odd only": (fractions_to(30).filter(bool),
+                 lambda j: fractions_to(30) if j % 2 else ZERO),
+}
+# Numerator pairs (y, z) with their own denominators, zeros among them.
+OWN_NUMERATORS = st.lists(st.tuples(
+    st.integers(-1000, 1000).map(lambda y: y * (y % 3 != 0)),
+    st.integers(1, 1000)), max_size=50)
+
+
+def drawn_divisor(data, shape):
+    lead, rest = QUOTIENT_DIVISORS[shape]
+    n = data.draw(QUOTIENT_LENGTHS)
+    return [data.draw(lead)] + [data.draw(rest(j)) for j in range(1, n)]
+
+
+def quotient_numerators(den):
+    """The numerators the library divides by den: 1 (inverse) and da
+    (dlog)."""
+    return {"inverse": [(1, 1)] + [(0, 1)] * (len(den) - 1),
+            "dlog": [(k * x.numerator, x.denominator)
+                     for k, x in enumerate(den[1:], 1)]}
+
+
+def quotient_pairs(quotient, num, den):
+    """The pairs (q_k, d_k) quotient yields, or the class of its error."""
+    try:
+        return list(quotient(num, den))
+    except Exception as e:
+        return type(e)
+
+
+class TestRationalQuotientMatchesLcm:
+    """_rational_quotient holds the earlier coefficients over one running
+    denominator; the per-degree lcm it replaced, lcm_rational_quotient, is
+    its oracle, pair by pair: numerators, denominators and error classes."""
+
+    @staticmethod
+    def assert_same(num, den):
+        assert quotient_pairs(_rational_quotient, num, den) == \
+            quotient_pairs(lcm_rational_quotient, num, den), (num, den)
+
+    @given(st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @pytest.mark.parametrize("shape", sorted(QUOTIENT_DIVISORS))
+    def test_drawn(self, shape, data):
+        den = drawn_divisor(data, shape)
+        for num in quotient_numerators(den).values():
+            self.assert_same(num, den)
+        self.assert_same(data.draw(OWN_NUMERATORS), den)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_exp(self, n):
+        den = [Fraction(1, factorial(d)) for d in range(n)]
+        for num in quotient_numerators(den).values():
+            self.assert_same(num, den)
+
+
+# D, the lcm of the d_k, exceeds the longest d_k by at most this many bits
+# on every divisor drawn below, as inverse and as dlog; the draws reach 27,
+# a few cancelled primes below 300.  A power of one integer as the scale
+# would be thousands of bits longer (127! for exp(t) at 128 terms).
+RUNNING_DENOMINATOR_MARGIN = 48
+
+
+@given(st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+@pytest.mark.parametrize("shape", sorted(QUOTIENT_DIVISORS))
+def test_running_denominator_stays_small(shape, data):
+    den = drawn_divisor(data, shape)
+    for name, num in quotient_numerators(den).items():
+        d = [d for _, d in _rational_quotient(num, den)] or [1]
+        excess = lcm(*d).bit_length() - max(d).bit_length()
+        assert excess <= RUNNING_DENOMINATOR_MARGIN, (name, den)
 
 
 # -- all-zero factors -------------------------------------------------------

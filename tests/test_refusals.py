@@ -7,10 +7,17 @@ the message.  The command-line refusals of the same kind are in
 tests/test_cli.py.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from lineint.coeff import PAdic, vp_int
-from lineint.errors import CalculusError, InvalidInputError, ParseError
+from lineint.errors import (
+    CalculusError,
+    IntegralityError,
+    InvalidInputError,
+    ParseError,
+)
 from lineint.nabla import (
     ConnectionMatrix,
     FramedNablaModule,
@@ -35,6 +42,7 @@ from lineint.scheme import (
 from lineint.series import (
     DifferentialForm,
     RingLabel,
+    TruncatedSeries,
     derive,
     monomial,
     padic_log_one_minus_py,
@@ -130,6 +138,15 @@ REFUSALS = {
     "one-form of a number": (
         lambda: DifferentialForm(1), InvalidInputError,
         "expected a TruncatedSeries, got 1"),
+    "coefficient of more digits than Python writes": (
+        lambda: TruncatedSeries(GP, 0, (Fraction(10**5000),), 1, 3),
+        InvalidInputError,
+        "coefficient at degree 0 is not a value of ring gamma+"),
+    "non-integral coefficient of more digits than Python writes": (
+        lambda: TruncatedSeries(GP, 0, (PAdic(3, -1, 3**9100 + 1, 9100),),
+                                1, 3),
+        IntegralityError,
+        "coefficient at degree 0 is not integral, required by ring gamma+"),
     "two-variable form of a number": (
         lambda: BiForm(1, zero_biseries(F, 2, 2)), InvalidInputError,
         "expected a BiSeries, got 1"),
