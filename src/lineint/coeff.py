@@ -14,14 +14,16 @@ is provably correct modulo p^N given what was known about the operands.
 
 A value that cannot be told apart from zero at its precision is stored with
 ``valuation = None`` and ``unit = 0``; it stands for "some element of
-valuation >= abs_prec".
+valuation >= abs_prec", the ball p^abs_prec * Z_p.  Arithmetic computes on
+a zero as the unit 0 at its ``valuation_floor``, abs_prec.
 
 The arithmetic works on these integer fields directly, never through
-``Fraction``.  A sum brings both units to the smaller valuation with one
-power of p and adds once; a product adds valuations and multiplies units; a
-quotient multiplies by one modular inverse.  Every result then passes the
-shared strip-and-reduce step (strip factors of p with :func:`vp_int`, reduce
-the unit modulo p^(abs_prec - valuation)), so the form stays canonical.
+``Fraction``.  A sum brings both units to the smaller valuation floor with
+powers of p and adds once; a product adds floors and multiplies units; a
+quotient multiplies by one modular inverse.  Every result then passes
+:func:`_reduce` (strip factors of p with :func:`vp_int`, reduce the unit
+modulo p^(abs_prec - valuation)), so the form stays canonical; it is the
+one place that recognises a zero.
 
 Validation happens at the boundary: ``PAdic(...)``, ``zero``, ``one``,
 ``from_rational`` and ``padic_normalize`` check prime and form.  Results of
@@ -121,6 +123,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _named(noun, x, text=str, ends=False):
+    """f"{noun} {text(x)}": how a refusal names a value.  When text(x) would
+    have more digits than Python writes out (sys.get_int_max_str_digits()),
+    the noun stands alone or, if it ends the message, says the value is too
+    long to write."""
+    try:
+        return f"{noun} {text(x)}"
+    except ValueError:
+        return f"{noun} a value too long to write" if ends else noun
+
+
 def vp_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -170,8 +183,8 @@ class PAdic:
                 )
             if not 1 <= self.unit < self.prime**rel or self.unit % self.prime == 0:
                 raise InvalidInputError(
-                    f"unit {self.unit} invalid for relative precision {rel}"
-                )
+                    f"{_named('unit', self.unit)} invalid for relative "
+                    f"precision {rel}")
 
     # -- constructors -----------------------------------------------------
 
@@ -210,11 +223,10 @@ class PAdic:
 
     def to_fraction(self) -> Fraction:
         """The exact rational representative p^v * unit (0 for the zero case)."""
-        if self.valuation is None:
-            return Fraction(0)
-        if self.valuation >= 0:
-            return Fraction(self.unit * self.prime**self.valuation)
-        return Fraction(self.unit, self.prime ** (-self.valuation))
+        v = self.valuation_floor
+        if v >= 0:
+            return Fraction(self.unit * self.prime**v)
+        return Fraction(self.unit, self.prime**-v)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -232,28 +244,16 @@ class PAdic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p, n = self.prime, min(self.abs_prec, o.abs_prec)
-        va, vb = self.valuation, o.valuation
-        if vb is None:
-            if va is None:
-                return _padic(p, None, 0, n)
-            return _reduce(p, va, self.unit, n)
-        if va is None:
-            return _reduce(p, vb, o.unit, n)
-        if va <= vb:
-            s = self.unit + o.unit * p ** (vb - va)
-        else:
-            s, va = o.unit + self.unit * p ** (va - vb), vb
-        return _reduce(p, va, s, n)
+        p, fa, fb = self.prime, self.valuation_floor, o.valuation_floor
+        v = min(fa, fb)
+        return _reduce(p, v, self.unit * p**(fa - v) + o.unit * p**(fb - v),
+                       min(self.abs_prec, o.abs_prec))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PAdic":
-        if self.valuation is None:
-            return self
-        rel = self.abs_prec - self.valuation
-        return _padic(self.prime, self.valuation, -self.unit % self.prime**rel,
-                      self.abs_prec)
+        return _reduce(self.prime, self.valuation_floor, -self.unit,
+                       self.abs_prec)
 
     def __sub__(self, other) -> "PAdic":
         o = self._coerce(other)
@@ -271,23 +271,16 @@ class PAdic:
         p = self.prime
         if isinstance(other, PAdic):
             o = self._coerce(other)
-            n = min(self.abs_prec + o.valuation_floor,
-                    o.abs_prec + self.valuation_floor)
-            if self.valuation is None or o.valuation is None:
-                return _padic(p, None, 0, n)
-            # A product of units is a unit known to min(rel_a, rel_b) = n - v
-            # digits.
-            v = self.valuation + o.valuation
-            return _padic(p, v, self.unit * o.unit % p ** (n - v), n)
+            fa, fb = self.valuation_floor, o.valuation_floor
+            return _reduce(p, fa + fb, self.unit * o.unit,
+                           min(self.abs_prec + fb, o.abs_prec + fa))
         if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
             return NotImplemented
         # Exact scalar: relative precision is preserved.
         if other == 0:
             return _padic(p, None, 0, self.abs_prec)
         k, num, den = _scalar_parts(other, p)
-        if self.valuation is None:
-            return _padic(p, None, 0, self.abs_prec + k)
-        return _reduce(p, self.valuation + k, self.unit * num,
+        return _reduce(p, self.valuation_floor + k, self.unit * num,
                        self.abs_prec + k, den)
 
     __rmul__ = __mul__
@@ -301,9 +294,7 @@ class PAdic:
         if other == 0:
             raise InvalidInputError("division by zero")
         k, num, den = _scalar_parts(other, p)
-        if self.valuation is None:
-            return _padic(p, None, 0, self.abs_prec - k)
-        return _reduce(p, self.valuation - k, self.unit * den,
+        return _reduce(p, self.valuation_floor - k, self.unit * den,
                        self.abs_prec - k, num)
 
     def inverse(self) -> "PAdic":
@@ -318,10 +309,8 @@ class PAdic:
 
     def truncated(self, abs_prec: int) -> "PAdic":
         """The same value known only modulo p^abs_prec (never gains precision)."""
-        n = min(self.abs_prec, abs_prec)
-        if self.valuation is None:
-            return _padic(self.prime, None, 0, n)
-        return _reduce(self.prime, self.valuation, self.unit, n)
+        return _reduce(self.prime, self.valuation_floor, self.unit,
+                       min(self.abs_prec, abs_prec))
 
     # -- comparison --------------------------------------------------------
 
@@ -358,8 +347,6 @@ def padic_normalize(numerator: int, denominator: int, prime: int,
     check_prime(prime)
     if denominator == 0:
         raise InvalidInputError("denominator must be nonzero")
-    if numerator == 0:
-        return PAdic.zero(prime, abs_prec)
     vd = vp_int(denominator, prime)
     return _reduce(prime, -vd, numerator, abs_prec, denominator // prime**vd)
 
@@ -367,7 +354,7 @@ def padic_normalize(numerator: int, denominator: int, prime: int,
 def _reduce(prime: int, valuation: int, num: int, abs_prec: int,
             den: int = 1) -> PAdic:
     """p^valuation * num/den at precision abs_prec, for den prime to p:
-    strip p from num, then reduce modulo p^(abs_prec - v)."""
+    strip p from num, then reduce modulo p^(abs_prec - v), or give zero."""
     if num % prime == 0:
         if num == 0:
             return _padic(prime, None, 0, abs_prec)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .coeff import _named
 from .errors import InvalidInputError, NotFramedError
 from .series import (
     DifferentialForm,
@@ -46,8 +47,8 @@ class Signature:
             raise InvalidInputError("signature needs at least one part")
         if not all(type(p) is int and p >= 1 for p in self.parts):
             raise InvalidInputError(
-                f"signature parts must be positive integers, got {self.parts}"
-            )
+                "signature parts must be positive integers, "
+                + _named("got", self.parts, ends=True))
 
     @property
     def total(self) -> int:
@@ -221,8 +222,7 @@ class InvariantRepresentative(_Checked):
                 if not (c == 1 if a == b else _coeff_is_zero(c)):
                     raise InvalidInputError(
                         "representative is not normalized: constant term at "
-                        f"({a + 1}, {b + 1}) is {c}"
-                    )
+                        f"({a + 1}, {b + 1}) " + _named("is", c, ends=True))
 
 
 def fundamental_solution(n_matrix: ConnectionMatrix, trunc_order: int) -> tuple:

@@ -69,7 +69,7 @@ from itertools import accumulate, compress, count, repeat
 from math import gcd, inf, lcm
 from operator import add, eq, lt, mul, neg, sub
 
-from .coeff import PAdic, _reduce, check_prime, vp_int
+from .coeff import PAdic, _named, _reduce, check_prime, vp_int
 from .errors import (
     CannotDetermineDegreeError,
     DisjointWindowsError,
@@ -132,8 +132,9 @@ def _check_coeffs(ring: RingLabel, prime, min_degree: int, coeffs):
     integral = ring.integral
     for d, c in enumerate(coeffs, min_degree):
         if not isinstance(c, kind):
-            raise InvalidInputError(f"{_named(c, repr)} at degree {d} is not "
-                                    f"a value of ring {ring.value}")
+            raise InvalidInputError(
+                f"{_named('coefficient', c, repr)} at degree {d} is not a "
+                f"value of ring {ring.value}")
         if kind is PAdic and c.prime != prime:
             raise InvalidInputError(
                 f"coefficient at degree {d} has prime {c.prime}, "
@@ -141,18 +142,9 @@ def _check_coeffs(ring: RingLabel, prime, min_degree: int, coeffs):
             )
         if integral and c.valuation_floor < 0:
             raise IntegralityError(
-                f"{_named(c, str)} at degree {d} is not integral, "
+                f"{_named('coefficient', c)} at degree {d} is not integral, "
                 f"required by ring {ring.value}"
             )
-
-
-def _named(c, text):
-    """'coefficient X', X = text(c), or 'coefficient' when X would have more
-    digits than Python writes out (sys.get_int_max_str_digits())."""
-    try:
-        return f"coefficient {text(c)}"
-    except ValueError:
-        return "coefficient"
 
 
 def _check_window(ring: RingLabel, min_degree: int, trunc_order: int,
@@ -179,7 +171,8 @@ def _check_ring_prime(ring: RingLabel, prime):
 def _check_member(x, kind, ring, prime):
     """Refuse x unless it is a kind over ring and prime: see the module."""
     if not isinstance(x, kind):
-        raise InvalidInputError(f"expected a {kind.__name__}, got {x!r}")
+        raise InvalidInputError(f"expected a {kind.__name__}, "
+                                + _named("got", x, repr, ends=True))
     if x.ring is not ring or x.prime != prime:
         raise InvalidInputError(
             f"expected a {kind.__name__} over "
@@ -862,11 +855,11 @@ def _check_invertible(a: TruncatedSeries):
         raise InsufficientWindowError("cannot invert: empty window")
     if not a.ring.laurent:
         _unit_constant_term(a)
-    elif _coeff_is_zero(a.coeffs[0]) or a.coeffs[0].valuation != 0:
+    elif a.coeffs[0].valuation != 0:
         raise NonUnitError(
             f"lowest known coefficient (degree {a.min_degree}) must be a "
-            f"unit of the integer ring, got {a.coeffs[0]}"
-        )
+            "unit of the integer ring, "
+            + _named("got", a.coeffs[0], ends=True))
 
 
 def dlog(a: TruncatedSeries) -> DifferentialForm:
@@ -916,8 +909,8 @@ def degree_of_unit(x: TruncatedSeries) -> int:
             continue
         if c.valuation < 0:
             raise NotIntegralError(
-                f"coefficient {c} at degree {x.min_degree + i} is not integral"
-            )
+                f"{_named('coefficient', c)} at degree {x.min_degree + i} "
+                "is not integral")
         if c.valuation == 0:
             return x.min_degree + i
     raise CannotDetermineDegreeError(
@@ -935,7 +928,7 @@ def _unit_constant_term(a: TruncatedSeries):
     c = a.coeffs[0]
     if a.ring.integral and c.valuation != 0:
         raise NonUnitError(
-            f"constant term {c} is not a unit of the integer ring"
+            f"{_named('constant term', c)} is not a unit of the integer ring"
         )
     return c
 
@@ -1062,6 +1055,6 @@ def unboundedness_witness(s: TruncatedSeries, m: int) -> bool:
         )
     for i, deg in checks:
         c = s._at(deg)
-        if c is None or c.is_zero or c.valuation != -i:
+        if c is None or c.valuation != -i:
             return False
     return True

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from lineint.coeff import (
     PRIME_LIMIT,
     PAdic,
+    _padic,
+    _reduce,
+    _scalar_parts,
     check_prime,
     padic_normalize,
     vp_int,
@@ -375,3 +378,140 @@ class TestKernelMatchesFractionOracle:
         for op in BINARY_OPS:
             with pytest.raises(InvalidInputError):
                 op(a, b)
+
+
+# -- the branching reference -----------------------------------------------
+# PAdic's operations as they were when each gave a zero operand a branch of
+# its own, kept as the reference for the one path that computes on a zero
+# as the unit 0 at its valuation floor.  FractionPAdic inherits to_fraction,
+# so the gate above does not check that one on its own.
+
+
+def branching_normalize(numerator, denominator, prime, abs_prec):
+    check_prime(prime)
+    if denominator == 0:
+        raise InvalidInputError("denominator must be nonzero")
+    if numerator == 0:
+        return PAdic.zero(prime, abs_prec)
+    vd = vp_int(denominator, prime)
+    return _reduce(prime, -vd, numerator, abs_prec, denominator // prime**vd)
+
+
+class BranchingPAdic(PAdic):
+    """PAdic with a branch for a zero operand in every operation."""
+
+    def to_fraction(self):
+        if self.valuation is None:
+            return Fraction(0)
+        if self.valuation >= 0:
+            return Fraction(self.unit * self.prime**self.valuation)
+        return Fraction(self.unit, self.prime ** (-self.valuation))
+
+    def _coerce(self, other):
+        if isinstance(other, PAdic):
+            if other.prime != self.prime:
+                raise InvalidInputError("p-adic arithmetic needs matching primes")
+            return other
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            x = branching_normalize(other.numerator, other.denominator,
+                                    self.prime, self.abs_prec)
+            return BranchingPAdic(x.prime, x.valuation, x.unit, x.abs_prec)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        p, n = self.prime, min(self.abs_prec, o.abs_prec)
+        va, vb = self.valuation, o.valuation
+        if vb is None:
+            if va is None:
+                return _padic(p, None, 0, n)
+            return _reduce(p, va, self.unit, n)
+        if va is None:
+            return _reduce(p, vb, o.unit, n)
+        if va <= vb:
+            s = self.unit + o.unit * p ** (vb - va)
+        else:
+            s, va = o.unit + self.unit * p ** (va - vb), vb
+        return _reduce(p, va, s, n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self.valuation is None:
+            return self
+        rel = self.abs_prec - self.valuation
+        return _padic(self.prime, self.valuation, -self.unit % self.prime**rel,
+                      self.abs_prec)
+
+    def __mul__(self, other):
+        p = self.prime
+        if isinstance(other, PAdic):
+            o = self._coerce(other)
+            n = min(self.abs_prec + o.valuation_floor,
+                    o.abs_prec + self.valuation_floor)
+            if self.valuation is None or o.valuation is None:
+                return _padic(p, None, 0, n)
+            v = self.valuation + o.valuation
+            return _padic(p, v, self.unit * o.unit % p ** (n - v), n)
+        if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
+            return NotImplemented
+        if other == 0:
+            return _padic(p, None, 0, self.abs_prec)
+        k, num, den = _scalar_parts(other, p)
+        if self.valuation is None:
+            return _padic(p, None, 0, self.abs_prec + k)
+        return _reduce(p, self.valuation + k, self.unit * num,
+                       self.abs_prec + k, den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        p = self.prime
+        if isinstance(other, PAdic):
+            return self * self._coerce(other).inverse()
+        if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
+            return NotImplemented
+        if other == 0:
+            raise InvalidInputError("division by zero")
+        k, num, den = _scalar_parts(other, p)
+        if self.valuation is None:
+            return _padic(p, None, 0, self.abs_prec - k)
+        return _reduce(p, self.valuation - k, self.unit * den,
+                       self.abs_prec - k, num)
+
+    def truncated(self, abs_prec):
+        n = min(self.abs_prec, abs_prec)
+        if self.valuation is None:
+            return _padic(self.prime, None, 0, n)
+        return _reduce(self.prime, self.valuation, self.unit, n)
+
+
+class TestOnePathMatchesBranchingReference:
+    @given(st.data())
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    def test_every_operation(self, data):
+        p = data.draw(st.sampled_from(DIFF_PRIMES))
+        a = data.draw(padic_fields(p))
+        b = data.draw(padic_fields(p))
+        q = data.draw(scalars(p))
+        cut = data.draw(st.integers(-6, 16))
+        ka, kb = PAdic(p, *a), PAdic(p, *b)
+        ra, rb = BranchingPAdic(p, *a), BranchingPAdic(p, *b)
+        v, unit, _ = a
+        exact = 0 if v is None else Fraction(unit) * Fraction(p) ** v
+        assert ka.to_fraction() == ra.to_fraction() == exact, (p, a)
+        cases = [(lambda x, y: -x, "neg"),
+                 (lambda x, y: x.truncated(cut), "truncated")]
+        for op in BINARY_OPS:
+            cases += [(lambda x, y, op=op: op(x, y), op.__name__),
+                      (lambda x, y, op=op: op(x, q), f"{op.__name__} scalar"),
+                      (lambda x, y, op=op: op(q, x), f"scalar {op.__name__}")]
+        for f, name in cases:
+            assert outcome(lambda: f(ka, kb)) == outcome(lambda: f(ra, rb)), \
+                (name, p, a, b, q, cut)
+        for num in (0, q.numerator):
+            assert outcome(lambda: padic_normalize(num, q.denominator, p, cut)) \
+                == outcome(lambda: branching_normalize(num, q.denominator, p,
+                                                       cut)), (p, q, cut)

@@ -940,11 +940,23 @@ SOUND_OPERATIONS = {
 }
 
 
+def without_residue(a):
+    """a with its degree -1 coefficient, if it has one, a zero at that
+    coefficient's abs_prec."""
+    k = -1 - a.min_degree
+    if not 0 <= k < len(a.coeffs):
+        return a
+    coeffs = list(a.coeffs)
+    coeffs[k] = PAdic.zero(a.prime, coeffs[k].abs_prec)
+    return TruncatedSeries(a.ring, a.min_degree, tuple(coeffs), a.trunc_order,
+                           a.prime)
+
+
 class TestPerturbationSoundness:
     """No claim of inverse, dlog, padic_log_dagger, the sums and products
-    of windows or padic_log_one_minus_py is stronger than its operands
-    allow: moving each operand coefficient within its abs_prec moves no
-    result coefficient within its own."""
+    of windows, padic_log_one_minus_py, derive or antiderive is stronger
+    than its operands allow: moving each operand coefficient within its
+    abs_prec moves no result coefficient within its own."""
 
     @pytest.mark.parametrize("op", [inverse, dlog], ids=["inverse", "dlog"])
     @given(data=st.data())
@@ -985,6 +997,33 @@ class TestPerturbationSoundness:
             SOUND_SERIES)[1]))
         assert_sound(padic_log_one_minus_py, (y,),
                      drawn_perturbation(data, y))
+
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_derive(self, data):
+        ring, p = data.draw(SOUND_RINGS)
+        a = make_series(ring, p, data.draw(SOUND_SERIES))
+        assert_sound(derive, (a,), drawn_perturbation(data, a))
+
+    # The residue stays a zero, so that every perturbed form integrates.  A
+    # refusal to leave the integer ring claims nothing, and a more precise
+    # operand may settle it, so only an antiderivative is compared.
+    @given(data=st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_antiderive(self, data):
+        ring, p = data.draw(SOUND_RINGS)
+        target = data.draw(st.sampled_from(ring.antiderive_targets))
+        a = without_residue(make_series(ring, p, data.draw(SOUND_SERIES)))
+        b = without_residue(drawn_perturbation(data, a)[0])
+
+        def op(s):
+            return antiderive(DifferentialForm(s), target)
+
+        try:
+            op(a)
+        except IntegralityError:
+            return
+        assert_sound(op, (a,), (b,))
 
 
 # Read at abs_prec N, text claims every coefficient modulo p^N.  A literal

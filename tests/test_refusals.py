@@ -16,11 +16,14 @@ from lineint.errors import (
     CalculusError,
     IntegralityError,
     InvalidInputError,
+    NonUnitError,
+    NotIntegralError,
     ParseError,
 )
 from lineint.nabla import (
     ConnectionMatrix,
     FramedNablaModule,
+    InvariantRepresentative,
     Signature,
     UnipotentMatrix,
     fundamental_solution,
@@ -43,7 +46,9 @@ from lineint.series import (
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    degree_of_unit,
     derive,
+    inverse,
     monomial,
     padic_log_one_minus_py,
     series_from_coeffs,
@@ -51,6 +56,8 @@ from lineint.series import (
 )
 
 F, GP = RingLabel.FORMAL, RingLabel.GAMMA_PLUS
+# A 3-adic value of valuation 1 whose unit has more digits than Python writes.
+BIG = PAdic(3, 1, 3**9100 + 1, 9201)
 
 
 def formal_chain():
@@ -147,6 +154,40 @@ REFUSALS = {
                                 1, 3),
         IntegralityError,
         "coefficient at degree 0 is not integral, required by ring gamma+"),
+    # Every other refusal that names a value, given one of more digits than
+    # Python writes.
+    "series plus a number of more digits than Python writes": (
+        lambda: series_from_coeffs(F, 0, [1, 2]) + Fraction(10**5000),
+        InvalidInputError,
+        "expected a TruncatedSeries, got a value too long to write"),
+    "one-form of a number of more digits than Python writes": (
+        lambda: DifferentialForm(10**5000), InvalidInputError,
+        "expected a TruncatedSeries, got a value too long to write"),
+    "p-adic unit of more digits than Python writes": (
+        lambda: PAdic(3, 0, 3**9100, 9200), InvalidInputError,
+        "unit invalid for relative precision 9200"),
+    "gamma inverse of a non-unit of more digits than Python writes": (
+        lambda: inverse(TruncatedSeries(RingLabel.GAMMA, 0, (BIG,), 1, 3)),
+        NonUnitError,
+        "must be a unit of the integer ring, got a value too long to write"),
+    "gamma+ inverse of a non-unit of more digits than Python writes": (
+        lambda: inverse(TruncatedSeries(GP, 0, (BIG,), 1, 3)), NonUnitError,
+        "constant term is not a unit of the integer ring"),
+    "degree of unit past a coefficient of more digits than Python writes": (
+        lambda: degree_of_unit(TruncatedSeries(
+            RingLabel.E, 0, (PAdic(3, -1, 3**9100 + 1, 9199),), 1, 3)),
+        NotIntegralError, "coefficient at degree 0 is not integral"),
+    "signature part of more digits than Python writes": (
+        lambda: Signature((-10**5000,)), InvalidInputError,
+        "signature parts must be positive integers, got a value too long "
+        "to write"),
+    "representative with a constant of more digits than Python writes": (
+        lambda: InvariantRepresentative(UnipotentMatrix(
+            Signature((1, 1)), F,
+            ((monomial(F, 1, 0, 2), monomial(F, 10**5000, 0, 2)),
+             (zero_series(F, 0, 2), monomial(F, 1, 0, 2))))),
+        InvalidInputError,
+        "constant term at (1, 2) is a value too long to write"),
     "two-variable form of a number": (
         lambda: BiForm(1, zero_biseries(F, 2, 2)), InvalidInputError,
         "expected a BiSeries, got 1"),

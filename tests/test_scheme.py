@@ -51,6 +51,7 @@ from lineint.series import (
     derive,
     formal_log,
     inverse,
+    monomial,
     one_series,
     padic_log_dagger,
     series_from_coeffs,
@@ -488,6 +489,68 @@ class TestLineIntegral:
         rhs = (line_integral(fam, a).matrix.entries[0][1]
                + line_integral(fam, b).matrix.entries[0][1])
         assert lhs.agrees_with(rhs)
+
+
+def composed(s, w, abs_prec):
+    """s(w) for a power series s and w(0) = 0, by Horner's rule over series
+    products; the constants' zeros are read at abs_prec."""
+    acc = zero_series(s.ring, 0, w.trunc_order, s.prime, abs_prec)
+    for c in reversed(s.coeffs):
+        acc = acc * w + monomial(s.ring, c, 0, w.trunc_order, s.prime,
+                                 abs_prec)
+    for _ in range(s.min_degree):
+        acc = acc * w
+    return acc
+
+
+# Sections v = 1 + w by the coefficients of w from degree 0.
+PULLBACK_SECTIONS = {
+    "formal u^2 + u^3": (F, None, (0, 0, 1, 1)),
+    "formal 2u - u^2": (F, None, (0, 2, -1)),
+    "gamma+ u^2 at 2": (GP, 2, (0, 0, 1)),
+    "gamma+ u^3 at 3": (GP, 3, (0, 0, 0, 1)),
+    "gamma+ u + 3u^2 at 3": (GP, 3, (0, 1, 3)),
+}
+
+
+class TestPullbackLaw:
+    """The line integral of the family 0 du + C(x) dx along v = 1 + w is the
+    invariant of C composed with w, entry by entry: the normalized invariant
+    is functorial under x := w when w(0) = 0.  test_padic_log_chain is the
+    case C = dx/(1 + x).  The control, the uncomposed invariant, fails."""
+
+    @pytest.mark.parametrize("ring,p,w", PULLBACK_SECTIONS.values(),
+                             ids=list(PULLBACK_SECTIONS))
+    @given(data=st.data())
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    def test_line_integral_is_the_composed_invariant(self, ring, p, w, data):
+        t, n = 6, 12
+        sig = Signature(data.draw(st.sampled_from([(1, 1, 1), (1, 2),
+                                                    (2, 1)])))
+        coeffs = st.lists(st.integers(-9, 9), min_size=t, max_size=t)
+        cells = [[data.draw(coeffs) if sig.blocks[a] < sig.blocks[b]
+                  else [0] * t for b in range(3)] for a in range(3)]
+        # A unit constant term in C[0][2] makes the uncomposed control fail.
+        cells[0][2][0] = data.draw(st.integers(1, 9).filter(
+            lambda k: p is None or k % p))
+        z = zero_biseries(ring, t, t, p, n)
+        family = FramedFamily(sig, ring, tuple(tuple(BiForm(
+            z, biseries_from_map(ring, dict(zip(((0, j) for j in range(t)),
+                                                cs)), t, t, p, n))
+            for cs in row) for row in cells), p)
+        module = FramedNablaModule(sig, ConnectionMatrix(ring, tuple(tuple(
+            DifferentialForm(series_from_coeffs(ring, 0, cs, p, n))
+            for cs in row) for row in cells), p))
+        tail = [0] * (t - len(w))
+        v = series_from_coeffs(ring, 0, [1, *w[1:], *tail], p, n)
+        got = line_integral(family, v).matrix.entries
+        inv = invariant(module, t + 1).matrix.entries
+        ws = series_from_coeffs(inv[0][1].ring, 0, [*w, *tail], p, n)
+        for a in range(3):
+            for b in range(3):
+                assert got[a][b].agrees_with(composed(inv[a][b], ws, 2 * n)), \
+                    (a, b, sig, cells)
+        assert not got[0][2].agrees_with(inv[0][2]), (sig, cells)
 
 
 def shown(s):
