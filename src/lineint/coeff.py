@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _named
 
 Rational = Fraction
 
@@ -121,17 +121,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _named(noun, x, text=str, ends=False):
-    """f"{noun} {text(x)}": how a refusal names a value.  When text(x) would
-    have more digits than Python writes out (sys.get_int_max_str_digits()),
-    the noun stands alone or, if it ends the message, says the value is too
-    long to write."""
-    try:
-        return f"{noun} {text(x)}"
-    except ValueError:
-        return f"{noun} a value too long to write" if ends else noun
 
 
 def vp_int(n: int, p: int) -> int:

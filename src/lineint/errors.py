@@ -8,6 +8,23 @@ tool; messages are free text and may change.
 from __future__ import annotations
 
 
+def _written(x, text=str):
+    """text(x), or None if it has more digits than Python writes out."""
+    try:
+        return text(x)
+    except ValueError:
+        return None
+
+
+def _named(noun, x, text=str, ends=False):
+    """f"{noun} {text(x)}": how a refusal names a value.  A value too long
+    to write leaves the noun alone or, if it ends the message, says so."""
+    written = _written(x, text)
+    if written is None:
+        return f"{noun} a value too long to write" if ends else noun
+    return f"{noun} {written}"
+
+
 class CalculusError(Exception):
     """Base class for all domain errors raised by this package."""
 
@@ -40,7 +57,7 @@ class IntegralObstructionError(CalculusError):
     """A form with nonzero residue has no series antiderivative.
 
     The offending residue is kept on the exception; the command line tool
-    reports it inside the error object.
+    reports it inside the error object (null if too long to write).
     """
 
     code = "integral-obstruction"
@@ -51,7 +68,7 @@ class IntegralObstructionError(CalculusError):
 
     def payload(self) -> dict:
         out = super().payload()
-        out["residue"] = str(self.residue)
+        out["residue"] = _written(self.residue)
         return out
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .coeff import _named
-from .errors import InvalidInputError, NotFramedError
+from .errors import InvalidInputError, NotFramedError, _named
 from .series import (
     DifferentialForm,
     RingLabel,

@@ -313,44 +313,27 @@ def parse_series(text: str, ring: RingLabel = RingLabel.FORMAL,
     return series_from_coeffs(ring, lo, values, prime, abs_prec)
 
 
-def _coeff_fraction(c) -> Fraction:
-    return c.to_fraction() if isinstance(c, PAdic) else c
-
-
-def _term_chunk(mag: str, factors) -> str:
-    names = [v if e == 1 else f"{v}^{e}" for v, e in factors]
-    if not names:
-        return mag
-    if mag == "1":
-        return "*".join(names)
-    return "*".join([mag] + names)
-
-
-def _join_terms(items) -> str:
-    if not items:
-        return "0"
-    chunks = []
-    for k, (q, degree, factors) in enumerate(items):
-        body = _term_chunk(coeff_text(abs(q), degree), factors)
-        if k == 0:
-            chunks.append(f"-{body}" if q < 0 else body)
-        else:
-            chunks.append(f" - {body}" if q < 0 else f" + {body}")
-    return "".join(chunks)
-
-
 def _print_window(terms, ends) -> str:
     """The text of a one- or two-variable window: the nonvanishing
     (exponents, coefficient) terms in the order given, then the O(...)
     marker of the (var, end) pairs; the bare marker if there is no term
     and 0 would lie outside the window."""
-    items = [(_coeff_fraction(c), exps[0] if len(exps) == 1 else exps,
-              [(v, e) for (v, _), e in zip(ends, exps) if e != 0])
-             for exps, c in terms if not _coeff_is_zero(c)]
+    chunks = []
+    for exps, c in terms:
+        if _coeff_is_zero(c):
+            continue
+        q = c.to_fraction() if isinstance(c, PAdic) else c
+        factors = [v if e == 1 else f"{v}^{e}"
+                   for (v, _), e in zip(ends, exps) if e != 0]
+        mag = coeff_text(abs(q), exps[0] if len(exps) == 1 else exps)
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
+        chunks += (" - " if q < 0 else " + ", "*".join(factors))
     marker = "O(" + ", ".join(f"{v}^{e}" for v, e in ends) + ")"
-    if not items and min(e for _, e in ends) <= 0:
-        return marker
-    return f"{_join_terms(items)} + {marker}"
+    if not chunks:
+        return marker if min(e for _, e in ends) <= 0 else f"0 + {marker}"
+    chunks[0] = "-" if chunks[0] == " - " else ""
+    return "".join(chunks) + " + " + marker
 
 
 def print_series(s: TruncatedSeries) -> str:
@@ -441,11 +424,12 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
-def _field(doc: dict, key: str, kinds, what: str, required: bool = True,
-           default=None):
+def _field(doc: dict, key: str, kinds, what: str, default=None):
+    """Field key of kinds, or default if absent; required if no default."""
     val = doc.get(key)
     if val is None:
-        _require(not required, f"the {what} is missing the field {key!r}")
+        _require(default is not None,
+                 f"the {what} is missing the field {key!r}")
         return default
     if kinds is int:
         _require(isinstance(val, int) and not isinstance(val, bool),
@@ -457,31 +441,26 @@ def _field(doc: dict, key: str, kinds, what: str, required: bool = True,
 
 def _window_end(doc: dict, key: str, what: str, default=None) -> int:
     """Field key (default if absent) as an int in [1, DEGREE_LIMIT]."""
-    end = _field(doc, key, int, what, default is None, default)
+    end = _field(doc, key, int, what, default)
     _require(end >= 1, f"field {key!r} must be at least 1")
     return check_degree(end)
-
-
-def _ring_from_label(label) -> RingLabel:
-    _require(isinstance(label, str), "field 'ring' must be a ring label")
-    try:
-        return RingLabel(label)
-    except ValueError:
-        raise ParseError(f"unknown ring label {label!r}") from None
 
 
 def document_precision(doc: dict) -> int:
     """The working precision a document asks for (its abs_prec field)."""
     _require(isinstance(doc, dict), "a document is a JSON object")
-    prec = _field(doc, "abs_prec", int, "document", required=False,
-                  default=DEFAULT_ABS_PREC)
+    prec = _field(doc, "abs_prec", int, "document", DEFAULT_ABS_PREC)
     _require(prec >= 1, "field 'abs_prec' must be at least 1")
     return prec
 
 
 def _doc_mode(doc: dict, what: str):
     """Read the shared header fields: ring, prime, working precision."""
-    ring = _ring_from_label(_field(doc, "ring", str, what))
+    label = _field(doc, "ring", str, what)
+    try:
+        ring = RingLabel(label)
+    except ValueError:
+        raise ParseError(f"unknown ring label {label!r}") from None
     if ring.padic:
         prime = check_prime(_field(doc, "p", int, what))
         prec = check_precision(prime, document_precision(doc))
@@ -571,8 +550,7 @@ def load_family(doc: dict):
     ring, prime, prec = _doc_mode(doc, what)
     trunc = _window_end(doc, "trunc", what)
     trunc_x = _window_end(doc, "trunc_x", what, trunc)
-    fiber_var = _field(doc, "fiber_var", str, what, required=False,
-                       default="x")
+    fiber_var = _field(doc, "fiber_var", str, what, "x")
     _require(fiber_var in _VARS and fiber_var != ring.variable,
              f"field 'fiber_var' must name a variable other than "
              f"{ring.variable!r}")

@@ -4,9 +4,9 @@ A :class:`BiSeries` is a tuple of one-variable columns: column j is the
 coefficient of x^j, a power series in the base variable on the window
 [0, trunc_u), so the window holds u^i x^j for 0 <= i < trunc_u and
 0 <= j < trunc_x.  Its arithmetic and partial derivatives act column by
-column through the one-variable code: a sum of products, of which ``*``
-and each ``curvature`` entry are one call, is one sum of products per
-output column.  One-forms gain a second component ``dx``; the total
+column through the one-variable code: a sum of products, of which ``+``,
+``*`` and each ``curvature`` entry are one call, is one sum of products
+per output column.  One-forms gain a second component ``dx``; the total
 differential, curvature of a framed family, pullback along a section
 x := v - 1 with v(0) = 1, and the line integral live here.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add
 
 from .errors import InsufficientWindowError, InvalidInputError
 from .nabla import (
@@ -95,10 +94,6 @@ class BiSeries(_CoeffWindow):
             )
         return self.cols[j].coeffs[i]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(col.is_zero for col in self.cols)
-
     def _with(self, cols, trunc_u=None) -> "BiSeries":
         return BiSeries._trusted(self.ring, cols,
                                  self.trunc_u if trunc_u is None else trunc_u,
@@ -116,8 +111,7 @@ class BiSeries(_CoeffWindow):
 
     def __add__(self, other) -> "BiSeries":
         _check_member(other, BiSeries, self.ring, self.prime)
-        return self._with(tuple(map(add, self.cols, other.cols)),
-                          min(self.trunc_u, other.trunc_u))
+        return _bi_sum_of_products([], self, other)
 
     def __neg__(self) -> "BiSeries":
         return self._with(tuple(-c for c in self.cols))

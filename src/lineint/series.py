@@ -69,7 +69,7 @@ from itertools import accumulate, compress, count, repeat
 from math import gcd, inf, lcm
 from operator import add, eq, lt, mul, neg, sub
 
-from .coeff import PAdic, _named, _reduce, check_prime, vp_int
+from .coeff import PAdic, _reduce, check_prime, vp_int
 from .errors import (
     CannotDetermineDegreeError,
     DisjointWindowsError,
@@ -79,6 +79,7 @@ from .errors import (
     InvalidInputError,
     NonUnitError,
     NotIntegralError,
+    _named,
 )
 
 DEFAULT_ABS_PREC = 20
@@ -471,15 +472,20 @@ class _Checked:
 
 
 class _CoeffWindow(_Checked):
-    """What one- and two-variable windows share: zeros at working precision
-    and subtraction.  A window is a dataclass with ring, prime,
-    _flat_coeffs() (every stored coefficient), + and unary -."""
+    """What one- and two-variable windows share: zeros at working precision,
+    the zero test and subtraction.  A window is a dataclass with ring,
+    prime, _flat_coeffs() (every stored coefficient), + and unary -."""
 
     def _zero_coeff(self):
         return _materialize_zero(self.ring, self.prime, self._working_prec())
 
     def _working_prec(self) -> int:
         return _max_abs_prec(self._flat_coeffs())
+
+    @property
+    def is_zero(self) -> bool:
+        """All stored coefficients vanish (at their precision, for p-adics)."""
+        return all(map(_coeff_is_zero, self._flat_coeffs()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -528,11 +534,6 @@ class TruncatedSeries(_CoeffWindow):
 
     def _flat_coeffs(self):
         return self.coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        """All stored coefficients vanish (at their precision, for p-adics)."""
-        return all(_coeff_is_zero(c) for c in self.coeffs)
 
     def order(self) -> int | None:
         """Lowest degree with a nonvanishing stored coefficient."""
@@ -986,7 +987,7 @@ def padic_log_one_minus_py(y: TruncatedSeries) -> TruncatedSeries:
     p = y.prime
     if len(y.coeffs) == 0:
         return y
-    n_work = max(c.abs_prec for c in y.coeffs)
+    n_work = y._working_prec()
     n_terms = next(n for n in count(1) if n - _floor_log(n, p) >= n_work) - 1
     m, t = y.min_degree, y.trunc_order
     terms = [zero_series(y.ring, min(m, n_terms * m), t, p, n_work)]

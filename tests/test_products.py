@@ -72,7 +72,13 @@ from lineint.errors import (
     InvalidInputError,
     NonUnitError,
 )
-from lineint.nabla import ConnectionMatrix, Signature, fundamental_solution
+from lineint.nabla import (
+    ConnectionMatrix,
+    FramedNablaModule,
+    Signature,
+    fundamental_solution,
+    invariant,
+)
 from lineint.parsing import load_connection_matrix, parse_series
 from lineint.scheme import (
     BiForm,
@@ -954,9 +960,9 @@ def without_residue(a):
 
 class TestPerturbationSoundness:
     """No claim of inverse, dlog, padic_log_dagger, the sums and products
-    of windows, padic_log_one_minus_py, derive or antiderive is stronger
-    than its operands allow: moving each operand coefficient within its
-    abs_prec moves no result coefficient within its own."""
+    of windows, padic_log_one_minus_py, derive, antiderive or invariant is
+    stronger than its operands allow: moving each operand coefficient
+    within its abs_prec moves no result coefficient within its own."""
 
     @pytest.mark.parametrize("op", [inverse, dlog], ids=["inverse", "dlog"])
     @given(data=st.data())
@@ -1024,6 +1030,39 @@ class TestPerturbationSoundness:
         except IntegralityError:
             return
         assert_sound(op, (a,), (b,))
+
+    # The frame's zeros below the block diagonal stay as they are: moved,
+    # they would no longer be zero.  Every entry above it is moved, and
+    # reaches degree p, where the antiderivative divides by p.
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_invariant(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        sig = Signature(data.draw(st.sampled_from([(1, 1, 1), (1, 2),
+                                                    (2, 1)])))
+        blocks = sig.blocks
+        above = [(a, b) for a in range(3) for b in range(3)
+                 if blocks[a] < blocks[b]]
+        rows = [[zero_series(RingLabel.GAMMA_PLUS, 0, 8, p, 6)] * 3
+                for _ in range(3)]
+        for a, b in above:
+            rows[a][b] = make_series(RingLabel.GAMMA_PLUS, p, (0, data.draw(
+                st.lists(RAW, min_size=p, max_size=8))))
+        moved = [list(row) for row in rows]
+        for (a, b), m in zip(above, drawn_perturbation(
+                data, *(rows[a][b] for a, b in above))):
+            moved[a][b] = m
+
+        def op(rows):
+            return invariant(FramedNablaModule(sig, ConnectionMatrix(
+                RingLabel.GAMMA_PLUS, tuple(tuple(map(DifferentialForm, row))
+                                            for row in rows), p)), 9)
+
+        want, got = op(rows), op(moved)
+        for a in range(3):
+            for b in range(3):
+                assert_sound(lambda v: v.matrix.entries[a][b], (want,),
+                             (got,))
 
 
 # Read at abs_prec N, text claims every coefficient modulo p^N.  A literal

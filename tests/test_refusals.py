@@ -8,12 +8,14 @@ tests/test_cli.py.
 """
 
 from fractions import Fraction
+import json
 
 import pytest
 
 from lineint.coeff import PAdic, vp_int
 from lineint.errors import (
     CalculusError,
+    IntegralObstructionError,
     IntegralityError,
     InvalidInputError,
     NonUnitError,
@@ -46,6 +48,7 @@ from lineint.series import (
     DifferentialForm,
     RingLabel,
     TruncatedSeries,
+    antiderive,
     degree_of_unit,
     derive,
     inverse,
@@ -289,6 +292,16 @@ class TestFormAlgebra:
         assert f != derive(s.scale(2)) and f != f.series
         assert f - f == DifferentialForm(zero_series(F, 0, 3))
         assert (-f).series == -f.series and (f + f).series == f.series.scale(2)
+
+
+def test_obstruction_payload_of_a_residue_too_long_to_write():
+    form = DifferentialForm(TruncatedSeries(RingLabel.GAMMA, -1, (BIG,), 0, 3))
+    with pytest.raises(IntegralObstructionError) as info:
+        antiderive(form, RingLabel.ROBBA)
+    payload = info.value.payload()
+    assert payload == {"error": "integral-obstruction",
+                       "message": str(info.value), "residue": None}
+    assert json.loads(json.dumps(payload)) == payload
 
 
 def test_padic_with_an_operand_it_does_not_know():
