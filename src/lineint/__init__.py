@@ -6,6 +6,8 @@ units, trivializes framed unipotent connections, and evaluates iterated line
 integrals of two-variable families along sections.
 """
 
+import types as _types
+
 from .coeff import PAdic, Rational, padic_normalize
 from .errors import (
     CalculusError,
@@ -87,75 +89,8 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiForm",
-    "BiSeries",
-    "CalculusError",
-    "CannotDetermineDegreeError",
-    "ConnectionMatrix",
-    "DEFAULT_ABS_PREC",
-    "DifferentialForm",
-    "DisjointWindowsError",
-    "FramedFamily",
-    "FramedNablaModule",
-    "InsufficientWindowError",
-    "IntegralityError",
-    "IntegralObstructionError",
-    "InvalidInputError",
-    "InvariantRepresentative",
-    "NonUnitError",
-    "NotFramedError",
-    "NotIntegralError",
-    "PAdic",
-    "ParseError",
-    "Rational",
-    "RingLabel",
-    "Signature",
-    "TruncatedSeries",
-    "UnipotentMatrix",
-    "antiderive",
-    "biseries_from_map",
-    "curvature",
-    "degree_of_unit",
-    "derive",
-    "dlog",
-    "dump_series_matrix",
-    "formal_log",
-    "fundamental_solution",
-    "horizontal_basis",
-    "invariant",
-    "is_identity_series_matrix",
-    "inverse",
-    "line_integral",
-    "load_connection",
-    "load_connection_matrix",
-    "load_family",
-    "matrix_residual",
-    "monomial",
-    "one_series",
-    "padic_log_dagger",
-    "padic_log_one_minus_py",
-    "padic_normalize",
-    "parse_biseries",
-    "parse_series",
-    "parse_series_matrix",
-    "partial_u",
-    "partial_x",
-    "print_biseries",
-    "print_series",
-    "rational_residue",
-    "residue",
-    "section_pullback",
-    "series_from_coeffs",
-    "series_matrix_product",
-    "structured_biseries",
-    "structured_series",
-    "substitute_fiber",
-    "total_d",
-    "trivialize",
-    "unboundedness_witness",
-    "unit_decompose",
-    "valuation_profile",
-    "zero_biseries",
-    "zero_series",
-]
+# The public API is the import block above: every name it binds that is
+# neither private nor a submodule.
+__all__ = sorted(n for n, x in globals().items()
+                 if not n.startswith("_")
+                 and not isinstance(x, _types.ModuleType))

@@ -87,9 +87,11 @@ from lineint.scheme import (
     _bi_sum_of_products,
     biseries_from_map,
     curvature,
+    line_integral,
     partial_u,
     partial_x,
     section_pullback,
+    substitute_fiber,
     zero_biseries,
 )
 from lineint.series import (
@@ -905,10 +907,12 @@ def perturbed(a, rs):
         for c, r in zip(a.coeffs, rs)), a.trunc_order, p)
 
 
-def assert_sound(op, a, b):
+def assert_sound(op, a, b, windows=lambda r: (r,)):
     """op(*b) for the operands b perturbed from a: the same refusal as
-    op(*a), or op(*a)'s window with each coefficient claimed at least as
-    precisely and agreeing with op(*a)'s modulo op(*a)'s abs_prec."""
+    op(*a), or as many windows as op(*a)'s, each on the same window as the
+    one it pairs with and each coefficient claimed at least as precisely
+    and agreeing modulo op(*a)'s abs_prec.  windows lists the one-variable
+    windows, or forms, of a result."""
     try:
         want = op(*a)
     except CalculusError as e:
@@ -916,12 +920,13 @@ def assert_sound(op, a, b):
             op(*b)
         assert type(info.value) is type(e), (a, b)
         return
-    want, got = (r.series if isinstance(r, DifferentialForm) else r
-                 for r in (want, op(*b)))
-    assert (got.min_degree, got.trunc_order) == \
-        (want.min_degree, want.trunc_order), (a, b)
-    for x, y in zip(want.coeffs, got.coeffs):
-        assert y.abs_prec >= x.abs_prec and (y - x).is_zero, (a, b)
+    for want, got in zip(windows(want), windows(op(*b)), strict=True):
+        want, got = (r.series if isinstance(r, DifferentialForm) else r
+                     for r in (want, got))
+        assert (got.min_degree, got.trunc_order) == \
+            (want.min_degree, want.trunc_order), (a, b)
+        for x, y in zip(want.coeffs, got.coeffs):
+            assert y.abs_prec >= x.abs_prec and (y - x).is_zero, (a, b)
 
 
 def drawn_perturbation(data, *operands):
@@ -946,6 +951,52 @@ SOUND_OPERATIONS = {
 }
 
 
+# What a perturbation leaves unmoved, a section's degree-0 term (w(0) = 0
+# or v(0) = 1) and a family's zero parts, is known past every perturbed
+# coefficient (abs_prec at most 7, re-read at 11).  A moved w(0) has order
+# 0 and is refused; a moved zero part no longer frames the family.
+UNMOVED_PREC = 15
+
+
+def drawn_section(data, p, constant):
+    """A gamma+ section and the same section perturbed, each with the
+    constant at degree 0 and a unit at degree 1, so that every section
+    has order 1 once its constant is taken away."""
+    tail = make_series(RingLabel.GAMMA_PLUS, p, (1, data.draw(
+        st.lists(RAW, min_size=1, max_size=5))), unit_lead=True)
+    return tuple(TruncatedSeries(s.ring, 0, (constant,) + s.coeffs,
+                                 s.trunc_order, p)
+                 for s in (tail, drawn_perturbation(data, tail)[0]))
+
+
+def drawn_biseries(data, p):
+    """A gamma+ window whose u-window is no longer than its x-window, so
+    that an order-1 section refuses none, and the same window perturbed."""
+    tx = data.draw(st.integers(1, 4))
+    tu = data.draw(st.integers(1, tx))
+    b = make_biseries(RingLabel.GAMMA_PLUS, p, tu, tx, data.draw(
+        st.lists(RAW, min_size=tu * tx, max_size=tu * tx)))
+    return b, BiSeries(b.ring, drawn_perturbation(data, *b.cols), tu, p)
+
+
+def drawn_family(data, p, sig):
+    """A gamma+ family with drawn parts above the block diagonal and the
+    frame's zero parts, and the same family with the drawn parts
+    perturbed."""
+    z = zero_biseries(RingLabel.GAMMA_PLUS, 4, 4, p, UNMOVED_PREC)
+    r, blocks = sig.total, sig.blocks
+    rows, moved = ([[BiForm(z, z)] * r for _ in range(r)] for _ in range(2))
+    for a in range(r):
+        for b in range(r):
+            if blocks[a] < blocks[b]:
+                (du, du_moved), (dx, dx_moved) = (drawn_biseries(data, p)
+                                                  for _ in range(2))
+                rows[a][b] = BiForm(du, dx)
+                moved[a][b] = BiForm(du_moved, dx_moved)
+    return tuple(FramedFamily(sig, RingLabel.GAMMA_PLUS, tuple(map(
+        tuple, m)), p) for m in (rows, moved))
+
+
 def without_residue(a):
     """a with its degree -1 coefficient, if it has one, a zero at that
     coefficient's abs_prec."""
@@ -960,9 +1011,10 @@ def without_residue(a):
 
 class TestPerturbationSoundness:
     """No claim of inverse, dlog, padic_log_dagger, the sums and products
-    of windows, padic_log_one_minus_py, derive, antiderive or invariant is
-    stronger than its operands allow: moving each operand coefficient
-    within its abs_prec moves no result coefficient within its own."""
+    of windows, padic_log_one_minus_py, derive, antiderive, invariant,
+    substitute_fiber, line_integral or curvature is stronger than its
+    operands allow: moving each operand coefficient within its abs_prec
+    moves no result coefficient within its own."""
 
     @pytest.mark.parametrize("op", [inverse, dlog], ids=["inverse", "dlog"])
     @given(data=st.data())
@@ -1063,6 +1115,35 @@ class TestPerturbationSoundness:
             for b in range(3):
                 assert_sound(lambda v: v.matrix.entries[a][b], (want,),
                              (got,))
+
+    @given(data=st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_substitute_fiber(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        b, b_moved = drawn_biseries(data, p)
+        w, w_moved = drawn_section(data, p, PAdic.zero(p, UNMOVED_PREC))
+        assert_sound(substitute_fiber, (b, w), (b_moved, w_moved))
+
+    @pytest.mark.parametrize("parts", [(1, 1), (1, 1, 1)], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_line_integral(self, parts, data):
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        family, family_moved = drawn_family(data, p, Signature(parts))
+        v, v_moved = drawn_section(data, p, PAdic(p, 0, 1, UNMOVED_PREC))
+        assert_sound(line_integral, (family, v), (family_moved, v_moved),
+                     lambda r: [e for row in r.matrix.entries for e in row])
+
+    # Each entry of the curvature is a two-variable window: its columns are
+    # compared one by one.
+    @pytest.mark.parametrize("parts", [(1, 1), (1, 1, 1)], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_curvature(self, parts, data):
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        family, family_moved = drawn_family(data, p, Signature(parts))
+        assert_sound(curvature, (family,), (family_moved,), lambda m: [
+            col for row in m for e in row for col in e.cols])
 
 
 # Read at abs_prec N, text claims every coefficient modulo p^N.  A literal
