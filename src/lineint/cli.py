@@ -76,6 +76,11 @@ def _read_doc(value: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # the only other: int() of too many digits
+        raise ParseError("invalid JSON: a number has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _compact(doc) -> str:

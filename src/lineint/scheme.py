@@ -14,7 +14,7 @@ x := v - 1 with v(0) = 1, and the line integral live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from .errors import InsufficientWindowError, InvalidInputError
 from .nabla import (
@@ -36,8 +36,12 @@ from .series import (
     _Form,
     _check_member,
     _check_ring_prime,
+    _normalized,
+    _run,
     _sum_of_products,
+    _sum_of_runs,
     _unit_constant_term,
+    _window,
     derive,
     series_from_coeffs,
     zero_series,
@@ -244,9 +248,17 @@ def curvature(family: FramedFamily) -> tuple:
 
 
 def _fiber_powers(w: TruncatedSeries, count: int, trunc_u: int) -> list:
-    """w, w^2, ..., w^count, each clipped to u-degrees below trunc_u."""
-    return list(accumulate(repeat(w.clipped(trunc_order=trunc_u), count),
-                           lambda q, _: (q * w).clipped(trunc_order=trunc_u)))
+    """The runs of w, w^2, ..., w^count below u^trunc_u: w read once, each
+    next power one ``_sum_of_runs`` of the last and w, ``_normalized`` as
+    the lifts of a reduced window, so later products see the same
+    integers."""
+    p, powers = w.prime, [_run(w.clipped(trunc_order=trunc_u))][:count]
+    for _ in range(count - 1):
+        lo, hi, base, values, precs = _sum_of_runs(
+            p, [(powers[-1], powers[0])], [], trunc_u)
+        powers.append((lo, hi, base,
+                       *_normalized(p, repeat(base), values, precs)))
+    return powers
 
 
 def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
@@ -254,14 +266,15 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
     """Evaluate a two-variable window at x := w, a one-variable series.
 
     w must vanish at u = 0: of order e >= 1, or zero.  The result is the
-    sum of col_j * w^j over every stored j < trunc_x, one sum of products
-    reduced once per coefficient, so powers of w that vanish only at a
-    finite precision still bound the result's.  It ends where the window
-    of w ends, past which the unknown x^trunc_x * w^trunc_x is not known to
-    vanish.  It needs trunc_x * e >= trunc_u, otherwise
-    unknown x-coefficients could reach visible u-degrees; a w of order 0
-    reaches every u-degree and is refused.  powers, if given, holds
-    w^1 .. w^(trunc_x - 1) clipped to a u-window of at least trunc_u."""
+    sum of col_j * w^j over every stored j < trunc_x: the columns' runs
+    against the runs of the powers of w, one ``_sum_of_runs`` reduced once
+    per coefficient, so powers of w that vanish only at a finite precision
+    still bound the result's.  It ends where the window of w ends, past
+    which the unknown x^trunc_x * w^trunc_x is not known to vanish.  It
+    needs trunc_x * e >= trunc_u, otherwise unknown x-coefficients could
+    reach visible u-degrees; a w of order 0 reaches every u-degree and is
+    refused.  powers, if given, holds the runs of w^1 .. w^(trunc_x - 1)
+    from ``_fiber_powers`` for a u-window of at least trunc_u."""
     _check_member(w, TruncatedSeries, b.ring, b.prime)
     tu, tx, cols = b.trunc_u, b.trunc_x, b.cols
     if tx == 0:
@@ -274,8 +287,10 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
         )
     if powers is None:
         powers = _fiber_powers(w, tx - 1, tu)
-    total = _sum_of_products(list(zip(cols[1:], powers)), cols[0])
-    return total.clipped(trunc_order=min(tu, w.trunc_order))
+    runs = list(map(_run, cols))
+    return _window(b.ring, b.prime, *_sum_of_runs(
+        b.prime, list(zip(runs[1:], powers)), runs[:1],
+        min(tu, w.trunc_order)))
 
 
 def section_pullback(family: FramedFamily,
@@ -283,11 +298,12 @@ def section_pullback(family: FramedFamily,
     """Restrict the family to the section sending 1 + x to the unit v,
     which must have v(0) = 1 (substitute_fiber refuses w = v - 1 of order
     0).  Substitutes x := w everywhere; the dx components pick up the
-    chain-rule factor dv, one sum of products per pulled form; every entry
-    shares one set of powers of w.  Each
-    distinct part object is substituted once and each distinct pair of
-    parts pulled back once, so entries that share parts share the result.
-    Returns the one-variable framed module."""
+    chain-rule factor dv, one sum of products per pulled form.  The powers
+    of w are built once, as runs of integers that every part shares, and
+    each substituted coefficient is reduced once.  Each distinct part
+    object is substituted once and each distinct pair of parts pulled back
+    once, so entries that share parts share the result.  Returns the
+    one-variable framed module."""
     _check_member(v, TruncatedSeries, family.ring, family.prime)
     v0 = _unit_constant_term(v)
     # v is a power series with v(0) a unit, so its window starts at 0.

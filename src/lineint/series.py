@@ -10,13 +10,14 @@ stored coefficient is provably correct:
     mul:    [m_a + m_b,     min(T_a + m_b, T_b + m_a))
     derive: trunc drops by one
 
-Every sum of windows is one kernel, ``_sum_of_products``: windows plus
-products of pairs, of which ``+`` (two windows), ``*`` (one pair),
-``padic_log_one_minus_py``, the ``trivialize`` integrand,
-``substitute_fiber``, each entry of ``series_matrix_product``, each pulled
-form of ``section_pullback`` and each column of a two-variable sum of
-products are one call each.  Over the p-adics it and ``inverse`` are lift
-and reduce: every coefficient is the exact result on the operands' lifts
+Every sum of windows is one kernel over runs (a window's values from its
+first degree, p-adic ones integers at one base), ``_sum_of_runs``:
+``_sum_of_products`` reads windows into runs for ``+``, ``*``,
+``padic_log_one_minus_py``, the ``trivialize`` integrand, each entry of
+``series_matrix_product``, each pulled form of ``section_pullback`` and
+each column of a two-variable sum of products; ``substitute_fiber`` sums
+runs of the powers of w.  Over the p-adics it and ``inverse`` are lift and
+reduce: every coefficient is the exact result on the operands' lifts
 ``p^v * unit`` (``PAdic.to_fraction``), reduced once modulo the power of p
 it can prove.  The values of a product come from one multiply of the lifts
 packed into one integer each (Kronecker substitution), those of
@@ -315,18 +316,6 @@ def _pair_precisions(na, va, nb, vb):
     return out
 
 
-def _lifts(coeffs, p):
-    """(w, lifts, precisions, floors): each lift p^v * unit of the p-adic
-    coefficients as the integer unit * p^(v - w), w their least valuation
-    (0 if all vanish), a zero lifting to 0; and their abs_prec and
-    valuation_floor."""
-    w = min((c.valuation for c in coeffs if c.valuation is not None),
-            default=0)
-    return (w, [0 if c.valuation is None else c.unit * p ** (c.valuation - w)
-                for c in coeffs],
-            [c.abs_prec for c in coeffs], [c.valuation_floor for c in coeffs])
-
-
 def _kronecker(xs, ys):
     """The first len(xs) coefficients of the product of two polynomials of
     that length with nonnegative integer coefficients: each is packed into
@@ -348,43 +337,43 @@ def _kronecker(xs, ys):
             for i in range(0, n * width, width)]
 
 
-def _sum_of_products(pairs, *firsts):
-    """The sum of the windows firsts and of a * b over the pairs (a, b), all
-    of one ring, on the window a chain of + gives.  Each term is a run of
-    values from its first degree: a first's coefficients or a pair's
-    products summed by degree, over the p-adics integers at a base
-    valuation (lifts, or the Kronecker product of the lifts), over the
-    rationals exact ``_dot`` sums.  The runs are summed at the least base
-    and each p-adic output coefficient is reduced once, to the least claim
-    among the terms whose window covers its degree: a degree below a
-    term's window is an exact zero there and caps nothing."""
-    head = pairs[0][0] if pairs else firsts[0]
-    if not pairs and len(firsts) == 1:
-        return head
-    ring, p = head.ring, head.prime
-    lo = min([a.min_degree + b.min_degree for a, b in pairs]
-             + [f.min_degree for f in firsts])
-    hi = min([min(a.trunc_order + b.min_degree, b.trunc_order + a.min_degree)
-              for a, b in pairs] + [f.trunc_order for f in firsts])
-    exact = repeat(inf)  # the claim of a rational value
-    terms = []  # (first degree, base valuation, values, precisions)
-    for f in firsts:
-        cs = f.coeffs[:max(hi - f.min_degree, 0)]
-        w, xs, ns, _ = _lifts(cs, p) if ring.padic else (0, cs, exact, None)
-        terms.append((f.min_degree, w, xs, ns))
-    for a, b in pairs:
-        m = a.min_degree + b.min_degree
-        n = max(min(len(a.coeffs), len(b.coeffs), hi - m), 0)
-        x, y = a.coeffs[:n], b.coeffs[:n]
-        if not ring.padic:
-            terms.append((m, 0, [_dot(zip(x[:k + 1], y[k::-1]))
-                                 for k in range(n)], exact))
-            continue
-        wa, xs, na, va = _lifts(x, p)
-        wb, ys, nb, vb = _lifts(y, p)
-        terms.append((m, wa + wb, _kronecker(xs, ys),
-                      _pair_precisions(na, va, nb, vb)))
-    if len(terms) == 1:  # one product spans the window: nothing to sum
+def _run(s):
+    """A window as a run (first degree, end, base, values, abs_precs,
+    valuation floors): over the p-adics the lifts p^v * unit as integers
+    unit * p^(v - base) at their least valuation (0 if all vanish), a zero
+    as 0; over the rationals the Fractions, exact, at base 0."""
+    cs, p = s.coeffs, s.prime
+    if p is None:
+        return s.min_degree, s.trunc_order, 0, cs, repeat(inf), None
+    w = min((c.valuation for c in cs if c.valuation is not None), default=0)
+    return (s.min_degree, s.trunc_order, w,
+            [0 if c.valuation is None else c.unit * p ** (c.valuation - w)
+             for c in cs],
+            [c.abs_prec for c in cs], [c.valuation_floor for c in cs])
+
+
+def _sum_of_runs(p, pairs, firsts, end=inf):
+    """The sum of the runs firsts and of the products of the pairs of runs
+    on the window a chain of + gives, cut at end: an unreduced run (lo, hi,
+    base, values, precisions), p None over the rationals.  A pair's term is
+    the Kronecker product of its values at the sum of the bases, or exact
+    ``_dot`` sums; the terms are summed at the least base, each value
+    claiming the least precision of the terms whose window covers its
+    degree: below a term's window it is an exact zero and caps nothing."""
+    lo = min([a[0] + b[0] for a, b in pairs] + [f[0] for f in firsts])
+    hi = max(min([min(a[1] + b[0], b[1] + a[0]) for a, b in pairs]
+                 + [f[1] for f in firsts] + [end]), lo)
+    terms = [(m, w, xs[:max(hi - m, 0)], ns) for m, _, w, xs, ns, _ in firsts]
+    for (ma, ea, wa, xa, na, va), (mb, eb, wb, xb, nb, vb) in pairs:
+        m = ma + mb
+        n = max(min(ea - ma, eb - mb, hi - m), 0)
+        if p is None:
+            terms.append((m, 0, [_dot(zip(xa[:k + 1], xb[k::-1]))
+                                 for k in range(n)], na))
+        else:
+            terms.append((m, wa + wb, _kronecker(xa[:n], xb[:n]),
+                          _pair_precisions(na[:n], va[:n], nb[:n], vb[:n])))
+    if len(terms) == 1:  # one term spans the window: nothing to sum
         _, base, values, precs = terms[0]
     else:
         base = min(w for _, w, _, _ in terms)
@@ -395,18 +384,47 @@ def _sum_of_products(pairs, *firsts):
                 xs = map(mul, xs, repeat(p ** (w - base)))
             values[i:j] = map(add, values[i:j], xs)
             precs[i:j] = map(min, precs[i:j], ns)
-    if ring.padic:
+    return lo, hi, base, values, precs
+
+
+def _window(ring, p, lo, hi, base, values, precs):
+    """The window of an unreduced run, each p-adic value reduced once."""
+    if p is not None:
         values = map(_reduce, repeat(p), repeat(base), values, precs)
     return TruncatedSeries._trusted(ring, lo, tuple(values), hi, p)
 
 
+def _normalized(p, bases, values, precs):
+    """(values, precs, floors) for p^base * value known modulo p^N, as
+    ``_reduce`` then ``_run`` leave it: the value modulo p^(N - base), the
+    floor base + v_p of that value (below N), N for a zero.  Rationals (p
+    None) are exact and stay."""
+    if p is None:
+        return values, precs, None
+    values = [x % p ** (n - e) if n > e else 0
+              for e, x, n in zip(bases, values, precs)]
+    floors = [e + vp_int(x, p) if x else n
+              for e, x, n in zip(bases, values, precs)]
+    return values, precs, floors
+
+
+def _sum_of_products(pairs, *firsts):
+    """The sum of the windows firsts and of a * b over the pairs (a, b), all
+    of one ring: their runs summed, each p-adic coefficient reduced once."""
+    head = pairs[0][0] if pairs else firsts[0]
+    if not pairs and len(firsts) == 1:
+        return head
+    return _window(head.ring, head.prime, *_sum_of_runs(
+        head.prime, [(_run(a), _run(b)) for a, b in pairs],
+        list(map(_run, firsts))))
+
+
 def _padic_inverse(a, p):
     """1/a for the coefficients a of a p-adic window whose first is nonzero,
-    unreduced: (bases, values, precisions, floors), out_k being
-    p^bases[k] * values[k], a nonnegative integer, known modulo
-    p^precisions[k], with floors[k] its valuation_floor once reduced.
-    Reduced, each out_k is the exact inverse of the lifts modulo
-    p^abs_prec.
+    as a run of bases: (bases, values, precisions, floors), out_k being
+    p^bases[k] * values[k], known modulo p^precisions[k], its value and
+    floor ``_normalized``.  Reduced, each out_k is the exact inverse of the
+    lifts modulo p^abs_prec.
 
     The precision is that of long division,
     out_k = -(sum_(j=1..k) a_j * out_(k-j)) * (1/a_0), with the pair
@@ -449,9 +467,7 @@ def _padic_inverse(a, p):
         least = min(least, ns[k])
     b[0] = inv0.unit
     bases = [-v0 - c * k for k in range(len(a))]
-    floors = [min(e + vp_int(x, p), n) if x else n
-              for e, x, n in zip(bases, b, ns)]
-    return bases, b, ns, floors
+    return (bases, *_normalized(p, bases, b, ns))
 
 
 def _max_abs_prec(coeffs) -> int:
@@ -880,7 +896,7 @@ def dlog(a: TruncatedSeries) -> DifferentialForm:
             TruncatedSeries._trusted(a.ring, 0, out, len(out), None))
     p, n = a.prime, len(a.coeffs)
     s = 0 if a.ring.laurent else 1  # a power series' constant term drops
-    w, lifts, na, va = _lifts(a.coeffs, p)
+    _, _, w, lifts, na, va = _run(a)
     # The inverse's first k coefficients need only a's first k.
     bases, ys, nb, vb = _padic_inverse(a.coeffs[:max(n - s, 1)], p)
     xs, nx, vx = [], [], []

@@ -623,6 +623,27 @@ class TestParseErrors:
                        + json.dumps(message) + "}\n")
 
 
+class TestJsonReaderLimits:
+    """A document the JSON reader cannot take, nested past the
+    interpreter's recursion limit or holding an integer of more digits
+    than Python reads, is a parse-error like any other unreadable document,
+    and its message writes out no part of the value."""
+
+    @pytest.mark.parametrize("argv", [["invariant", "--file", "-"],
+                                      ["integrate", "--family", "-",
+                                       "--section", "1 + t + O(t^3)"]])
+    @pytest.mark.parametrize("doc,message", [
+        ("[" * 100000 + "]" * 100000, "invalid JSON: nested too deeply"),
+        ('{"p": 1' + "0" * 5000 + "}",
+         "invalid JSON: a number has more than 4300 digits"),
+    ], ids=["nested", "digits"])
+    def test_refused_as_parse_error(self, cli, argv, doc, message):
+        code, out, err = cli(argv, stdin=doc)
+        assert code == 2 and out == ""
+        assert err == ('{"error":"parse-error","message":'
+                       + json.dumps(message) + "}\n")
+
+
 def fresh_process(argv, timeout=60):
     """(exit status, stdout, stderr) of one command in a new interpreter."""
     r = subprocess.run([sys.executable, "-m", "lineint.cli", *argv],

@@ -889,6 +889,64 @@ def test_dlog_reduces_each_output_coefficient_once(monkeypatch, ring, lo,
     assert len(calls) == len(result.coeffs)
 
 
+# -- the normalization rule -------------------------------------------------
+
+
+@st.composite
+def unreduced_runs(draw):
+    """(p, bases, values, precisions) of an unreduced run: negative bases,
+    zeros, values that vanish modulo p^(N - base), negative values, and
+    precisions at or below the base."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 12))
+    bases = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    precs = [e + draw(st.integers(-3, 9)) for e in bases]
+    values = []
+    for e, k in zip(bases, precs):
+        x = draw(st.integers(-p ** 12, p ** 12))
+        values.append(draw(st.sampled_from(
+            (0, x, x * p ** max(k - e, 0), p ** 3 * x))))
+    return p, bases, values, precs
+
+
+class TestNormalizationRule:
+    """``series._normalized`` leaves p^base * value and the valuation
+    floor as ``_reduce`` then ``_run`` leave them: the rule behind the
+    powers of ``substitute_fiber`` and the floors of ``_padic_inverse``."""
+
+    @staticmethod
+    def reduced_run(p, bases, values, precs):
+        """(p^base * value for each, floors) of the reduced coefficients'
+        run, read through a window."""
+        coeffs = tuple(map(lineint.coeff._reduce, repeat(p), bases, values,
+                           precs))
+        window = TruncatedSeries._trusted(RingLabel.ROBBA, 0, coeffs,
+                                          len(coeffs), p)
+        _, _, w, lifts, _, floors = lineint.series._run(window)
+        return [Fraction(p) ** w * x for x in lifts], floors
+
+    @given(unreduced_runs())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_reduce_then_run(self, drawn):
+        p, bases, values, precs = drawn
+        got, got_precs, floors = lineint.series._normalized(p, bases, values,
+                                                            precs)
+        assert got_precs == precs and all(x >= 0 for x in got)
+        assert ([Fraction(p) ** e * x for e, x in zip(bases, got)],
+                floors) == self.reduced_run(p, bases, values, precs), drawn
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_inverse_run(self, data):
+        ring, p = data.draw(st.sampled_from(PADIC_RINGS)), \
+            data.draw(st.sampled_from((2, 3, 5)))
+        a = make_series(ring, p, data.draw(PADIC_UNIT_SERIES),
+                        unit_lead=True)
+        bases, values, precs, floors = _padic_inverse(a.coeffs, p)
+        assert ([Fraction(p) ** e * x for e, x in zip(bases, values)],
+                floors) == self.reduced_run(p, bases, values, precs), a
+
+
 # -- soundness under perturbation -------------------------------------------
 
 SOUND_RINGS = st.tuples(st.sampled_from(PADIC_RINGS),

@@ -57,3 +57,22 @@ def test_cited_private_names_are_defined():
         if not any(defined.search(text) for text in texts):
             missing.append(f"{module}.{name}" if module else name)
     assert cited and missing == []
+
+
+def test_ci_sentence_names_the_workflow_versions():
+    """The README's sentence on CI names exactly the range of Python
+    versions that .github/workflows/tier1.yml runs, a run of consecutive
+    minor versions."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    listed, = re.findall(r"^\s*python-version:\s*\[([^\]]*)\]", workflow,
+                         re.MULTILINE)
+    versions = re.findall(r'"(\d+)\.(\d+)"', listed)
+    majors = {major for major, _ in versions}
+    minors = [int(minor) for _, minor in versions]
+    assert len(majors) == 1 and minors == list(
+        range(minors[0], minors[-1] + 1))
+    major, = majors
+    sentence = re.search(r"`\.github/workflows/tier1\.yml`\s+runs it on\s+"
+                         r"Python\s+(\S+?),", README)
+    assert sentence and sentence.group(1) == \
+        f"{major}.{minors[0]}–{major}.{minors[-1]}"

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, repeat
 import json
 import operator
 import pathlib
@@ -649,6 +650,95 @@ class TestSharedPowers:
                      for f in row] for row in family.entries]
 
         assert outcome(shared) == outcome(unshared)
+
+    @pytest.mark.parametrize("ring", [F, GP, RingLabel.E_PLUS,
+                                      RingLabel.ROBBA_PLUS],
+                             ids=lambda r: r.value)
+    @given(data=st.data())
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_drawn_pullback_matches_window_powers(self, ring, data):
+        family, v = data.draw(pullbacks(ring))
+        ring, p = family.ring, family.prime
+        w = v - one_series(ring, v.trunc_order, p, v._working_prec())
+        dv = derive(v).series
+
+        def shared():
+            return [[shown(g.series) for g in row] for row in
+                    section_pullback(family, v).connection.entries]
+
+        def unshared():
+            return [[shown(window_substitution(f.du_part, w)
+                           + window_substitution(f.dx_part, w) * dv)
+                     for f in row] for row in family.entries]
+
+        assert refusal_or(shared) == refusal_or(unshared), (family, v)
+
+
+def window_substitution(b, w):
+    """substitute_fiber with the powers of w built as windows, each next
+    one by window ``*`` and clipped to the u-window, and summed by one sum
+    of products: the construction the shared power runs replaced, kept as
+    their oracle."""
+    tu, tx = b.trunc_u, b.trunc_x
+    if tx == 0:
+        return zero_series(b.ring, 0, 0, b.prime, b._working_prec())
+    e = w.order()
+    if e is not None and tx * e < tu:
+        raise InsufficientWindowError("the section does not fill the window")
+    powers = list(accumulate(repeat(w.clipped(trunc_order=tu), tx - 1),
+                             lambda q, _: (q * w).clipped(trunc_order=tu)))
+    total = series._sum_of_products(list(zip(b.cols[1:], powers)), b.cols[0])
+    return total.clipped(trunc_order=min(tu, w.trunc_order))
+
+
+def refusal_or(compute):
+    """compute(), or the class of the refusal it raised."""
+    try:
+        return compute()
+    except CalculusError as e:
+        return type(e)
+
+
+@st.composite
+def pullbacks(draw, ring):
+    """A (1, 1, 1) family over ring (at p = 2, 3 or 5 if p-adic) whose
+    parts, drawn from three windows and one shared zero, have their own
+    windows, and a section v whose w = v - 1 is of order 1 or 2, has w(0)
+    a zero known below the window's precision, or is a unit."""
+    p = None if ring is F else draw(st.sampled_from((2, 3, 5)))
+    prec = draw(st.integers(3, 8))
+
+    def value():
+        if ring is not F and draw(st.integers(0, 3)) == 0:
+            return PAdic.zero(p, draw(st.integers(1, prec)))
+        den = 1 if ring is GP else (p or 2) ** draw(st.integers(0, 2))
+        return Fraction(draw(st.integers(-40, 40)), den)
+
+    def window():  # order 1 fills its u-window, order 2 may not
+        tx = draw(st.integers(1, 4))
+        tu = draw(st.integers(1, tx))
+        return biseries_from_map(ring, {
+            (i, j): value() for i in range(tu) for j in range(tx)
+            if draw(st.booleans())}, tu, tx, p, prec)
+
+    tx = draw(st.integers(1, 4))
+    zero = zero_biseries(ring, draw(st.integers(1, tx + 1)), tx, p, prec)
+    pool = [window(), window(), window(), zero]
+    zf = BiForm(zero, zero)
+    entries = [[zf] * 3 for _ in range(3)]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        entries[a][b] = BiForm(draw(st.sampled_from(pool)),
+                               draw(st.sampled_from(pool)))
+    family = FramedFamily(Signature((1, 1, 1)), ring, entries, p)
+    order = draw(st.sampled_from((1, 2, 1, 2, 0)))
+    v0 = 1 + (p or 1) if order == 0 else 1  # w(0) = p: v(0) stays a unit
+    if ring is not F and order and draw(st.booleans()):
+        v0 = PAdic.from_rational(1, p, draw(st.integers(1, prec - 1)))
+    coeffs = [v0] + [0] * max(order - 1, 0) + [
+        draw(st.integers(1, 40))] + [value() for _ in range(4)]
+    v = series_from_coeffs(ring, 0, coeffs[:draw(st.integers(2, 6))], p,
+                           prec)
+    return family, v
 
 
 def part_ids(family):
