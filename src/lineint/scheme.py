@@ -287,7 +287,9 @@ def substitute_fiber(b: BiSeries, w: TruncatedSeries, *,
         )
     if powers is None:
         powers = _fiber_powers(w, tx - 1, tu)
-    runs = list(map(_run, cols))
+    distinct = {id(c): c for c in cols}  # a zero part's columns share one
+    read = dict(zip(distinct, map(_run, distinct.values())))
+    runs = [read[id(c)] for c in cols]
     return _window(b.ring, b.prime, *_sum_of_runs(
         b.prime, list(zip(runs[1:], powers)), runs[:1],
         min(tu, w.trunc_order)))

@@ -22,10 +22,11 @@ reduce: every coefficient is the exact result on the operands' lifts
 it can prove.  The values of a product come from one multiply of the lifts
 packed into one integer each (Kronecker substitution), those of
 ``inverse`` from long division on integers modulo one power of p; the
-precisions from a min-plus pass over ``abs_prec`` and ``valuation_floor``.
-Each degree of a pass is first bounded below by prefix minima, a bound that
-is its value when one side is one run, as a parsed window's precisions
-are; only a degree the bound cannot settle is scanned.
+precisions from a min-plus pass over ``abs_prec`` and ``valuation_floor``
+from what the sum's first terms claim.  Each degree of a pass is first
+bounded below by prefix minima, its value when one side is one run, as a
+parsed window's precisions are; only a degree the bound cannot settle
+below the claim is scanned.
 A p-adic ``dlog`` is derive(a) * inverse(a) on integers, building neither
 window: da's lifts read off a's, the inverse's unreduced, one Kronecker
 product.  Zeros lift to 0, so a zero coefficient costs only its precision.
@@ -286,26 +287,30 @@ def coeff_text(c, degree) -> str:
         ) from None
 
 
-def _pair_precisions(na, va, nb, vb):
-    """For every k below len(na), the abs_prec
+def _pair_precisions(na, va, nb, vb, out):
+    """out lowered, for every k below len(na), to the abs_prec
     min_(i<=k) min(na[i] + vb[k-i], nb[k-i] + va[i]) that the sum of the
     products a_i * b_(k-i) proves, from the abs_prec (n) and
     valuation_floor (v) lists of two windows of that length: the min-plus
-    pass behind every p-adic product.
+    pass behind every p-adic product.  out holds what the rest of a sum
+    already claims at each degree (inf for none) and is returned.
 
     Each half, min_(i+j=k) x_i + y_j, is at least its bound, the sum of
     the prefix minima min(x_0..k) + min(y_0..k), and equals it when x or y
     is one run (all its values equal): the least value of the other side
-    then meets that run.  A degree takes an exact half's bound, and a half
-    is scanned there only when it is not exact and its bound is below the
-    other half's value.  So the pass is linear when one side of each half
-    is one run, as for parsed and empty windows, and otherwise scans each
-    degree at most twice, as a plain pass does."""
-    n = len(na)
-    out, scans = [inf] * n, []
+    then meets that run.  Every bound is at least min(x) + min(y), so a
+    half whose min(x) + min(y) is at or above max(out) lowers nothing and
+    is skipped.  A degree takes an exact half's bound, and a half is
+    scanned there only when it is not exact and its bound is below out.
+    So the pass is linear when one side of each half is one run, as for
+    parsed and empty windows, and otherwise scans each degree at most
+    twice, as a plain pass does."""
+    n, cap, scans = len(na), max(out, default=-inf), []
     for x, y in ((na, vb), (nb, va)):
+        if not n or min(x) + min(y) >= cap:  # the half lowers nothing
+            continue
         bound = list(map(add, accumulate(x, min), accumulate(y, min)))
-        if not n or x.count(x[0]) == n or y.count(y[0]) == n:
+        if x.count(x[0]) == n or y.count(y[0]) == n:
             out = list(map(min, out, bound))
         else:
             scans.append((bound, x, y[::-1]))
@@ -359,31 +364,37 @@ def _sum_of_runs(p, pairs, firsts, end=inf):
     the Kronecker product of its values at the sum of the bases, or exact
     ``_dot`` sums; the terms are summed at the least base, each value
     claiming the least precision of the terms whose window covers its
-    degree: below a term's window it is an exact zero and caps nothing."""
+    degree: below a term's window it is an exact zero and caps nothing.
+    The firsts' claims come first and each pair's pass only lowers the
+    claims on its window, skipping what it cannot lower: min is exact in
+    any order."""
     lo = min([a[0] + b[0] for a, b in pairs] + [f[0] for f in firsts])
     hi = max(min([min(a[1] + b[0], b[1] + a[0]) for a, b in pairs]
                  + [f[1] for f in firsts] + [end]), lo)
-    terms = [(m, w, xs[:max(hi - m, 0)], ns) for m, _, w, xs, ns, _ in firsts]
+    terms = [(m, w, xs[:max(hi - m, 0)]) for m, _, w, xs, _, _ in firsts]
+    precs = [inf] * (hi - lo)
+    for m, _, _, _, ns, _ in firsts:
+        precs[m - lo:hi - lo] = map(min, precs[m - lo:hi - lo], ns)
     for (ma, ea, wa, xa, na, va), (mb, eb, wb, xb, nb, vb) in pairs:
         m = ma + mb
         n = max(min(ea - ma, eb - mb, hi - m), 0)
         if p is None:
             terms.append((m, 0, [_dot(zip(xa[:k + 1], xb[k::-1]))
-                                 for k in range(n)], na))
+                                 for k in range(n)]))
         else:
-            terms.append((m, wa + wb, _kronecker(xa[:n], xb[:n]),
-                          _pair_precisions(na[:n], va[:n], nb[:n], vb[:n])))
+            precs[m - lo:m - lo + n] = _pair_precisions(
+                na[:n], va[:n], nb[:n], vb[:n], precs[m - lo:m - lo + n])
+            terms.append((m, wa + wb, _kronecker(xa[:n], xb[:n])))
     if len(terms) == 1:  # one term spans the window: nothing to sum
-        _, base, values, precs = terms[0]
+        _, base, values = terms[0]
     else:
-        base = min(w for _, w, _, _ in terms)
-        values, precs = [0] * (hi - lo), [inf] * (hi - lo)
-        for m, w, xs, ns in terms:
+        base = min(w for _, w, _ in terms)
+        values = [0] * (hi - lo)
+        for m, w, xs in terms:
             i, j = m - lo, m - lo + len(xs)
             if w > base:
                 xs = map(mul, xs, repeat(p ** (w - base)))
             values[i:j] = map(add, values[i:j], xs)
-            precs[i:j] = map(min, precs[i:j], ns)
     return lo, hi, base, values, precs
 
 
@@ -912,7 +923,8 @@ def dlog(a: TruncatedSeries) -> DifferentialForm:
         xs = [x * p ** (bases[0] - e) for x, e in zip(xs, bases)]
     m = n - s
     out = map(_reduce, repeat(p), [w + e for e in bases[:m]],
-              _kronecker(xs, ys[:m]), _pair_precisions(nx, vx, nb[:m], vb[:m]))
+              _kronecker(xs, ys[:m]),
+              _pair_precisions(nx, vx, nb[:m], vb[:m], [inf] * m))
     return DifferentialForm(
         TruncatedSeries._trusted(a.ring, s - 1, tuple(out), n - 1, p))
 

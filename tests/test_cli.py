@@ -170,6 +170,18 @@ WORKLOAD_SEED_PINS = {
         "b09c368695cb3ea4696bb2232a4b04210a541cbb2d18cc4f63d19da3e23275ac",
 }
 
+# sha256 over the exit code, stdout and stderr of the jobs of seeds 0-9 at
+# sizes past the timed ones, each drawn from random.Random(seed) by the
+# workload's job maker: (maker, size, trunc) -> digest.
+LARGER_JOB_PINS = {
+    ("integrate_job", 6, 10):
+        "872f2bc837f520fc4f4678744e2f15e92e10a7f254491360ee8511ecb22c89fa",
+    ("integrate_job", 3, 20):
+        "a73f0273c46ef3f78efc45f3876d7a71b97d3bd4e280f0eac4a4290ade84cb1e",
+    ("invariant_job", 8, 12):
+        "c0dec949d1eb39cdb27164e400efe63acacd421b9ac9d6e417acd148af43e0c8",
+}
+
 
 def checkout_env(**extra):
     """This environment with the checkout's src first on PYTHONPATH, so a
@@ -793,6 +805,17 @@ class TestWorkloadPins:
                 job = make(random.Random(seed))
                 code, out, err = cli(list(job.argv), stdin=job.stdin)
                 h.update(f"{code}\0{out}\0{err}\0".encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("maker,size,trunc,digest",
+                             [(*k, d) for k, d in LARGER_JOB_PINS.items()])
+    def test_ten_seeds_past_the_timed_size(self, cli, maker, size, trunc,
+                                           digest):
+        make, h = getattr(workloads, maker), hashlib.sha256()
+        for seed in range(10):
+            job = make(random.Random(seed), size, trunc)
+            code, out, err = cli(list(job.argv), stdin=job.stdin)
+            h.update(f"{code}\0{out}\0{err}\0".encode())
         assert h.hexdigest() == digest
 
 

@@ -42,9 +42,14 @@ window; the chain ``derive(a) * inverse(a)`` through the loops stays here
 as its oracle, and a count checks it reduces each output coefficient once
 and calls no ``derive``, ``inverse`` or series ``*``.
 The precision passes decide a degree from prefix-minimum bounds and scan
-only where a bound cannot settle it; ``TestPrecisionBounds`` checks them
-against the passes that scan every degree, ``loop_pair_precisions`` and
-``loop_inverse_precisions``.
+only where a bound cannot settle it, and a pair's pass starts from what the
+sum already claims and skips a half that cannot go below it;
+``TestPrecisionBounds`` checks them against the passes that scan every
+degree, ``loop_pair_precisions`` and ``loop_inverse_precisions``, the pair
+pass from no claim, drawn claims and claims at or below every pair value.
+``TestSumOfProducts`` also draws parsed first terms, one ``abs_prec`` each,
+that cap the pairs, and checks that every run ``_sum_of_runs`` returns has
+one value and one precision per degree of its window.
 ``TestPerturbationSoundness`` moves every operand coefficient within its
 claimed precision and checks that no result coefficient moves within its
 own: a slice, for ``inverse``, ``dlog``, ``padic_log_dagger``, ``+``,
@@ -56,7 +61,7 @@ import random
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import compress, repeat
-from math import factorial, gcd, lcm
+from math import factorial, gcd, inf, lcm
 from operator import add, floordiv, mul, sub
 
 import pytest
@@ -102,7 +107,9 @@ from lineint.series import (
     _padic_inverse,
     _pair_precisions,
     _rational_quotient,
+    _run,
     _sum_of_products,
+    _sum_of_runs,
     _unit_constant_term,
     antiderive,
     derive,
@@ -727,7 +734,8 @@ class TestPrecisionBounds:
     """The min-plus passes settle a degree from prefix-minimum bounds and
     scan only where the bound cannot: they give the loops' precisions on
     empty lists, one-run sides, all-distinct values and negative floors,
-    and ``_padic_inverse`` gives the loop recurrence's on every p-adic
+    the pair pass min-ed into the claim it starts from, and
+    ``_padic_inverse`` gives the loop recurrence's on every p-adic
     ring."""
 
     @given(st.data())
@@ -735,8 +743,16 @@ class TestPrecisionBounds:
     def test_pair_precisions(self, data):
         n = data.draw(st.integers(0, 40))
         lists = [data.draw(precision_lists(n)) for _ in range(4)]
-        assert _pair_precisions(*lists) == loop_pair_precisions(*lists), \
-            lists
+        want = loop_pair_precisions(*lists)
+        out = data.draw(st.one_of(
+            st.just([inf] * n),
+            st.integers(-130, 130).map(lambda c: [c] * n),
+            st.lists(st.integers(-130, 130), min_size=n, max_size=n),
+            # a cap at or below every pair value: nothing to lower
+            st.lists(st.integers(-10, 0), min_size=n, max_size=n).map(
+                lambda d: [min(want) + x for x in d])))
+        assert _pair_precisions(*lists, list(out)) == \
+            list(map(min, out, want)), (lists, out)
 
     @given(st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -757,7 +773,7 @@ class TestPrecisionBounds:
 
     def test_empty_windows(self):
         gp = RingLabel.GAMMA_PLUS
-        assert _pair_precisions([], [], [], []) == []
+        assert _pair_precisions([], [], [], [], []) == []
         empty = zero_series(gp, 0, 0, 3)
         a = series_from_coeffs(gp, 0, [1, 2, 3], 3)
         for product in (a * empty, empty * a, empty * empty):
@@ -1276,6 +1292,7 @@ SUM_RINGS = st.tuples(
     st.sampled_from((RingLabel.FORMAL, RingLabel.GAMMA_PLUS, RingLabel.GAMMA,
                      RingLabel.ROBBA_PLUS, RingLabel.ROBBA)),
     st.sampled_from((2, 3, 5)))
+CAPPING_RINGS = (RingLabel.GAMMA_PLUS, RingLabel.E_PLUS, RingLabel.ROBBA_PLUS)
 
 
 def chain(pairs, *firsts):
@@ -1306,6 +1323,41 @@ class TestSumOfProducts:
         if ring.padic:
             assert list(map(fields, got.coeffs)) == \
                 list(map(fields, want.coeffs)), (pairs, first)
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_uniform_firsts_cap_the_pairs(self, data):
+        # Parsed firsts claim one abs_prec at every degree; one starting
+        # above the pairs leaves their low degrees to the pairs alone.
+        ring = data.draw(st.sampled_from(CAPPING_RINGS))
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        pairs = [tuple(make_series(ring, p, data.draw(SERIES))
+                       for _ in range(2))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        den = 1 if ring.integral else p ** data.draw(st.integers(0, 2))
+        firsts = [series_from_coeffs(
+            ring, data.draw(st.integers(0, 3)),
+            [Fraction(x, den) for x in data.draw(st.lists(
+                st.integers(-40, 40), min_size=1, max_size=9))],
+            p, data.draw(st.integers(0, 9)))
+            for _ in range(data.draw(st.integers(1, 2)))]
+        got, want = _sum_of_products(pairs, *firsts), chain(pairs, *firsts)
+        assert shown(got) == shown(want), (pairs, firsts)
+        assert list(map(fields, got.coeffs)) == \
+            list(map(fields, want.coeffs)), (pairs, firsts)
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_runs_are_as_long_as_their_window(self, data):
+        ring, p = data.draw(P_RINGS)
+        firsts = [_run(make_series(ring, p, data.draw(SERIES)))
+                  for _ in range(data.draw(st.integers(0, 2)))]
+        pairs = [tuple(_run(make_series(ring, p, data.draw(SERIES)))
+                       for _ in range(2))
+                 for _ in range(data.draw(st.integers(not firsts, 2)))]
+        end = data.draw(st.one_of(st.just(inf), st.integers(-4, 8)))
+        lo, hi, _, values, precs = _sum_of_runs(p, pairs, firsts, end)
+        assert len(values) == len(precs) == hi - lo, (pairs, firsts, end)
 
     @pytest.mark.parametrize("with_first", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -335,6 +335,25 @@ class TestSubstituteFiber:
         with pytest.raises(InvalidInputError):
             substitute_fiber(b, w)
 
+    @pytest.mark.parametrize("mapping,reads", [
+        ({}, 1),                       # a zero window: one shared column
+        ({(0, 0): 1, (2, 3): 1}, 3),   # columns 0 and 3, one zero for 5
+    ])
+    def test_reads_each_distinct_column_once(self, monkeypatch, mapping,
+                                             reads):
+        b = biseries_from_map(GP, mapping, 7, 7, prime=3)
+        w = section(0, 1, 2, 0, 1, 1, 2)
+        powers = scheme._fiber_powers(w, 6, 7)
+        calls = []
+
+        def counted(s, run=scheme._run):
+            calls.append(s)
+            return run(s)
+
+        monkeypatch.setattr(scheme, "_run", counted)
+        substitute_fiber(b, w, powers=powers)
+        assert len(calls) == reads
+
     def test_narrow_section_window_shrinks_output(self):
         b = bmap({(0, j): 1 for j in range(6)}, 6, 6)
         w = series_from_coeffs(F, 0, [0, 1])  # only known to O(t^2)
